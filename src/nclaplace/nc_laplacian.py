@@ -9,6 +9,14 @@ acting on N x N matrices.  Three spectrum strategies are provided: a dense
 N^2 x N^2 superoperator (small N, any surface), a Fourier-offset block
 decomposition (revolution surfaces, large N), and a matrix-free shift-invert
 iterative solve (theta-dependent metrics at moderate N).
+
+On a surface of revolution gamma is diagonal and the coordinate matrices are
+tridiagonal, so the operator maps each matrix diagonal (Fourier offset) to
+itself and its restriction there is a tridiagonal matrix, written down in
+closed form.  Its off-diagonal products are positive, so a diagonal
+similarity makes it symmetric tridiagonal (Parlett, The Symmetric Eigenvalue
+Problem, sec. 7) and the low eigenvalues come out real from one
+`eigh_tridiagonal` call per block: O(N) work per offset.
 """
 
 from __future__ import annotations
@@ -16,8 +24,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -43,18 +49,19 @@ DENSE_CAP = 40
 #: relative floor under which off-band entries are dropped when sparsifying
 SPARSE_DROP_TOL = 1e-15
 
-#: relative off-diagonal mass allowed for gamma in the block decomposition
+#: relative off-diagonal mass allowed in the commutator-square sum of a
+#: surface of revolution, whose gamma is read off the diagonal
 GAMMA_DIAGONAL_TOL = 1e-10
-
-#: relative leakage allowed outside the source offset when blocks are built
-OFFSET_LEAKAGE_TOL = 1e-12
 
 
 def build_gamma(coords: CoordinateMatrices, hbar: float) -> np.ndarray:
     """Principal square root of S = -([X,Y]^2 + [Y,Z]^2 + [Z,X]^2)/hbar^2.
 
     S must be hermitian positive semidefinite up to rounding; eigenvalues of S
-    below -1e-10*||S|| signal a wrong hbar or broken coordinates.
+    below -1e-10*||S|| signal a wrong hbar or broken coordinates.  On a
+    surface of revolution S is diagonal and gamma is the entrywise root of
+    its diagonal; off-diagonal mass above GAMMA_DIAGONAL_TOL raises
+    NotRevolutionSurfaceError.
     """
     mats = [_sparsify(M) for M in (coords.X, coords.Y, coords.Z)]
     S = None
@@ -62,31 +69,54 @@ def build_gamma(coords: CoordinateMatrices, hbar: float) -> np.ndarray:
         C = (A @ B - B @ A) / hbar
         term = C @ C
         S = term if S is None else S + term
-    S = -S.toarray()
-    dev = np.abs(S - S.conj().T).max()
-    scale = max(np.abs(S).max(), 1e-300)
+    S = -S
+    dev = abs(S - S.conj().T).max()
+    scale = max(abs(S).max(), 1e-300)
     if dev > 1e-12 * scale:
         raise ConsistencyError(f"commutator square sum deviates from hermitian by {dev:.2e}")
-    S = 0.5 * (S + S.conj().T)
-    w, V = np.linalg.eigh(S)
+    if coords.surface.revolution:
+        w = np.real(S.diagonal())
+        off_mass = abs(S - sp.diags(S.diagonal())).max()
+        if off_mass > GAMMA_DIAGONAL_TOL * scale:
+            raise NotRevolutionSurfaceError(
+                f"commutator square sum carries off-diagonal mass {off_mass:.2e} "
+                f"(tolerance {GAMMA_DIAGONAL_TOL:.0e} x {scale:.2e}); "
+                "the metric is theta-dependent"
+            )
+        V = None
+    else:
+        S = S.toarray()
+        w, V = np.linalg.eigh(0.5 * (S + S.conj().T))
     wmax = max(w.max(), 0.0)
     if w.min() < -1e-10 * max(wmax, 1e-300):
         raise ConsistencyError(
             f"area-density square has eigenvalue {w.min():.3e} below tolerance "
             f"(norm {wmax:.3e}); check hbar and the coordinate matrices"
         )
-    gamma = (V * np.sqrt(np.clip(w, 0.0, None))) @ V.conj().T
-    return 0.5 * (gamma + gamma.conj().T)
+    return _hermitian(np.sqrt(np.clip(w, 0.0, None)), V)
+
+
+def _is_diagonal(M: np.ndarray) -> bool:
+    return np.count_nonzero(M) == np.count_nonzero(np.diagonal(M))
+
+
+def _hermitian(w: np.ndarray, V) -> np.ndarray:
+    """V diag(w) V^H, or diag(w) when V is None (a diagonal eigenbasis)."""
+    if V is None:
+        return np.diag(w)
+    M = (V * w) @ V.conj().T
+    return 0.5 * (M + M.conj().T)
 
 
 def gamma_inverse(gamma: np.ndarray, epsilon: float, return_truncated: bool = False):
     """Pseudo-inverse through the eigenbasis of gamma.
 
     Eigenvalues at or above epsilon*max eigenvalue are inverted, the rest
-    zeroed.  With everything below threshold the metric is degenerate.
+    zeroed.  With everything below threshold the metric is degenerate.  A
+    diagonal gamma is its own eigenbasis and is inverted entrywise.
     """
     gamma = np.asarray(gamma)
-    w, V = np.linalg.eigh(gamma)
+    w, V = (np.real(np.diagonal(gamma)), None) if _is_diagonal(gamma) else np.linalg.eigh(gamma)
     wmax = w.max()
     if wmax <= 0.0:
         raise DegenerateMetricError("quantized area density has no positive eigenvalues")
@@ -94,8 +124,7 @@ def gamma_inverse(gamma: np.ndarray, epsilon: float, return_truncated: bool = Fa
     if not keep.any():
         raise DegenerateMetricError("all eigenvalues below the regularization threshold")
     winv = np.where(keep, 1.0 / np.where(keep, w, 1.0), 0.0)
-    inv = (V * winv) @ V.conj().T
-    inv = 0.5 * (inv + inv.conj().T)
+    inv = _hermitian(winv, V)
     truncated = int((~keep).sum())
     return (inv, truncated) if return_truncated else inv
 
@@ -196,120 +225,117 @@ def assemble_dense_superoperator(ops: QuantizedOperatorSet, cap: int = DENSE_CAP
 
 @dataclass
 class OffsetBlock:
-    """Dense restriction of the Laplacian to one matrix diagonal offset.
+    """Restriction of the Laplacian to one matrix diagonal offset.
 
     The offset counts columns minus rows (numpy diagonal convention); with
     the entry convention T(f)[n, m] = f_{n-m}(...), the offset-k diagonal
     carries azimuthal mode -k.  Offsets +-k appear as separate blocks whose
-    low eigenvalues approach each other only in the large-N limit.
+    low eigenvalues approach each other only in the large-N limit.  The
+    block is tridiagonal: ``diag``, ``upper`` (entries (j, j+1)) and
+    ``lower`` (entries (j+1, j)).
     """
 
     offset: int
-    dim: int
-    operator: np.ndarray
+    diag: np.ndarray
+    upper: np.ndarray
+    lower: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return len(self.diag)
+
+    @property
+    def operator(self) -> np.ndarray:
+        """Dense view of the block (small-size oracles)."""
+        return np.diag(self.diag) + np.diag(self.upper, 1) + np.diag(self.lower, -1)
+
+    def lowest(self, take: int):
+        """The `take` eigenvalues closest to 0, descending, and their vectors (rows).
+
+        The Laplacian is self-adjoint and negative semidefinite in the inner
+        product weighted by gamma, so these are the largest eigenvalues.  The
+        similarity D^{-1} B D with D_{j+1}/D_j = sqrt(lower_j/upper_j) makes
+        the block symmetric; eigenvectors of B are D times those of the
+        symmetric matrix.
+        """
+        if np.any(self.upper * self.lower <= 0.0):
+            raise ConsistencyError(
+                f"offset-{self.offset} block has a non-positive off-diagonal product "
+                "(a gamma mode truncated by a large epsilon decouples the block)"
+            )
+        ratio = np.sqrt(self.lower / self.upper)
+        select = (self.dim - min(take, self.dim), self.dim - 1)
+        w, Y = sla.eigh_tridiagonal(self.diag, self.upper * ratio, select="i", select_range=select)
+        scale = np.concatenate(([1.0], np.cumprod(ratio)))
+        return w[::-1], (scale[:, None] * Y).T[::-1]
 
 
-def _check_gamma_diagonal(ops: QuantizedOperatorSet) -> np.ndarray:
-    gamma = ops.gamma
-    diag = np.real(np.diagonal(gamma))
-    off = gamma - np.diag(np.diagonal(gamma))
-    off_mass = np.abs(off).max() if off.size else 0.0
-    scale = max(np.abs(diag).max(), 1e-300)
-    if off_mass > GAMMA_DIAGONAL_TOL * scale:
-        raise NotRevolutionSurfaceError(
-            f"gamma carries off-diagonal mass {off_mass:.2e} "
-            f"(tolerance {GAMMA_DIAGONAL_TOL:.0e} x {scale:.2e}); "
-            "the metric is theta-dependent"
-        )
-    return diag
+def _offset_block(ops: QuantizedOperatorSet, k: int) -> OffsetBlock:
+    """Closed-form restriction of L to offset k for tridiagonal X_i, diagonal gamma.
 
+    With g = diag(gamma^{-1}), row n of the block (entry (n, m = n + k) of the
+    matrix) reads as below, summed over X_i in (X, Y, Z), with c = diag(X_i)
+    and q_n = X_i[n, n+1] X_i[n+1, n] (zero outside 0 <= n < N-1):
 
-def _offset_diag_matrix(v: np.ndarray, k: int, N: int):
-    return sp.dia_matrix((np.asarray(v, dtype=complex), 0), shape=(N - abs(k), N - abs(k)))
+        diag  = -g_n/hbar^2 [g_n (c_n - c_m)^2 + g_{n+1} q_n + g_{n-1} q_{n-1}
+                             + g_n (q_m + q_{m-1})]
+        upper = g_n (g_n + g_{n+1})/hbar^2 X_i[n, n+1] X_i[m+1, m]
+        lower = g_{n+1} (g_n + g_{n+1})/hbar^2 X_i[n+1, n] X_i[m, m+1]
+    """
+    N = ops.N
+    M = N - abs(k)
+    n = max(0, -k) + np.arange(M)
+    m = n + k
+    g = np.real(np.diagonal(ops.gamma_inv))
+    gp = np.concatenate(([0.0], g, [0.0]))  # gp[j + 1] = g_j, zero outside
+    diag_sum = np.zeros(M)
+    qp = np.zeros(N + 1)  # qp[j + 1] = q_j, zero outside
+    upper = np.zeros(M - 1, dtype=complex)
+    lower = np.zeros(M - 1, dtype=complex)
+    for X in (ops.coords.X, ops.coords.Y, ops.coords.Z):
+        c = np.real(np.diagonal(X))
+        up, lo = np.diagonal(X, 1), np.diagonal(X, -1)
+        diag_sum += (c[n] - c[m]) ** 2
+        qp[1:-1] += np.real(up * lo)
+        upper += up[n[:-1]] * lo[m[:-1]]
+        lower += lo[n[:-1]] * up[m[:-1]]
+    gn, h2 = g[n], ops.hbar**2
+    diag = gn * diag_sum + gp[n + 2] * qp[n + 1] + gp[n] * qp[n] + gn * (qp[m + 1] + qp[m])
+    pair = gn[:-1] + gn[1:]
+    return OffsetBlock(
+        k, -gn * diag / h2, gn[:-1] * pair * upper.real / h2, gn[1:] * pair * lower.real / h2
+    )
 
 
 def _embed_offset(v: np.ndarray, k: int, N: int):
     """Sparse N x N matrix with vector v along diagonal offset k."""
-    M = sp.lil_matrix((N, N), dtype=complex)
-    idx = np.arange(N - abs(k))
-    if k >= 0:
-        M[idx, idx + k] = v
-    else:
-        M[idx - k, idx] = v
-    return M.tocsr()
+    return sp.diags(np.asarray(v, dtype=complex), k, shape=(N, N), format="csr")
 
 
 def block_decompose(ops: QuantizedOperatorSet, max_offset: int) -> list[OffsetBlock]:
     """Restrict the Laplacian to matrix diagonals (offsets -K..K).
 
-    Valid when the metric is theta-independent: gamma must be numerically
-    diagonal, and the response to an offset-k source must stay on offset k.
-    Built by applying the operator to batches of offset-k basis matrices and
-    reading off the offset-k component; leakage into other offsets raises.
+    Valid when the metric is theta-independent: gamma^{-1} must be diagonal.
+    Each block is written in closed form from the diagonals of gamma^{-1}
+    and the three diagonals of X, Y and Z; `spectrum` proves every returned
+    eigenpair through the full operator.
 
-    The blocks at +k and -k are assembled independently: the operator weights
-    the inner commutator by gamma^{-1} from the left, so the two restrictions
-    are distinct matrices whose low eigenvalues agree only up to the
+    The blocks at +k and -k are distinct: the operator weights the inner
+    commutator by gamma^{-1} from the left, so the two restrictions are
+    different matrices whose low eigenvalues agree only up to the
     discretization error.
     """
     if not ops.surface_is_revolution:
         raise NotRevolutionSurfaceError("block decomposition requires equal equatorial axes")
-    _check_gamma_diagonal(ops)
+    if not _is_diagonal(ops.gamma_inv):
+        raise NotRevolutionSurfaceError(
+            "gamma^{-1} carries off-diagonal mass; the metric is theta-dependent"
+        )
     N = ops.N
     if not 0 <= max_offset < N:
         raise ValueError(f"need 0 <= K < N, got K={max_offset}")
-    X, Y, Z, _ = ops.sparse_ops()
-    Ginv = sp.dia_matrix(
-        (np.real(np.diagonal(ops.gamma_inv))[None, :], [0]), shape=(N, N)
-    ).tocsr()
-    restricted = QuantizedOperatorSet(
-        coords=ops.coords,
-        gamma=ops.gamma,
-        gamma_inv=ops.gamma_inv,
-        hbar=ops.hbar,
-        regularization_epsilon=ops.regularization_epsilon,
-        surface_is_revolution=True,
-        gamma_truncated_modes=ops.gamma_truncated_modes,
-        _sparse=(X, Y, Z, Ginv),
-    )
-    blocks = []
-    stride = 5  # source columns this far apart cannot overlap (support radius 2)
-    rng = np.random.default_rng(1234)
-    offsets = [0]
-    for k in range(1, max_offset + 1):
-        offsets.extend([k, -k])
-    for k in offsets:
-        M = N - abs(k)
-        L = np.zeros((M, M))
-        for r in range(min(stride, M)):
-            cols = np.arange(r, M, stride)
-            v = np.zeros(M)
-            v[cols] = 1.0
-            resp = apply_laplacian(restricted, _embed_offset(v, k, N))
-            main = resp.diagonal(k)
-            fro = float(spla.norm(resp))
-            coo = resp.tocoo()
-            off_mask = (coo.col - coo.row) != k
-            leak = float(np.linalg.norm(coo.data[off_mask]))
-            if leak > OFFSET_LEAKAGE_TOL * max(1.0, fro):
-                raise NotRevolutionSurfaceError(
-                    f"offset-{k} source leaks {leak:.2e} into other offsets "
-                    f"(response norm {fro:.2e}); the operator does not grade by offset"
-                )
-            for c in cols:
-                w0, w1 = max(c - 2, 0), min(c + 3, M)
-                L[w0:w1, c] = np.real(main[w0:w1])
-            imag = np.abs(np.imag(main)).max() if main.size else 0.0
-            if imag > 1e-12 * max(1.0, fro):
-                raise ConsistencyError(f"offset-{k} block has imaginary mass {imag:.2e}")
-        # cross-check the assembled block against one unstructured application
-        vtest = rng.standard_normal(M)
-        resp = apply_laplacian(restricted, _embed_offset(vtest, k, N))
-        err = np.linalg.norm(resp.diagonal(k) - L @ vtest)
-        if err > 1e-10 * max(1.0, float(np.linalg.norm(L @ vtest))):
-            raise ConsistencyError(f"offset-{k} block reconstruction off by {err:.2e}")
-        blocks.append(OffsetBlock(offset=k, dim=M, operator=L))
-    return blocks
+    offsets = [0] + [s * k for k in range(1, max_offset + 1) for s in (1, -1)]
+    return [_offset_block(ops, k) for k in offsets]
 
 
 @dataclass
@@ -384,14 +410,6 @@ class SpectrumReport:
         return written
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("NCLAPLACE_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _rayleigh_refine(L: np.ndarray, lam: complex, vec: np.ndarray) -> complex:
     """Least-squares eigenvalue for the given vector; never worsens ||Lv - lam v||."""
     denom = np.vdot(vec, vec)
@@ -418,11 +436,14 @@ def spectrum(
     """The `count` eigenvalues of smallest absolute value, with residuals.
 
     Strategies: dense (any surface, N <= cap), blocks (revolution surfaces;
-    independent per-offset solves over k in [-K, K]), iterative (shift-invert
-    around zero).  Residuals are measured by applying the full operator to
-    the embedded eigenmatrix.  Eigenvalues whose imaginary part exceeds
-    1e-8*(1 + |Re|) are flagged; real parts are reported and the largest
-    discarded imaginary part recorded.
+    one symmetric tridiagonal solve per offset k in [-K, K]), iterative
+    (shift-invert around zero).  Residuals are measured by applying the full
+    operator to the embedded eigenmatrix.  Block eigenvalues are real by
+    construction; blocks +-(K+1) must lie beyond the kept eigenvalues by the
+    default cluster gap, or ConfigError asks for a wider K.  Dense and
+    iterative eigenvalues whose imaginary part exceeds 1e-8*(1 + |Re|) are
+    flagged; real parts are reported and the largest discarded imaginary
+    part recorded.
     """
     strategy = _select_strategy(ops, strategy)
     N = ops.N
@@ -432,7 +453,11 @@ def spectrum(
         candidates = _dense_candidates(ops, count)
     elif strategy == "blocks":
         K = block_range if block_range is not None else min(N - 1, max(3, int(math.isqrt(count)) + 1))
-        candidates = _block_candidates(ops, count, K)
+        candidates = [
+            {"value": float(lam), "imag": 0.0, "block": b.offset, "vec": v, "kind": "block"}
+            for b in block_decompose(ops, K)
+            for lam, v in zip(*b.lowest(count))
+        ]
     elif strategy == "iterative":
         candidates = _iterative_candidates(ops, count)
     else:
@@ -451,10 +476,12 @@ def spectrum(
             )
     candidates.sort(key=lambda c: (abs(c["value"]), c["value"], c.get("block") or 0))
     kept = candidates[:count]
+    if strategy == "blocks" and K + 1 < N:
+        _check_block_range(ops, K, max(abs(c["value"]) for c in kept))
 
     values = [c["value"] for c in kept]
     residuals = [_full_residual(ops, c) for c in kept]
-    flags = [abs(c["imag"]) > 1e-8 * (1.0 + abs(c["value"])) for c in kept]
+    flags = [bool(abs(c["imag"]) > 1e-8 * (1.0 + abs(c["value"]))) for c in kept]
     imag_leak = max((abs(c["imag"]) for c in kept), default=0.0)
 
     gap = cluster_gap if cluster_gap is not None else 10.0 * ops.hbar
@@ -535,36 +562,15 @@ def _dense_candidates(ops: QuantizedOperatorSet, count: int) -> list:
     return out
 
 
-def _solve_block(block: OffsetBlock, take: int) -> list:
-    w, V = sla.eig(block.operator)
-    order = np.argsort(np.abs(w))[: min(take, block.dim)]
-    out = []
-    for i in order:
-        lam = _rayleigh_refine(block.operator, w[i], V[:, i])
-        out.append(
-            {
-                "value": lam.real,
-                "imag": lam.imag,
-                "block": block.offset,
-                "vec": V[:, i],
-                "kind": "block",
-            }
+def _check_block_range(ops: QuantizedOperatorSet, K: int, largest_kept: float) -> None:
+    """Blocks +-(K+1) must not reach the kept spectrum within the default cluster gap."""
+    margin = 10.0 * ops.hbar
+    nearest = min(abs(_offset_block(ops, k).lowest(1)[0][0]) for k in (K + 1, -K - 1))
+    if nearest < largest_kept + margin:
+        raise ConfigError(
+            f"blocks +-{K + 1} have an eigenvalue of magnitude {nearest:.6g}, within {margin:.3g} "
+            f"of the largest kept {largest_kept:.6g}; widen the block range K"
         )
-    return out
-
-
-def _block_candidates(ops: QuantizedOperatorSet, count: int, K: int) -> list:
-    blocks = block_decompose(ops, K)
-    workers = _thread_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            solved = list(pool.map(lambda b: _solve_block(b, count), blocks))
-    else:
-        solved = [_solve_block(b, count) for b in blocks]
-    out = []
-    for cands in solved:
-        out.extend(cands)
-    return out
 
 
 def _iterative_candidates(ops: QuantizedOperatorSet, count: int, sigma: float = 0.5) -> list:
@@ -594,37 +600,27 @@ def _iterative_candidates(ops: QuantizedOperatorSet, count: int, sigma: float = 
         return x
 
     opinv = spla.LinearOperator((dim, dim), matvec=solve_shifted, dtype=complex)
+    # a seeded start vector: identical configurations give identical output
+    v0 = np.random.default_rng(0).standard_normal(dim).astype(complex)
     try:
-        w, V = spla.eigs(op, k=count, sigma=sigma, OPinv=opinv, which="LM", tol=1e-10)
-        converged = range(len(w))
+        w, V = spla.eigs(op, k=count, sigma=sigma, OPinv=opinv, which="LM", tol=1e-10, v0=v0)
     except spla.ArpackNoConvergence as exc:
         w, V = exc.eigenvalues, exc.eigenvectors
         if w is None or len(w) == 0:
             raise SolverConvergenceError("iterative solve produced no converged eigenpairs")
-        converged = range(len(w))
-    out = []
-    for i in converged:
-        out.append(
-            {
-                "value": w[i].real,
-                "imag": w[i].imag,
-                "block": None,
-                "vec": V[:, i],
-                "kind": "dense",
-            }
-        )
-    return out
+    return [
+        {"value": w[i].real, "imag": w[i].imag, "block": None, "vec": V[:, i], "kind": "dense"}
+        for i in range(len(w))
+    ]
 
 
 def _full_residual(ops: QuantizedOperatorSet, cand: dict) -> float:
     """||L(F) - lambda F||_F / ||F||_F through the full operator."""
     lam = cand["value"]
     if cand["kind"] == "block":
-        k = cand["block"]
-        v = cand["vec"]
-        F = _embed_offset(v, k, ops.N)
+        F = _embed_offset(cand["vec"], cand["block"], ops.N)
         resid = apply_laplacian(ops, F) - lam * F
-        return float(spla.norm(resid) / np.linalg.norm(v))
+        return float(spla.norm(resid) / np.linalg.norm(cand["vec"]))
     F = np.asarray(cand["vec"]).reshape(ops.N, ops.N)
     resid = apply_laplacian(ops, F) - lam * F
     return float(np.linalg.norm(resid) / np.linalg.norm(F))

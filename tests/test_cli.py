@@ -72,6 +72,41 @@ def test_spectrum_gap_flag_overrides_clustering(tmp_path):
     assert len(payload["clusters"]) == 1  # everything merges under a huge gap
 
 
+def test_narrow_block_range_is_config_error(tmp_path, capsys):
+    # K=1 leaves out blocks +-2, which hold two members of the l=2 cluster
+    code = main(
+        [
+            "spectrum",
+            "--surface", "sphere",
+            "--N", "100",
+            "--count", "9",
+            "--K", "1",
+            "--out", str(tmp_path),
+        ]
+    )
+    assert code == 1
+    assert "widen the block range K" in capsys.readouterr().err
+    assert not list(tmp_path.glob("spectrum_*"))
+
+
+def test_spectrum_iterative_report_is_deterministic(tmp_path):
+    args = [
+        "spectrum",
+        "--surface", "ellipsoid",
+        "--axes", "1,2,3",
+        "--N", "8",
+        "--strategy", "iterative",
+    ]
+    assert main(args + ["--out", str(tmp_path / "a")]) == 0
+    assert main(args + ["--out", str(tmp_path / "b")]) == 0
+    payload = json.loads((tmp_path / "a" / "spectrum_ellipsoid_1-2-3_N8.json").read_text())
+    assert payload["strategy"] == "iterative"
+    assert len(payload["eigenvalues"]) == 9
+    a = (tmp_path / "a" / "spectrum_ellipsoid_1-2-3_N8.csv").read_bytes()
+    b = (tmp_path / "b" / "spectrum_ellipsoid_1-2-3_N8.csv").read_bytes()
+    assert a == b
+
+
 def test_triaxial_dense_succeeds_blocks_fails(tmp_path, capsys):
     base = [
         "spectrum",

@@ -179,14 +179,19 @@ class TestBlocks:
         assert sorted(b.dim for b in blocks) == sorted([6, 5, 5, 4, 4, 3, 3, 2, 2, 1, 1])
 
     def test_union_matches_dense_spectrum(self, unit_sphere):
-        ops = _ops(unit_sphere, 6)
-        sup = assemble_dense_superoperator(ops)
-        dense = np.sort(np.linalg.eigvals(sup).real)
-        blocks = nc.block_decompose(ops, 5)
-        union = np.sort(
-            np.concatenate([np.linalg.eigvals(b.operator).real for b in blocks])
-        )
-        np.testing.assert_allclose(union, dense, atol=1e-10)
+        for surf, offset in (
+            (unit_sphere, "paper"),
+            (unit_sphere, "symmetric"),
+            (nc.spheroid(1.0, 0.5), "paper"),
+        ):
+            ops = _ops(surf, 6, offset=offset)
+            sup = assemble_dense_superoperator(ops)
+            dense = np.sort(np.linalg.eigvals(sup).real)
+            blocks = nc.block_decompose(ops, 5)
+            union = np.sort(
+                np.concatenate([np.linalg.eigvals(b.operator).real for b in blocks])
+            )
+            np.testing.assert_allclose(union, dense, atol=1e-10)
 
     def test_zero_block_kernel_is_constant_vector(self, unit_sphere):
         ops = _ops(unit_sphere, 10)
@@ -194,15 +199,27 @@ class TestBlocks:
         assert np.abs(block0.operator @ np.ones(10)).max() < 1e-10
 
     def test_block_action_matches_full_operator(self, prolate_112):
-        ops = _ops(prolate_112, 16)
         rng = np.random.default_rng(11)
-        for block in nc.block_decompose(ops, 3):
-            v = rng.standard_normal(block.dim)
-            F = _embed_offset(v, block.offset, 16)
-            resp = nc.apply_laplacian(ops, F)
-            np.testing.assert_allclose(
-                resp.diagonal(block.offset).real, block.operator @ v, atol=1e-10
-            )
+        for surf, offset in (
+            (prolate_112, "paper"),
+            (prolate_112, "symmetric"),
+            (nc.spheroid(1.0, 0.5), "paper"),
+        ):
+            ops = _ops(surf, 16, offset=offset)
+            for block in nc.block_decompose(ops, 3):
+                v = rng.standard_normal(block.dim)
+                F = _embed_offset(v, block.offset, 16)
+                resp = nc.apply_laplacian(ops, F)
+                np.testing.assert_allclose(
+                    resp.diagonal(block.offset).real, block.operator @ v, atol=1e-10
+                )
+
+    def test_truncated_gamma_mode_raises(self, unit_sphere):
+        # a truncated mode zeroes a row of gamma^{-1} and decouples its block
+        ops = _ops(unit_sphere, 20, epsilon=0.5)
+        assert ops.gamma_truncated_modes > 0
+        with pytest.raises(ConsistencyError):
+            nc.spectrum(ops, strategy="blocks", count=4, block_range=1)
 
     def test_triaxial_raises(self, triaxial_123):
         ops = _ops(triaxial_123, 8)
@@ -289,13 +306,6 @@ class TestSpectrum:
         F = np.asarray(_embed_offset(V[:, i], 1, 16).todense())
         back = nc.dequantize(F, ops.coords.grid, max_mode=3)
         assert set(back.modes) == {-1}
-
-    def test_thread_env_var_gives_identical_results(self, unit_sphere, monkeypatch):
-        ops = _ops(unit_sphere, 40)
-        serial = nc.spectrum(ops, strategy="blocks", count=9, block_range=2)
-        monkeypatch.setenv("NCLAPLACE_THREADS", "2")
-        threaded = nc.spectrum(ops, strategy="blocks", count=9, block_range=2)
-        np.testing.assert_allclose(threaded.eigenvalues, serial.eigenvalues, atol=1e-12)
 
     def test_report_serialization(self, unit_sphere, tmp_path):
         ops = _ops(unit_sphere, 12)
