@@ -43,6 +43,7 @@ from .reference_oracle import (
     SpectrumEntry,
     analytic_sphere_spectrum,
     cluster_multiplicities,
+    reference_for,
     revolution_spectrum,
     revolution_spectrum_richardson,
 )
@@ -62,6 +63,8 @@ from .surface import (
     sphere,
     spheroid,
     surface_area,
+    surface_from_spec,
+    surface_integral,
 )
 
 __version__ = "0.1.0"

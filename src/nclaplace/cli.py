@@ -1,9 +1,12 @@
 """Command-line entry point.
 
-Subcommands: spectrum | converge | axioms | trace | dump-coords.  Reports are
-written as JSON and/or CSV with the fully resolved configuration embedded;
-identical configurations produce byte-identical CSV output.  Exit codes:
-0 success, 1 configuration error, 2 solver non-convergence.
+Subcommands: spectrum | converge | axioms | trace | dump-coords.  The
+surface flags --surface/--axes/--radius go through the same parser as a
+surface config file (``surface.surface_from_spec``), so a flag that does not
+apply to the surface kind is an error, not ignored.  Reports are written as
+JSON and/or CSV with the fully resolved configuration embedded; identical
+configurations produce byte-identical CSV output.  Exit codes: 0 success,
+1 configuration error, 2 solver non-convergence.
 """
 
 from __future__ import annotations
@@ -15,15 +18,12 @@ import sys
 from pathlib import Path
 
 import numpy as np
-from scipy import integrate
 
 from . import nc_laplacian as ncl
 from . import quantization as qz
 from . import reference_oracle as oracle
 from . import surface as srf
 from .errors import ConfigError, NCLaplaceError, SolverConvergenceError
-
-TWO_PI = 2.0 * math.pi
 
 #: functions accepted by the trace command, built from the surface coordinates
 TRACE_FUNCTIONS = ("1", "z", "z2", "x2", "xy")
@@ -37,8 +37,9 @@ def _add_surface_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--surface", default="sphere",
                    help="sphere | ellipsoid | spheroid, or a path to a config file")
     p.add_argument("--axes", default=None,
-                   help="comma-separated semi-axes, e.g. 1,1,2 (ellipsoid/spheroid)")
-    p.add_argument("--radius", type=float, default=1.0, help="sphere radius")
+                   help="comma-separated semi-axes, e.g. 1,1,2 (ellipsoid/spheroid only)")
+    p.add_argument("--radius", type=float, default=None,
+                   help="sphere radius (sphere only; default 1)")
 
 
 def _add_grid_args(p: argparse.ArgumentParser) -> None:
@@ -108,27 +109,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def resolve_surface(args) -> srf.SurfaceDescriptor:
-    kind = args.surface
-    if kind not in ("sphere", "ellipsoid", "spheroid") and Path(kind).exists():
-        return srf.load_surface_config(kind)
-    axes = None
-    if args.axes:
-        axes = [float(t) for t in args.axes.split(",") if t.strip()]
-    if kind == "sphere":
-        return srf.sphere(args.radius)
-    if kind == "spheroid":
-        if not axes or len(axes) not in (2, 3):
-            raise ConfigError("spheroid needs --axes a,c or a,a,c")
-        if len(axes) == 3:
-            if axes[0] != axes[1]:
-                raise ConfigError("spheroid requires equal equatorial semi-axes")
-            axes = [axes[0], axes[2]]
-        return srf.spheroid(*axes)
-    if kind == "ellipsoid":
-        if not axes or len(axes) != 3:
-            raise ConfigError("ellipsoid needs --axes a1,a2,a3")
-        return srf.ellipsoid(*axes)
-    raise ConfigError(f"unknown surface {kind!r}")
+    """The surface named by --surface: a built-in kind, or a config file path."""
+    flags = {"semi_axes": args.axes, "radius": args.radius}
+    spec = {key: value for key, value in flags.items() if value is not None}
+    if args.surface in srf.SURFACE_KEYS:
+        return srf.surface_from_spec({"kind": args.surface, **spec})
+    if spec:
+        raise ConfigError("--axes and --radius do not apply to a surface config file")
+    return srf.load_surface_config(args.surface)
 
 
 def resolve_beta(args, surf: srf.SurfaceDescriptor) -> float:
@@ -155,14 +143,6 @@ def _surface_tag(surf) -> str:
     return surf.name.replace("(", "_").replace(")", "").replace(",", "-")
 
 
-def _oracle_for(surf, count):
-    if surf.semi_axes == (1.0, 1.0, 1.0):
-        return oracle.analytic_sphere_spectrum(max(8, count))
-    if surf.revolution:
-        return oracle.revolution_spectrum(surf, m_max=count, grid_points=4000, count=count)
-    return None
-
-
 def cmd_spectrum(args) -> int:
     surf = resolve_surface(args)
     grid, ops = _build_ops(args, surf)
@@ -179,7 +159,7 @@ def cmd_spectrum(args) -> int:
     if args.dump_coords:
         written += qz.dump_coordinate_matrices(ops.coords, args.dump_coords)
 
-    ref = _oracle_for(surf, args.count)
+    ref = oracle.reference_for(surf, args.count)
     ref_values = None
     if ref is not None:
         expanded = sorted(sorted(ref.expanded(), key=abs)[: args.count])
@@ -306,35 +286,6 @@ def _builtin_function(surf, name: str):
     raise ConfigError(f"unknown function {name!r}; choose from {TRACE_FUNCTIONS}")
 
 
-def _surface_integral(surf, f, rel_tol=1e-10) -> float:
-    """Quadrature of f against the area form, sum over Fourier modes."""
-    a, b = surf.z_interval
-
-    def ring(z):
-        v, _ = integrate.quad(
-            lambda t: (f.evaluate(z, t) * srf.metric_sqrt_det(surf, srf.SurfacePoint(z, t))).real,
-            0.0,
-            TWO_PI,
-            epsabs=1e-13,
-            epsrel=rel_tol * 0.1,
-            limit=200,
-        )
-        return v
-
-    if surf.revolution and f.max_mode == 0:
-        val, _ = integrate.quad(
-            lambda z: (f.evaluate(z, 0.0) * srf.metric_sqrt_det(surf, srf.SurfacePoint(z, 0.0))).real,
-            a,
-            b,
-            epsabs=1e-13,
-            epsrel=rel_tol,
-            limit=200,
-        )
-        return TWO_PI * val
-    val, _ = integrate.quad(ring, a, b, epsabs=1e-12, epsrel=rel_tol, limit=200)
-    return val
-
-
 def cmd_trace(args) -> int:
     surf = resolve_surface(args)
     beta = resolve_beta(args, surf)
@@ -342,7 +293,7 @@ def cmd_trace(args) -> int:
     grid = qz.build_grid(args.N, a, b, beta, args.grid_offset)
     f = _builtin_function(surf, args.function)
     t = qz.trace_functional(qz.quantize(f, grid), grid)
-    integral = _surface_integral(surf, f)
+    integral = srf.surface_integral(surf, f)
     print(f"function = {args.function}")
     print(f"quantized_trace = {_fmt(t)}")
     print(f"quadrature_integral = {_fmt(integral)}")

@@ -40,14 +40,17 @@ from .errors import (
     NotRevolutionSurfaceError,
     SolverConvergenceError,
 )
-from .quantization import CoordinateMatrices, QuantizationGrid, coordinate_matrices
-from .reference_oracle import cluster_multiplicities
+from .quantization import (
+    CoordinateMatrices,
+    QuantizationGrid,
+    build_grid,
+    coordinate_matrices,
+    sparsify,
+)
+from .reference_oracle import cluster_multiplicities, reference_for
 from .surface import SurfaceDescriptor
 
 DENSE_CAP = 40
-
-#: relative floor under which off-band entries are dropped when sparsifying
-SPARSE_DROP_TOL = 1e-15
 
 #: relative off-diagonal mass allowed in the commutator-square sum of a
 #: surface of revolution, whose gamma is read off the diagonal
@@ -63,7 +66,7 @@ def build_gamma(coords: CoordinateMatrices, hbar: float) -> np.ndarray:
     its diagonal; off-diagonal mass above GAMMA_DIAGONAL_TOL raises
     NotRevolutionSurfaceError.
     """
-    mats = [_sparsify(M) for M in (coords.X, coords.Y, coords.Z)]
+    mats = coords.sparse()
     S = None
     for A, B in ((mats[0], mats[1]), (mats[1], mats[2]), (mats[2], mats[0])):
         C = (A @ B - B @ A) / hbar
@@ -129,14 +132,6 @@ def gamma_inverse(gamma: np.ndarray, epsilon: float, return_truncated: bool = Fa
     return (inv, truncated) if return_truncated else inv
 
 
-def _sparsify(M, drop_tol: float = SPARSE_DROP_TOL):
-    A = np.asarray(M)
-    scale = np.abs(A).max()
-    if scale > 0:
-        A = np.where(np.abs(A) > drop_tol * scale, A, 0.0)
-    return sp.csr_matrix(A)
-
-
 @dataclass
 class QuantizedOperatorSet:
     """Everything needed to apply the commutator Laplacian."""
@@ -156,9 +151,7 @@ class QuantizedOperatorSet:
 
     def sparse_ops(self):
         if self._sparse is None:
-            self._sparse = tuple(
-                _sparsify(M) for M in (self.coords.X, self.coords.Y, self.coords.Z, self.gamma_inv)
-            )
+            self._sparse = (*self.coords.sparse(), sparsify(self.gamma_inv))
         return self._sparse
 
 
@@ -641,21 +634,15 @@ def convergence_study(
 
     Returns one row per (N, cluster): dict with keys N, hbar, cluster,
     lambda, reference, abs_error, fitted_order.  The reference defaults to
-    the analytic unit-sphere spectrum or the Sturm-Liouville solver for other
-    revolution surfaces; a ClassicalSpectrum can be passed explicitly.
+    ``reference_for(surface, count)``; a ClassicalSpectrum can be passed
+    explicitly.
     """
-    from .quantization import build_grid
-    from .reference_oracle import analytic_sphere_spectrum, revolution_spectrum
-
     N_list = sorted(int(n) for n in N_list)
     if len(N_list) < 2:
         raise ConfigError("convergence study needs at least two values of N")
     if reference is None:
-        if surface.semi_axes == (1.0, 1.0, 1.0):
-            reference = analytic_sphere_spectrum(max(8, count))
-        elif surface.revolution:
-            reference = revolution_spectrum(surface, m_max=count, grid_points=4000, count=count)
-        else:
+        reference = reference_for(surface, count)
+        if reference is None:
             raise ConfigError("no classical reference available for this surface")
 
     a, b = surface.z_interval

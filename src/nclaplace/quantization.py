@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import ConsistencyError
 from .surface import (
@@ -35,6 +36,9 @@ GRID_OFFSETS = ("paper", "symmetric")
 
 #: entrywise hermiticity tolerance for matrices built from real-valued functions
 HERMITICITY_TOL = 1e-13
+
+#: relative floor under which entries are dropped when sparsifying
+SPARSE_DROP_TOL = 1e-15
 
 
 @dataclass(frozen=True)
@@ -128,6 +132,15 @@ def quantize(f: BandLimitedFunction, grid: QuantizationGrid) -> np.ndarray:
     return T
 
 
+def sparsify(M, drop_tol: float = SPARSE_DROP_TOL):
+    """CSR copy of M without the entries below drop_tol times its largest."""
+    A = np.asarray(M)
+    scale = np.abs(A).max()
+    if scale > 0:
+        A = np.where(np.abs(A) > drop_tol * scale, A, 0.0)
+    return sp.csr_matrix(A)
+
+
 @dataclass
 class CoordinateMatrices:
     """Quantized embedding coordinates X, Y, Z on a common grid."""
@@ -137,6 +150,13 @@ class CoordinateMatrices:
     Z: np.ndarray
     grid: QuantizationGrid
     surface: SurfaceDescriptor
+    _sparse: tuple | None = field(default=None, repr=False, compare=False)
+
+    def sparse(self) -> tuple:
+        """(X, Y, Z) sparsified once and cached."""
+        if self._sparse is None:
+            self._sparse = tuple(sparsify(M) for M in (self.X, self.Y, self.Z))
+        return self._sparse
 
 
 def coordinate_matrices(s: SurfaceDescriptor, grid: QuantizationGrid) -> CoordinateMatrices:

@@ -1,7 +1,8 @@
 """Independent classical references for the spectrum computations.
 
 Provides the closed-form sphere spectrum with multiplicities, a separated
-Sturm-Liouville finite-difference solver for surfaces of revolution, and the
+Sturm-Liouville finite-difference solver for surfaces of revolution, the
+rule that picks one of them for a surface (``reference_for``), and the
 greedy clustering used to group near-degenerate numerical eigenvalues.  The
 sign convention matches the matrix operator: reported eigenvalues are
 nonpositive.
@@ -9,7 +10,6 @@ nonpositive.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -46,25 +46,6 @@ class ClassicalSpectrum:
         for e in self.entries:
             out.extend([e.value] * e.multiplicity)
         return out
-
-    def lowest(self, n: int) -> list:
-        """First n entry values ordered by ascending absolute value."""
-        return [e.value for e in sorted(self.entries, key=lambda e: abs(e.value))[:n]]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "eigenvalues": [
-                {"value": e.value, "multiplicity": e.multiplicity, "source": e.source}
-                for e in self.entries
-            ],
-            "metadata": dict(sorted(self.metadata.items())),
-        }
-
-    def to_csv_rows(self) -> list:
-        rows = [["value", "multiplicity", "source"]]
-        for e in self.entries:
-            rows.append(["%.15g" % e.value, str(e.multiplicity), e.source])
-        return rows
 
 
 def _sphere_multiplicity(k: int) -> int:
@@ -262,6 +243,20 @@ def revolution_spectrum_richardson(
     return ClassicalSpectrum(tuple(entries), meta)
 
 
+def reference_for(s, count: int) -> ClassicalSpectrum | None:
+    """The classical reference for the `count` lowest eigenvalues of s.
+
+    The analytic spectrum on the unit sphere, the Sturm-Liouville solver
+    (4000 cells, modes m <= count) on other surfaces of revolution, and None
+    where no reference applies.
+    """
+    if s.semi_axes == (1.0, 1.0, 1.0):
+        return analytic_sphere_spectrum(max(8, count))
+    if s.revolution:
+        return revolution_spectrum(s, m_max=count, grid_points=4000, count=count)
+    return None
+
+
 def cluster_multiplicities(eigs, gap: float) -> list:
     """Greedy clustering of a sorted eigenvalue list.
 
@@ -280,26 +275,3 @@ def cluster_multiplicities(eigs, gap: float) -> list:
     if current:
         clusters.append((sum(current) / len(current), len(current)))
     return clusters
-
-
-def save_classical_spectrum(spec: ClassicalSpectrum, out_dir, stem: str, formats=("json", "csv")) -> list:
-    """Serialize to the same JSON/CSV shapes used by spectrum reports."""
-    import csv as _csv
-    from pathlib import Path
-
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written = []
-    if "json" in formats:
-        p = out / f"{stem}.json"
-        p.write_text(json.dumps(spec.to_json_dict(), indent=2) + "\n")
-        written.append(p)
-    if "csv" in formats:
-        p = out / f"{stem}.csv"
-        with open(p, "w", newline="") as fh:
-            for key in sorted(spec.metadata):
-                fh.write(f"# {key} = {spec.metadata[key]}\n")
-            writer = _csv.writer(fh)
-            writer.writerows(spec.to_csv_rows())
-        written.append(p)
-    return written

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -246,6 +247,17 @@ def test_trace_square_error_halves(capsys):
     assert errs[0] / errs[1] >= 1.9
 
 
+def test_trace_xy_vanishes_on_triaxial_without_warning(capsys):
+    # the exact integral is 0: the rule stops on its absolute floor
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["trace", "--surface", "ellipsoid", "--axes", "1,2,3", "--N", "40",
+                     "--function", "xy"])
+    assert code == 0
+    lines = dict(l.split(" = ") for l in capsys.readouterr().out.splitlines() if " = " in l)
+    assert abs(float(lines["quadrature_integral"])) <= 1e-12
+
+
 def test_unknown_trace_function_is_usage_error(capsys):
     assert main(["trace", "--surface", "sphere", "--function", "cube"]) == 1
 
@@ -296,6 +308,37 @@ def test_surface_config_file(tmp_path):
     assert code == 0
     written = list(tmp_path.glob("spectrum_spheroid*"))
     assert written
+
+
+@pytest.mark.parametrize(
+    "flags, key",
+    [
+        (["--surface", "ellipsoid", "--axes", "1,1,2", "--radius", "5"], "radius"),
+        (["--surface", "sphere", "--axes", "1,2,3"], "semi_axes"),
+        (["--surface", "ellipsoid", "--axes", "nan,1,2"], "semi_axes"),
+        (["--surface", "sphere", "--radius", "inf"], "radius"),
+        (["--surface", "spheroid", "--axes", "1,0"], "semi_axes"),
+        (["--surface", "torus"], "torus"),
+    ],
+    ids=["radius-on-ellipsoid", "axes-on-sphere", "nan-axis", "inf-radius", "zero-axis",
+         "unknown-kind"],
+)
+def test_invalid_surface_flags_are_config_errors(flags, key, capsys):
+    assert main(["trace", *flags, "--N", "8"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and key in err
+
+
+def test_surface_config_file_rejects_surface_flags(tmp_path, capsys):
+    cfg = tmp_path / "surf.cfg"
+    cfg.write_text("kind = spheroid\nsemi_axes = 1, 1, 2\n")
+    assert main(["trace", "--surface", str(cfg), "--N", "8", "--axes", "1,1,3"]) == 1
+    assert "--axes" in capsys.readouterr().err
+
+
+def test_directory_as_surface_is_config_error(tmp_path, capsys):
+    assert main(["spectrum", "--surface", str(tmp_path), "--N", "8", "--out", str(tmp_path)]) == 1
+    assert "regular config file" in capsys.readouterr().err
 
 
 def test_beta_auto_equals_one_for_sphere(tmp_path):

@@ -4,7 +4,6 @@ import pytest
 
 import nclaplace as nc
 from nclaplace.errors import ResolutionError
-from nclaplace.reference_oracle import save_classical_spectrum
 
 
 class TestAnalyticSphere:
@@ -119,10 +118,12 @@ class TestClusterMultiplicities:
         assert [m for _, m in got] == [2, 1]
 
 
-def test_serialization(tmp_path):
-    spec = nc.analytic_sphere_spectrum(2)
-    written = save_classical_spectrum(spec, tmp_path, "sphere_ref")
-    assert len(written) == 2
-    text = (tmp_path / "sphere_ref.csv").read_text()
-    assert "value,multiplicity,source" in text
-    assert "analytic" in text
+def test_reference_for_picks_one_reference_per_surface_class():
+    sphere = nc.reference_for(nc.sphere(), 9)
+    assert {e.source for e in sphere.entries} == {"analytic"}
+    assert sphere.metadata == {"k_max": 9}
+    spheroid = nc.reference_for(nc.spheroid(1, 2), 4)
+    assert {e.source for e in spheroid.entries} == {"sturm_liouville"}
+    assert spheroid.metadata["grid_points"] == 4000
+    assert nc.reference_for(nc.sphere(2.0), 4).metadata["surface"] == "sphere(radius=2)"
+    assert nc.reference_for(nc.ellipsoid(1, 2, 3), 4) is None

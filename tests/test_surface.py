@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import nclaplace as nc
-from nclaplace.errors import DomainError, SingularPointError
+from nclaplace.errors import ConsistencyError, DomainError, SingularPointError
 
 from conftest import fd_bracket, fd_laplace_oracle, interior_points, metric_oracle
 
@@ -229,18 +229,52 @@ def test_triaxial_area_between_bounding_spheroids(triaxial_123):
     assert low < area < high
 
 
-def test_revolution_profile_spheroid(prolate_112):
-    r, rp, (z0, z1) = prolate_112.revolution_profile()
-    assert (z0, z1) == (-2.0, 2.0)
-    assert r(0.0) == pytest.approx(1.0)
-    assert r(2.0) == pytest.approx(0.0)
-    h = 1e-6
-    assert rp(0.5) == pytest.approx((r(0.5 + h) - r(0.5 - h)) / (2 * h), rel=1e-5)
+def dlmf_ellipsoid_area(axes):
+    """Area from Legendre's incomplete elliptic integrals (DLMF 19.33.2);
+    spheroids are the limits m = 0 (prolate) and m = 1 (oblate)."""
+    from scipy import special
+
+    a, b, c = sorted(axes, reverse=True)
+    phi = math.acos(c / a)
+    m = a * a * (b * b - c * c) / (b * b * (a * a - c * c))
+    s = math.sin(phi)
+    elliptic = special.ellipeinc(phi, m) * s * s + special.ellipkinc(phi, m) * math.cos(phi) ** 2
+    return 2 * math.pi * c * c + 2 * math.pi * a * b / s * elliptic
 
 
-def test_revolution_profile_refused_for_triaxial(triaxial_123):
-    with pytest.raises(nc.NotRevolutionSurfaceError):
-        triaxial_123.revolution_profile()
+@pytest.mark.parametrize("axes", [(1.0, 2.0, 3.0), (1.0, 1.0, 0.5), (1.0, 1.0, 2.5)],
+                         ids=["e123", "oblate", "prolate"])
+def test_surface_integral_of_one_matches_closed_form_area(axes):
+    surf = nc.ellipsoid(*axes)
+    one = nc.BandLimitedFunction({0: nc.constant_profile(1.0)}, surf.z_interval)
+    want = dlmf_ellipsoid_area(axes)
+    assert nc.surface_integral(surf, one) == pytest.approx(want, rel=1e-12)
+    assert nc.surface_area(surf) == pytest.approx(want, rel=1e-12)
+
+
+def test_surface_integral_warns_when_the_rule_does_not_converge(unit_sphere):
+    # sqrt|z| has a kink at the equator: Gauss-Legendre converges only algebraically
+    kink = nc.BandLimitedFunction(
+        {0: nc.Profile(lambda z: np.sqrt(np.abs(z)))}, unit_sphere.z_interval
+    )
+    with pytest.warns(UserWarning, match="area quadrature achieved"):
+        value = nc.surface_integral(unit_sphere, kink)
+    # the last value is still returned: 512 nodes leave a relative error of 4e-5
+    assert value == pytest.approx(8 * math.pi / 3, rel=1e-4)
+
+
+def test_area_density_rejects_a_negative_radicand(unit_sphere):
+    # an imaginary height flips the sign of {y,z}^2 + {z,x}^2: the radicand
+    # z^2 - (1 - z^2) is negative near the equator
+    x, y, z = unit_sphere.coordinates
+    twisted = nc.SurfaceDescriptor(
+        "twisted", unit_sphere.z_interval, x, y,
+        nc.BandLimitedFunction({0: nc.Profile(lambda u: 1j * np.asarray(u))}, z.z_interval),
+    )
+    with pytest.raises(ConsistencyError, match="not a nonnegative real"):
+        nc.metric_sqrt_det(twisted, nc.SurfacePoint(0.1, 0.0))
+    with pytest.raises(ConsistencyError, match="not a nonnegative real"):
+        nc.surface_area(twisted)
 
 
 def test_load_surface_config_keyvalue(tmp_path):
@@ -265,3 +299,43 @@ def test_load_surface_config_rejects_unknown(tmp_path):
     cfg.write_text("kind = torus\n")
     with pytest.raises(ValueError):
         nc.load_surface_config(cfg)
+
+
+@pytest.mark.parametrize(
+    "spec, key",
+    [
+        ({"kind": "ellipsoid", "semi_axes": "1,1,2", "radius": 5}, "radius"),
+        ({"kind": "sphere", "semi_axes": [1, 2, 3]}, "semi_axes"),
+        ({"kind": "spheroid", "semi_axes": "1,2", "height": 3}, "height"),
+        ({"kind": "ellipsoid", "semi_axes": "nan,1,2"}, "semi_axes"),
+        ({"kind": "spheroid", "semi_axes": [1, -2]}, "semi_axes"),
+        ({"kind": "sphere", "radius": math.inf}, "radius"),
+        ({"kind": "sphere", "radius": 0}, "radius"),
+    ],
+    ids=["radius-on-ellipsoid", "axes-on-sphere", "unknown-key", "nan-axis", "negative-axis",
+         "inf-radius", "zero-radius"],
+)
+def test_surface_from_spec_rejects_naming_the_key(spec, key):
+    with pytest.raises(ValueError, match=key):
+        nc.surface_from_spec(spec)
+
+
+def test_surface_from_spec_accepts_lists_and_strings():
+    assert nc.surface_from_spec({"kind": "sphere"}).semi_axes == (1.0, 1.0, 1.0)
+    assert nc.surface_from_spec({"kind": "sphere", "radius": "2"}).semi_axes == (2.0, 2.0, 2.0)
+    for axes in ("1, 1, 2", "[1, 2]", [1, 2], (1.0, 1.0, 2.0)):
+        assert nc.surface_from_spec({"kind": "spheroid", "semi_axes": axes}).semi_axes == (1.0, 1.0, 2.0)
+    with pytest.raises(ValueError, match="equal equatorial"):
+        nc.surface_from_spec({"kind": "spheroid", "semi_axes": "1,2,3"})
+
+
+def test_load_surface_config_rejects_unknown_key(tmp_path):
+    cfg = tmp_path / "surf.cfg"
+    cfg.write_text("kind = sphere\nradius = 2\ncolour = red\n")
+    with pytest.raises(ValueError, match="colour"):
+        nc.load_surface_config(cfg)
+
+
+def test_load_surface_config_rejects_a_directory(tmp_path):
+    with pytest.raises(ValueError, match="regular config file"):
+        nc.load_surface_config(tmp_path)
