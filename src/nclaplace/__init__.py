@@ -36,6 +36,8 @@ from .quantization import (
     dequantize,
     dump_coordinate_matrices,
     quantize,
+    quantize_banded,
+    spectral_norm,
     trace_functional,
 )
 from .reference_oracle import (

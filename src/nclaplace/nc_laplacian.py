@@ -66,7 +66,7 @@ def build_gamma(coords: CoordinateMatrices, hbar: float) -> np.ndarray:
     its diagonal; off-diagonal mass above GAMMA_DIAGONAL_TOL raises
     NotRevolutionSurfaceError.
     """
-    mats = coords.sparse()
+    mats = coords.banded
     S = None
     for A, B in ((mats[0], mats[1]), (mats[1], mats[2]), (mats[2], mats[0])):
         C = (A @ B - B @ A) / hbar
@@ -147,11 +147,11 @@ class QuantizedOperatorSet:
 
     @property
     def N(self) -> int:
-        return self.coords.X.shape[0]
+        return self.coords.grid.N
 
     def sparse_ops(self):
         if self._sparse is None:
-            self._sparse = (*self.coords.sparse(), sparsify(self.gamma_inv))
+            self._sparse = (*self.coords.banded, sparsify(self.gamma_inv))
         return self._sparse
 
 
@@ -200,6 +200,11 @@ def assemble_dense_superoperator(ops: QuantizedOperatorSet, cap: int = DENSE_CAP
 
     Column j is the vectorized image of the j-th standard basis matrix.
     Refused above the cap; use blocks (revolution) or iterative instead.
+
+    With vec(A F B) = kron(A, B^T) vec(F), G = gamma^{-1} and A_i = G X_i,
+    each term G[X_i, G[X_i, F]] expands to
+    kron(A_i A_i, I) - kron(A_i G + G A_i, X_i^T) + kron(G G, X_i^T X_i^T):
+    N x N products and five Kronecker products in all, O(N^4) work.
     """
     N = ops.N
     if N > cap:
@@ -207,12 +212,13 @@ def assemble_dense_superoperator(ops: QuantizedOperatorSet, cap: int = DENSE_CAP
             f"dense superoperator needs N <= {cap} (got {N}); "
             "use the blocks strategy on revolution surfaces or iterative otherwise"
         )
-    eye = np.eye(N)
-    G = np.kron(ops.gamma_inv, eye)
-    total = np.zeros((N * N, N * N), dtype=complex)
-    for Xi in (ops.coords.X, ops.coords.Y, ops.coords.Z):
-        C = np.kron(Xi, eye) - np.kron(eye, Xi.T)
-        total += G @ C @ G @ C
+    G = ops.gamma_inv
+    mats = (ops.coords.X, ops.coords.Y, ops.coords.Z)
+    A = [G @ Xi for Xi in mats]
+    total = np.kron(sum(Ai @ Ai for Ai in A), np.eye(N))
+    for Ai, Xi in zip(A, mats):
+        total -= np.kron(Ai @ G + G @ Ai, Xi.T)
+    total += np.kron(G @ G, sum(Xi.T @ Xi.T for Xi in mats))
     return -total / ops.hbar**2
 
 
@@ -285,9 +291,9 @@ def _offset_block(ops: QuantizedOperatorSet, k: int) -> OffsetBlock:
     qp = np.zeros(N + 1)  # qp[j + 1] = q_j, zero outside
     upper = np.zeros(M - 1, dtype=complex)
     lower = np.zeros(M - 1, dtype=complex)
-    for X in (ops.coords.X, ops.coords.Y, ops.coords.Z):
-        c = np.real(np.diagonal(X))
-        up, lo = np.diagonal(X, 1), np.diagonal(X, -1)
+    for X in ops.coords.banded:
+        c = np.real(X.diagonal())
+        up, lo = X.diagonal(1), X.diagonal(-1)
         diag_sum += (c[n] - c[m]) ** 2
         qp[1:-1] += np.real(up * lo)
         upper += up[n[:-1]] * lo[m[:-1]]

@@ -2,10 +2,12 @@
 
 A band-limited function f becomes the N x N matrix with entry
 f_{n-m}(z(n, m)) at position (n, m), where z(n, m) is the midpoint grid
-value.  Real-valued functions map to hermitian matrices, products map to
-matrix products up to O(1/N), and the scaled commutator approaches the
-Poisson bracket.  The module also provides the normalized trace, the
-product/bracket defect norms, the inverse read-off of a matrix into mode
+value.  Mode j fills one diagonal, so the matrix is stored banded (sparse)
+and made dense only where a caller needs it.  Real-valued functions map to
+hermitian matrices, products map to matrix products up to O(1/N), and the
+scaled commutator approaches the Poisson bracket.  The module also provides
+the normalized trace, the product/bracket defect norms (spectral norms from
+a banded eigenvalue solve), the inverse read-off of a matrix into mode
 samples, and matrix export in a small binary container and JSON.
 """
 
@@ -15,9 +17,11 @@ import json
 import math
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 
 from .errors import ConsistencyError
@@ -102,34 +106,59 @@ def default_beta(s: SurfaceDescriptor) -> float:
     return surface_area(s) / (TWO_PI * (b - a))
 
 
-def quantize(f: BandLimitedFunction, grid: QuantizationGrid) -> np.ndarray:
-    """Matrix of f on the grid: entry (n, m) = f_{n-m}(z(n, m)).
+def quantize_banded(f: BandLimitedFunction, grid: QuantizationGrid):
+    """Sparse (CSR) matrix of f on the grid: entry (n, m) = f_{n-m}(z(n, m)).
 
-    Requires band limit < N; evaluation outside the profile interval raises
-    DomainError (possible when beta > 1 pushes the grid past the interval).
+    Mode j fills the diagonal at numpy offset -j and nothing else, so the
+    matrix is banded with half-bandwidth max_mode.  Requires band limit < N;
+    evaluation outside the profile interval raises DomainError (possible when
+    beta > 1 pushes the grid past the interval).  Exact zeros are not stored.
     """
     N = grid.N
     if f.max_mode >= N:
         raise ValueError(f"band limit {f.max_mode} must be below N={N}")
-    T = np.zeros((N, N), dtype=complex)
-    rows = np.arange(N)
+    diagonals = {}
     for j in sorted(f.modes):
-        d = -j  # mode j populates entries with n - m = j
-        zvals = grid.offset_pair_values(d)
-        vals = f.profile_values(j, zvals)
-        idx = rows[: N - abs(d)]
-        if d >= 0:
-            T[idx, idx + d] = vals
-        else:
-            T[idx - d, idx] = vals
+        zvals = grid.offset_pair_values(-j)
+        diagonals[-j] = np.broadcast_to(f.profile_values(j, zvals), zvals.shape)
+    if not diagonals:
+        return sp.csr_matrix((N, N), dtype=complex)
     if f.real_valued:
-        dev = np.abs(T - T.conj().T).max()
-        scale = max(1.0, np.abs(T).max())
+        # diagonal d of T - T^H is diagonal d of T minus the conjugate of diagonal -d
+        dev = np.max(
+            [np.abs(v - np.conj(diagonals.get(-d, 0.0))).max() for d, v in diagonals.items()]
+        )
+        scale = max(1.0, np.max([np.abs(v).max() for v in diagonals.values()]))
         if dev > HERMITICITY_TOL * scale:
             raise ConsistencyError(
                 f"matrix of a real-valued function deviates from hermitian by {dev:.2e}"
             )
-    return T
+    return sp.diags(list(diagonals.values()), list(diagonals), shape=(N, N), format="csr")
+
+
+def quantize(f: BandLimitedFunction, grid: QuantizationGrid) -> np.ndarray:
+    """Dense form of `quantize_banded`: entry (n, m) = f_{n-m}(z(n, m))."""
+    return quantize_banded(f, grid).toarray()
+
+
+def spectral_norm(M) -> float:
+    """Largest singular value of a banded sparse matrix, sqrt(lambda_max(M^H M)).
+
+    M^H M is hermitian with bandwidth at most the sum of the lower and upper
+    bandwidths of M, so its largest eigenvalue comes from one banded solve
+    (LAPACK ?hbevx through `eigvals_banded`): O(N bw^2) work, no dense SVD.
+    An all-zero M gives exactly 0.0.
+    """
+    if not np.any(M.data):
+        return 0.0
+    A = (M.conj().T @ M).tocoo()
+    n = A.shape[0]
+    low = A.row >= A.col
+    offset = A.row[low] - A.col[low]
+    band = np.zeros((offset.max() + 1, n), dtype=A.dtype)
+    band[offset, A.col[low]] = A.data[low]  # lower storage: band[k, j] = A[j + k, j]
+    lam = sla.eigvals_banded(band, lower=True, select="i", select_range=(n - 1, n - 1))[0]
+    return float(np.sqrt(max(lam, 0.0)))
 
 
 def sparsify(M, drop_tol: float = SPARSE_DROP_TOL):
@@ -141,22 +170,30 @@ def sparsify(M, drop_tol: float = SPARSE_DROP_TOL):
     return sp.csr_matrix(A)
 
 
-@dataclass
+@dataclass(eq=False)
 class CoordinateMatrices:
-    """Quantized embedding coordinates X, Y, Z on a common grid."""
+    """Quantized embedding coordinates X, Y, Z on a common grid.
 
-    X: np.ndarray
-    Y: np.ndarray
-    Z: np.ndarray
+    ``banded`` holds (X, Y, Z) as the CSR matrices of `quantize_banded`; the
+    attributes X, Y and Z are their dense forms, made on first use by the
+    dense operator paths and the matrix export.
+    """
+
+    banded: tuple
     grid: QuantizationGrid
     surface: SurfaceDescriptor
-    _sparse: tuple | None = field(default=None, repr=False, compare=False)
 
-    def sparse(self) -> tuple:
-        """(X, Y, Z) sparsified once and cached."""
-        if self._sparse is None:
-            self._sparse = tuple(sparsify(M) for M in (self.X, self.Y, self.Z))
-        return self._sparse
+    @cached_property
+    def X(self) -> np.ndarray:
+        return self.banded[0].toarray()
+
+    @cached_property
+    def Y(self) -> np.ndarray:
+        return self.banded[1].toarray()
+
+    @cached_property
+    def Z(self) -> np.ndarray:
+        return self.banded[2].toarray()
 
 
 def coordinate_matrices(s: SurfaceDescriptor, grid: QuantizationGrid) -> CoordinateMatrices:
@@ -166,15 +203,15 @@ def coordinate_matrices(s: SurfaceDescriptor, grid: QuantizationGrid) -> Coordin
     (modes +-1 only) and Z is diagonal (axial semi-axis times the nodes).
     Surfaces with further modes simply quantize coordinate by coordinate.
     """
-    X = quantize(s.coord_x, grid)
-    Y = quantize(s.coord_y, grid)
-    Z = quantize(s.coord_z, grid)
-    return CoordinateMatrices(X, Y, Z, grid, s)
+    banded = tuple(quantize_banded(f, grid) for f in (s.coord_x, s.coord_y, s.coord_z))
+    return CoordinateMatrices(banded, grid, s)
 
 
-def trace_functional(F: np.ndarray, grid: QuantizationGrid) -> float:
-    """Normalized trace 2*pi*hbar*Tr(F); the imaginary part must be rounding."""
-    t = TWO_PI * grid.hbar * np.trace(np.asarray(F))
+def trace_functional(F, grid: QuantizationGrid) -> float:
+    """Normalized trace 2*pi*hbar*Tr(F) of a dense or sparse matrix; the
+    imaginary part must be rounding."""
+    tr = F.diagonal().sum() if sp.issparse(F) else np.trace(np.asarray(F))
+    t = TWO_PI * grid.hbar * tr
     t = complex(t)
     if abs(t.imag) > 1e-12 * (1.0 + abs(t.real)):
         raise ConsistencyError(f"trace has non-negligible imaginary part {t.imag:.2e}")
@@ -187,7 +224,9 @@ class AxiomDefects:
 
     product_defect  = || T(f)T(g) - T(fg) ||
     bracket_defect  = || [T(f), T(g)]/(i*hbar) - T({f,g}) ||
-    Frobenius variants are carried alongside the spectral norms.
+    The operator norm is the largest singular value, `spectral_norm` of the
+    banded defect matrix; the *_fro fields carry the Frobenius norms of the
+    same matrices.
     """
 
     product_defect: float
@@ -202,13 +241,13 @@ def axiom_defects(f: BandLimitedFunction, g: BandLimitedFunction, grid: Quantiza
     fg and {f, g} are formed by exact mode convolution before quantization so
     the defects isolate the discretization error.
     """
-    Tf = quantize(f, grid)
-    Tg = quantize(g, grid)
-    P = Tf @ Tg - quantize(pointwise_product(f, g), grid)
-    B = (Tf @ Tg - Tg @ Tf) / (1j * grid.hbar) - quantize(bracket_function(f, g), grid)
-    sp = lambda M: float(np.linalg.svd(M, compute_uv=False)[0]) if M.size else 0.0
-    fro = lambda M: float(np.linalg.norm(M))
-    return AxiomDefects(sp(P), sp(B), fro(P), fro(B))
+    Tf = quantize_banded(f, grid)
+    Tg = quantize_banded(g, grid)
+    TfTg = Tf @ Tg
+    P = TfTg - quantize_banded(pointwise_product(f, g), grid)
+    B = (TfTg - Tg @ Tf) / (1j * grid.hbar) - quantize_banded(bracket_function(f, g), grid)
+    fro = lambda M: float(np.linalg.norm(M.data))
+    return AxiomDefects(spectral_norm(P), spectral_norm(B), fro(P), fro(B))
 
 
 def norm_bound(f: BandLimitedFunction, grid: QuantizationGrid) -> float:
@@ -286,9 +325,10 @@ def read_matrix_binary(path) -> tuple[np.ndarray, int]:
 
 
 def write_matrix_json(path, M: np.ndarray) -> None:
-    M = np.asarray(M, dtype=complex)
-    payload = [[[float(v.real), float(v.imag)] for v in row] for row in M]
-    Path(path).write_text(json.dumps(payload))
+    """Rows of [real, imag] pairs."""
+    M = np.ascontiguousarray(M, dtype=complex)
+    pairs = M.view(np.float64).reshape(*M.shape, 2)
+    Path(path).write_text(json.dumps(pairs.tolist()))
 
 
 def read_matrix_json(path) -> np.ndarray:

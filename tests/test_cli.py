@@ -7,7 +7,7 @@ import pytest
 
 import nclaplace as nc
 from nclaplace.cli import main
-from nclaplace.quantization import read_matrix_binary, read_matrix_json
+from nclaplace.quantization import norm_bound, read_matrix_binary, read_matrix_json
 
 
 def test_spectrum_small_sphere_contains_kernel(tmp_path, capsys):
@@ -217,6 +217,51 @@ def test_axioms_table(tmp_path):
     assert trace_rows and all(float(r[2]) < 1e-10 for r in trace_rows)
     bounds = [float(r[4]) for r in body if r[4]]
     assert all(b <= 1.0 + 1e-12 for b in bounds)
+
+
+def test_axioms_empty_size_list_is_config_error(tmp_path, capsys):
+    code = main(["axioms", "--surface", "sphere", "--N-list", ",", "--out", str(tmp_path)])
+    assert code == 1
+    assert "--N-list" in capsys.readouterr().err
+    assert not list(tmp_path.glob("axioms_*.csv"))
+
+
+@pytest.mark.parametrize("offset", ["paper", "symmetric"])
+@pytest.mark.parametrize(
+    "flags, surf",
+    [
+        (["--surface", "sphere"], nc.sphere()),
+        (["--surface", "spheroid", "--axes", "1,2"], nc.spheroid(1.0, 2.0)),
+    ],
+    ids=["sphere", "spheroid-1-2"],
+)
+def test_axioms_table_matches_dense_svd(tmp_path, flags, surf, offset):
+    argv = ["axioms", *flags, "--grid-offset", offset, "--N-list", "50,100"]
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    import csv
+
+    (table,) = tmp_path.glob("axioms_*.csv")
+    lines = [l for l in table.read_text().splitlines() if not l.startswith("#")]
+    got = {(r[0], r[1]): r[2:] for r in list(csv.reader(lines))[1:]}
+
+    # reference: dense products and full SVDs
+    sigma = lambda M: np.linalg.svd(M, compute_uv=False)[0]
+    a, b = surf.z_interval
+    fun = dict(zip("xyz", surf.coordinates))
+    for N in (50, 100):
+        grid = nc.build_grid(N, a, b, 1.0, offset)
+        T = {c: nc.quantize(f, grid) for c, f in fun.items()}
+        ratio = {c: sigma(T[c]) / norm_bound(f, grid) for c, f in fun.items()}
+        for label in ("x,y", "y,z", "z,x", "z,z"):
+            f, g = label.split(",")
+            P = T[f] @ T[g] - nc.quantize(nc.pointwise_product(fun[f], fun[g]), grid)
+            B = (T[f] @ T[g] - T[g] @ T[f]) / (1j * grid.hbar) - nc.quantize(
+                nc.bracket_function(fun[f], fun[g]), grid
+            )
+            want = (sigma(P), sigma(B), max(ratio[f], ratio[g]))
+            row = [float(v) for v in got[(str(N), label)]]
+            for w, v in zip(want, row):
+                assert v == pytest.approx(w, rel=1e-12, abs=1e-14), (N, label)
 
 
 def test_trace_identity_function(capsys):

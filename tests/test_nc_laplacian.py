@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -61,9 +62,11 @@ class TestGamma:
     def test_broken_coordinates_raise(self, unit_sphere):
         grid = nc.build_grid(12, -1, 1, 1)
         coords = nc.coordinate_matrices(unit_sphere, grid)
-        coords.X[0, 11] += 0.5  # not hermitian any more
+        X = coords.banded[0].tolil()
+        X[0, 11] += 0.5  # not hermitian any more
+        broken = dataclasses.replace(coords, banded=(X.tocsr(), *coords.banded[1:]))
         with pytest.raises(ConsistencyError):
-            nc.build_gamma(coords, hbar=grid.hbar)
+            nc.build_gamma(broken, hbar=grid.hbar)
 
 
 class TestGammaInverse:
@@ -146,17 +149,18 @@ class TestDenseSuperoperator:
         out = sup @ np.eye(2).reshape(-1)
         assert np.abs(out).max() < 1e-14
 
-    def test_columns_match_apply(self, unit_sphere):
-        ops = _ops(unit_sphere, 5)
-        sup = assemble_dense_superoperator(ops)
+    def test_columns_match_apply(self, unit_sphere, triaxial_123):
         rng = np.random.default_rng(3)
-        for j in rng.integers(0, 25, size=4):
-            r, c = divmod(int(j), 5)
-            E = np.zeros((5, 5), complex)
-            E[r, c] = 1.0
-            np.testing.assert_allclose(
-                sup[:, j], np.asarray(nc.apply_laplacian(ops, E)).reshape(-1), atol=1e-12
-            )
+        for surf, N in ((unit_sphere, 5), (triaxial_123, 6), (triaxial_123, 8)):
+            ops = _ops(surf, N)
+            sup = assemble_dense_superoperator(ops)
+            for j in rng.integers(0, N * N, size=4):
+                r, c = divmod(int(j), N)
+                E = np.zeros((N, N), complex)
+                E[r, c] = 1.0
+                np.testing.assert_allclose(
+                    sup[:, j], np.asarray(nc.apply_laplacian(ops, E)).reshape(-1), atol=1e-12
+                )
 
     def test_kernel_present_at_six(self, unit_sphere):
         ops = _ops(unit_sphere, 6)

@@ -2,11 +2,15 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nclaplace as nc
 from nclaplace.errors import ConsistencyError, DomainError
 from nclaplace.quantization import (
     norm_bound,
+    spectral_norm,
     read_matrix_binary,
     read_matrix_json,
     write_matrix_binary,
@@ -121,6 +125,21 @@ class TestQuantize:
         g = nc.build_grid(16, -1, 1, 1)
         T = nc.quantize(f, g)
         assert np.abs(T - T.conj().T).max() <= 1e-13 * max(1.0, np.abs(T).max())
+
+    def test_hermiticity_checked_on_diagonals(self):
+        # a real-valued function whose mode -1 is missing: diagonal +1 of
+        # T - T^H is the mode-(-1) diagonal itself
+        f = nc.BandLimitedFunction({1: nc.constant_profile(0.5)}, (-1.0, 1.0), real_valued=True)
+        with pytest.raises(ConsistencyError, match="deviates from hermitian by 5.00e-01"):
+            nc.quantize_banded(f, nc.build_grid(6, -1, 1, 1))
+
+    def test_banded_holds_only_the_mode_diagonals(self):
+        f = _random_real_blf(seed=14, max_mode=2)
+        g = nc.build_grid(9, -1, 1, 1)
+        T = nc.quantize_banded(f, g)
+        assert sp.issparse(T)
+        offsets = T.tocoo().col - T.tocoo().row
+        assert set(offsets) == {-2, -1, 0, 1, 2}
 
     def test_band_limit_must_stay_below_size(self):
         f = _random_real_blf(seed=12, max_mode=4)
@@ -274,6 +293,35 @@ class TestAxiomDefects:
         d = nc.axiom_defects(unit_sphere.coord_x, unit_sphere.coord_y, g)
         assert d.product_defect_fro >= d.product_defect
         assert d.bracket_defect_fro >= d.bracket_defect
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    N=st.integers(1, 60),
+    lower=st.integers(0, 4),
+    upper=st.integers(0, 4),
+    hermitian=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_spectral_norm_matches_dense_2_norm(N, lower, upper, hermitian, seed):
+    rng = np.random.default_rng(seed)
+    offsets = [k for k in range(-lower, upper + 1) if abs(k) < N]
+    diagonals = [
+        rng.standard_normal(N - abs(k)) + 1j * rng.standard_normal(N - abs(k)) for k in offsets
+    ]
+    M = sp.diags(diagonals, offsets, shape=(N, N), format="csr")
+    if hermitian:
+        M = (M + M.conj().T) / 2
+    want = np.linalg.norm(M.toarray(), 2)
+    assert spectral_norm(M) == pytest.approx(want, rel=1e-13, abs=0)
+
+
+def test_spectral_norm_of_zero_matrix_is_exactly_zero():
+    empty = sp.csr_matrix((5, 5), dtype=complex)
+    explicit = sp.csr_matrix((np.zeros(5, complex), (np.arange(5), np.arange(5))), shape=(5, 5))
+    assert explicit.nnz == 5
+    for M in (empty, explicit):
+        assert spectral_norm(M) == 0.0
 
 
 def test_uniform_boundedness_proxy(unit_sphere):
