@@ -5,18 +5,16 @@ its regularized inverse, and the operator
 
     L(F) = -(1/hbar^2) sum_i gamma^{-1} [X_i, gamma^{-1} [X_i, F]]
 
-acting on N x N matrices.  Three spectrum strategies are provided: a dense
-N^2 x N^2 superoperator (small N, any surface), a Fourier-offset block
-decomposition (revolution surfaces, large N), and a matrix-free shift-invert
-iterative solve (theta-dependent metrics at moderate N).
+acting on N x N matrices.  Three spectrum strategies are provided:
 
-On a surface of revolution gamma is diagonal and the coordinate matrices are
-tridiagonal, so the operator maps each matrix diagonal (Fourier offset) to
-itself and its restriction there is a tridiagonal matrix, written down in
-closed form.  Its off-diagonal products are positive, so a diagonal
-similarity makes it symmetric tridiagonal (Parlett, The Symmetric Eigenvalue
-Problem, sec. 7) and the low eigenvalues come out real from one
-`eigh_tridiagonal` call per block: O(N) work per offset.
+- dense (small N, any surface): L = G K with G = gamma^{-1} and K self-adjoint,
+  so H = G^{1/2} K G^{1/2} is symmetric and similar to L: one real `eigh` per
+  parity sector of F[n, m] (n - m even or odd), which H keeps apart.
+- blocks (revolution surfaces, large N): gamma is diagonal, so L maps each
+  matrix diagonal (Fourier offset) to itself by a closed-form tridiagonal
+  matrix that a diagonal similarity makes symmetric (Parlett, The Symmetric
+  Eigenvalue Problem, sec. 7): one `eigh_tridiagonal` per block, O(N) work.
+- iterative (theta-dependent metrics at moderate N): matrix-free shift-invert.
 """
 
 from __future__ import annotations
@@ -89,7 +87,7 @@ def build_gamma(coords: CoordinateMatrices, hbar: float) -> np.ndarray:
         V = None
     else:
         S = S.toarray()
-        w, V = np.linalg.eigh(0.5 * (S + S.conj().T))
+        w, V = _eigh(0.5 * (S + S.conj().T))
     wmax = max(w.max(), 0.0)
     if w.min() < -1e-10 * max(wmax, 1e-300):
         raise ConsistencyError(
@@ -101,6 +99,20 @@ def build_gamma(coords: CoordinateMatrices, hbar: float) -> np.ndarray:
 
 def _is_diagonal(M: np.ndarray) -> bool:
     return np.count_nonzero(M) == np.count_nonzero(np.diagonal(M))
+
+
+def _eigh(M: np.ndarray):
+    """Eigenpairs (w, V) of hermitian M (V None if M is diagonal), with one
+    `eigh` per index-parity class when M has no odd offsets, so that V and
+    every `_hermitian(., V)` keep exact zeros there."""
+    if _is_diagonal(M):
+        return np.real(np.diagonal(M)), None
+    if M[::2, 1::2].any():
+        return np.linalg.eigh(M)
+    w, V = np.empty(len(M)), np.zeros_like(M)
+    for p in (0, 1):
+        w[p::2], V[p::2, p::2] = np.linalg.eigh(M[p::2, p::2])
+    return w, V
 
 
 def _hermitian(w: np.ndarray, V) -> np.ndarray:
@@ -118,8 +130,7 @@ def gamma_inverse(gamma: np.ndarray, epsilon: float, return_truncated: bool = Fa
     zeroed.  With everything below threshold the metric is degenerate.  A
     diagonal gamma is its own eigenbasis and is inverted entrywise.
     """
-    gamma = np.asarray(gamma)
-    w, V = (np.real(np.diagonal(gamma)), None) if _is_diagonal(gamma) else np.linalg.eigh(gamma)
+    w, V = _eigh(np.asarray(gamma))
     wmax = w.max()
     if wmax <= 0.0:
         raise DegenerateMetricError("quantized area density has no positive eigenvalues")
@@ -195,16 +206,16 @@ def apply_laplacian(ops: QuantizedOperatorSet, F):
     return -out / ops.hbar**2
 
 
-def assemble_dense_superoperator(ops: QuantizedOperatorSet, cap: int = DENSE_CAP) -> np.ndarray:
-    """N^2 x N^2 matrix of the Laplacian in row-major vectorization.
-
-    Column j is the vectorized image of the j-th standard basis matrix.
+def assemble_dense_superoperator(ops: QuantizedOperatorSet, cap: int = DENSE_CAP, root=None) -> np.ndarray:
+    """N^2 x N^2 matrix of the Laplacian in row-major vectorization (the
+    small-N oracle): column j is the image of the j-th standard basis matrix.
     Refused above the cap; use blocks (revolution) or iterative instead.
 
     With vec(A F B) = kron(A, B^T) vec(F), G = gamma^{-1} and A_i = G X_i,
     each term G[X_i, G[X_i, F]] expands to
     kron(A_i A_i, I) - kron(A_i G + G A_i, X_i^T) + kron(G G, X_i^T X_i^T):
-    N x N products and five Kronecker products in all, O(N^4) work.
+    N x N products and five Kronecker products in all, O(N^4) work.  With
+    root = G^{1/2} and A_i = root X_i root it is H of `_dense_candidates`.
     """
     N = ops.N
     if N > cap:
@@ -214,7 +225,7 @@ def assemble_dense_superoperator(ops: QuantizedOperatorSet, cap: int = DENSE_CAP
         )
     G = ops.gamma_inv
     mats = (ops.coords.X, ops.coords.Y, ops.coords.Z)
-    A = [G @ Xi for Xi in mats]
+    A = [G @ Xi if root is None else root @ Xi @ root for Xi in mats]
     total = np.kron(sum(Ai @ Ai for Ai in A), np.eye(N))
     for Ai, Xi in zip(A, mats):
         total -= np.kron(Ai @ G + G @ Ai, Xi.T)
@@ -409,14 +420,6 @@ class SpectrumReport:
         return written
 
 
-def _rayleigh_refine(L: np.ndarray, lam: complex, vec: np.ndarray) -> complex:
-    """Least-squares eigenvalue for the given vector; never worsens ||Lv - lam v||."""
-    denom = np.vdot(vec, vec)
-    if denom == 0:
-        return lam
-    return complex(np.vdot(vec, L @ vec) / denom)
-
-
 def _select_strategy(ops: QuantizedOperatorSet, strategy: str) -> str:
     if strategy != "auto":
         return strategy
@@ -434,15 +437,15 @@ def spectrum(
 ) -> SpectrumReport:
     """The `count` eigenvalues of smallest absolute value, with residuals.
 
-    Strategies: dense (any surface, N <= cap), blocks (revolution surfaces;
-    one symmetric tridiagonal solve per offset k in [-K, K]), iterative
-    (shift-invert around zero).  Residuals are measured by applying the full
-    operator to the embedded eigenmatrix.  Block eigenvalues are real by
-    construction; blocks +-(K+1) must lie beyond the kept eigenvalues by the
-    default cluster gap, or ConfigError asks for a wider K.  Dense and
-    iterative eigenvalues whose imaginary part exceeds 1e-8*(1 + |Re|) are
-    flagged; real parts are reported and the largest discarded imaginary
-    part recorded.
+    Strategies: dense (any surface, N <= cap; one real symmetric solve per
+    parity sector), blocks (revolution surfaces; one symmetric tridiagonal
+    solve per offset k in [-K, K]), iterative (shift-invert around zero).
+    Residuals go through the full operator; one over tolerance, non-finite
+    or of a zero eigenmatrix fails the run (iterative: flags it).  Dense and
+    block eigenvalues are real; blocks +-(K+1) must lie beyond the kept
+    eigenvalues by the default cluster gap, or ConfigError asks for a wider
+    K.  Iterative eigenvalues with imaginary part over 1e-8*(1 + |Re|) are
+    flagged; real parts are reported, the largest imaginary part recorded.
     """
     strategy = _select_strategy(ops, strategy)
     N = ops.N
@@ -490,7 +493,7 @@ def spectrum(
 
     scale = max((abs(c["value"]) for c in candidates), default=1.0)
     tol = 1e-8 * (1.0 + scale)
-    bad = [i for i, r in enumerate(residuals) if r > tol]
+    bad = [i for i, r in enumerate(residuals) if not r <= tol]
     if bad:
         if strategy == "iterative":
             # converged subset only: flag the rest instead of failing outright
@@ -547,18 +550,38 @@ def _assign_clusters(values, order, clusters) -> list:
 
 
 def _dense_candidates(ops: QuantizedOperatorSet, count: int) -> list:
-    sup = assemble_dense_superoperator(ops)
-    if count > sup.shape[0]:
-        raise ConfigError(f"count {count} exceeds superoperator dimension {sup.shape[0]}")
-    w, V = sla.eig(sup)
-    order = np.argsort(np.abs(w))
-    out = []
-    for i in order[: min(len(w), count)]:
-        lam = _rayleigh_refine(sup, w[i], V[:, i])
-        out.append(
-            {"value": lam.real, "imag": lam.imag, "block": None, "vec": V[:, i], "kind": "dense"}
+    """The `count` eigenpairs of L closest to 0.  L = G K with K self-adjoint, so
+    H = (R (x) I) K (R (x) I), R = G^{1/2}, is symmetric with L's eigenvalues and
+    eigenmatrices F = R Y; its largest ones per parity sector are the ones wanted."""
+    N = ops.N
+    if ops.gamma_truncated_modes:
+        raise ConsistencyError(
+            f"epsilon truncated {ops.gamma_truncated_modes} gamma modes; the dense solve needs "
+            "an invertible gamma (lower --epsilon)"
         )
-    return out
+    w, V = _eigh(ops.gamma)  # the eigenpairs gamma_inverse inverted
+    root = _hermitian(1.0 / np.sqrt(w), V)
+    H = assemble_dense_superoperator(ops, root=root)
+    parity = np.add.outer(np.arange(N), np.arange(N)).reshape(-1) % 2
+    if H.imag.any() or H.real[parity[:, None] != parity].any():
+        raise ConsistencyError("the symmetrized operator is complex or couples the parity sectors")
+    found = []
+    for idx in (np.flatnonzero(parity == 0), np.flatnonzero(parity == 1)):
+        k = min(count, len(idx))
+        w, Y = sla.eigh(H.real[np.ix_(idx, idx)], subset_by_index=[len(idx) - k, len(idx) - 1])
+        E = np.zeros((N * N, k))
+        E[idx] = Y
+        found += [(lam, root @ e.reshape(N, N)) for lam, e in zip(w, E.T)]
+    top, tol = max(f[0] for f in found), 1e-8 * (1.0 + max(abs(f[0]) for f in found))
+    if top > tol:
+        raise ConsistencyError(
+            f"eigenvalue {top:.3e} exceeds the solver tolerance {tol:.2e}; "
+            "the operator is not negative semidefinite"
+        )
+    return [
+        {"value": float(lam), "imag": 0.0, "block": None, "vec": F.reshape(-1), "kind": "dense"}
+        for lam, F in sorted(found, key=lambda f: abs(f[0]))[:count]
+    ]
 
 
 def _check_block_range(ops: QuantizedOperatorSet, K: int, largest_kept: float) -> None:
@@ -614,15 +637,18 @@ def _iterative_candidates(ops: QuantizedOperatorSet, count: int, sigma: float = 
 
 
 def _full_residual(ops: QuantizedOperatorSet, cand: dict) -> float:
-    """||L(F) - lambda F||_F / ||F||_F through the full operator."""
+    """||L(F) - lambda F||_F / ||F||_F through the full operator; inf when F = 0."""
     lam = cand["value"]
+    norm = np.linalg.norm(cand["vec"])
+    if not norm > 0:
+        return math.inf
     if cand["kind"] == "block":
         F = _embed_offset(cand["vec"], cand["block"], ops.N)
         resid = apply_laplacian(ops, F) - lam * F
-        return float(spla.norm(resid) / np.linalg.norm(cand["vec"]))
+        return float(spla.norm(resid) / norm)
     F = np.asarray(cand["vec"]).reshape(ops.N, ops.N)
     resid = apply_laplacian(ops, F) - lam * F
-    return float(np.linalg.norm(resid) / np.linalg.norm(F))
+    return float(np.linalg.norm(resid) / norm)
 
 
 def convergence_study(

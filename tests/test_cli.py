@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import nclaplace as nc
+from nclaplace import nc_laplacian
 from nclaplace.cli import main
 from nclaplace.quantization import norm_bound, read_matrix_binary, read_matrix_json
 
@@ -122,6 +123,38 @@ def test_triaxial_dense_succeeds_blocks_fails(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "equatorial" in err or "offset" in err or "theta" in err
+
+
+def test_dense_truncated_gamma_exits_one(tmp_path, capsys):
+    code = main(
+        [
+            "spectrum",
+            "--surface", "ellipsoid",
+            "--axes", "1,2,3",
+            "--N", "12",
+            "--epsilon", "0.3",
+            "--strategy", "dense",
+            "--out", str(tmp_path),
+        ]
+    )
+    assert code == 1
+    assert "truncated" in capsys.readouterr().err
+    assert not list(tmp_path.glob("spectrum_*"))
+
+
+def test_zero_eigenmatrix_exits_two(tmp_path, capsys, monkeypatch):
+    original = nc_laplacian._dense_candidates
+
+    def zeroed(ops, count):
+        cands = original(ops, count)
+        cands[0]["vec"] = np.zeros_like(cands[0]["vec"])
+        return cands
+
+    monkeypatch.setattr(nc_laplacian, "_dense_candidates", zeroed)
+    args = ["spectrum", "--surface", "ellipsoid", "--axes", "1,2,3", "--N", "8",
+            "--strategy", "dense", "--out", str(tmp_path)]
+    assert main(args) == 2
+    assert "residuals exceed the solver tolerance" in capsys.readouterr().err
 
 
 def test_spectrum_csv_deterministic(tmp_path):

@@ -13,8 +13,10 @@ from nclaplace.errors import (
     DegenerateMetricError,
     DenseSizeError,
     NotRevolutionSurfaceError,
+    SolverConvergenceError,
 )
-from nclaplace.nc_laplacian import _embed_offset, assemble_dense_superoperator
+from nclaplace import nc_laplacian
+from nclaplace.nc_laplacian import _dense_candidates, _embed_offset, assemble_dense_superoperator
 
 from conftest import metric_oracle
 
@@ -324,6 +326,83 @@ class TestSpectrum:
         first = rep.save(tmp_path, "rep")
         again = rep.save(tmp_path / "copy", "rep")
         assert (tmp_path / "rep.csv").read_bytes() == (tmp_path / "copy" / "rep.csv").read_bytes()
+
+
+def _odd_offsets(N):
+    n = np.arange(N)
+    return (n[:, None] - n[None, :]) % 2 == 1
+
+
+DENSE_ORACLE_CASES = [
+    pytest.param(nc.ellipsoid(1.0, 2.0, 3.0), N, 1.0, offset, id=f"ellipsoid-1-2-3-N{N}-{offset}")
+    for N in (6, 8, 12)
+    for offset in ("paper", "symmetric")
+] + [
+    pytest.param(nc.ellipsoid(1.0, 1.2, 1.5), 10, 0.7, "paper", id="ellipsoid-1-1.2-1.5-beta0.7"),
+    pytest.param(nc.sphere(), 10, 1.0, "paper", id="sphere-N10"),
+]
+
+
+class TestDenseSectors:
+    @pytest.mark.parametrize("surf, N, beta, offset", DENSE_ORACLE_CASES)
+    def test_matches_superoperator_oracle(self, surf, N, beta, offset):
+        ops = _ops(surf, N, beta=beta, offset=offset)
+        count = 9
+        rep = nc.spectrum(ops, strategy="dense", count=count)
+        w = np.linalg.eigvals(assemble_dense_superoperator(ops))
+        oracle = np.sort(w[np.argsort(np.abs(w))[:count]].real)
+        np.testing.assert_allclose(np.sort(rep.eigenvalues), oracle, rtol=0, atol=1e-10)
+        assert rep.imaginary_leakage == 0.0 and not any(rep.flagged)
+        # each eigenmatrix lives in one parity sector of F[n, m]
+        odd = _odd_offsets(N)
+        for cand in _dense_candidates(ops, count):
+            F = cand["vec"].reshape(N, N)
+            assert np.abs(F).max() > 0
+            assert not F[odd].any() or not F[~odd].any()
+        # gamma and gamma^{-1} from one eigh per index-parity class
+        assert not ops.gamma[odd].any()
+        assert not ops.gamma_inv[odd].any()
+
+    def test_truncated_gamma_is_refused(self, triaxial_123):
+        ops = _ops(triaxial_123, 12, epsilon=0.3)
+        assert ops.gamma_truncated_modes > 0
+        with pytest.raises(ConsistencyError, match="truncated"):
+            nc.spectrum(ops, strategy="dense", count=9)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [0.0, np.nan, np.inf], ids=["zero", "nan", "inf"])
+    def test_degenerate_eigenmatrix_fails_residual_gate(self, triaxial_123, monkeypatch, bad):
+        def broken(ops, count):
+            cands = _dense_candidates(ops, count)
+            cands[0]["vec"] = np.full_like(cands[0]["vec"], bad)
+            return cands
+
+        monkeypatch.setattr(nc_laplacian, "_dense_candidates", broken)
+        with pytest.raises(SolverConvergenceError):
+            nc.spectrum(_ops(triaxial_123, 8), strategy="dense", count=4)
+
+    def test_positive_eigenvalue_is_refused(self, triaxial_123, monkeypatch):
+        original = nc_laplacian.assemble_dense_superoperator
+        monkeypatch.setattr(
+            nc_laplacian, "assemble_dense_superoperator", lambda *a, **kw: -original(*a, **kw)
+        )
+        with pytest.raises(ConsistencyError, match="negative semidefinite"):
+            nc.spectrum(_ops(triaxial_123, 8), strategy="dense", count=4)
+
+    @pytest.mark.parametrize("entry", [(0, 1, 1e-3), (0, 0, 1e-3j)], ids=["coupling", "imaginary"])
+    def test_broken_sector_structure_is_refused(self, triaxial_123, monkeypatch, entry):
+        # vec index 0 is F[0, 0] (even sector), index 1 is F[0, 1] (odd sector)
+        original = nc_laplacian.assemble_dense_superoperator
+
+        def perturbed(*args, **kwargs):
+            H = original(*args, **kwargs)
+            i, j, value = entry
+            H[i, j] += value
+            return H
+
+        monkeypatch.setattr(nc_laplacian, "assemble_dense_superoperator", perturbed)
+        with pytest.raises(ConsistencyError, match="parity sectors"):
+            nc.spectrum(_ops(triaxial_123, 8), strategy="dense", count=4)
 
 
 class TestConvergenceStudy:
