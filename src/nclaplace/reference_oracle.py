@@ -11,6 +11,7 @@ nonpositive.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -90,15 +91,16 @@ def _meridian_coefficients(s):
     return r, stretch
 
 
-def _mode_eigenvalues(r, stretch, n: int, m: int, count: int) -> np.ndarray:
+def _mode_eigenvalues(r, stretch, n: int, m: int, count: int, floor=None) -> np.ndarray:
     """Top `count` eigenvalues of one azimuthal band of the revolution problem.
 
     Cell-centered conservative scheme for
         (1/(r E)) d/dt( (r/E) u' ) - m^2 u / r^2 = lambda u,   E = |d(meridian)/dt|
     on (0, pi).  Flux coefficients p = r/E live on cell faces and vanish at
     the poles, which encodes the bounded-solution endpoint condition; for
-    m >= 1 the singular m^2/r^2 potential suppresses u there.  Returns
-    eigenvalues sorted descending (nearest zero first).
+    m >= 1 the singular m^2/r^2 potential suppresses u there.  With `floor`,
+    only the eigenvalues in (floor, 0] are bisected and the top `count` of
+    them returned.  Returns eigenvalues sorted descending (nearest zero first).
     """
     h = math.pi / n
     nodes = (np.arange(n) + 0.5) * h
@@ -114,9 +116,29 @@ def _mode_eigenvalues(r, stretch, n: int, m: int, count: int) -> np.ndarray:
     sw = np.sqrt(w)
     diag = diag_t / w
     off = off_t / (sw[:-1] * sw[1:])
-    lo = max(n - count, 0)
-    vals = eigh_tridiagonal(diag, off, select="i", select_range=(lo, n - 1), eigvals_only=True)
+    if floor is None:
+        lo = max(n - count, 0)
+        vals = eigh_tridiagonal(diag, off, select="i", select_range=(lo, n - 1), eigvals_only=True)
+    else:
+        vals = eigh_tridiagonal(diag, off, select="v", select_range=(floor, 0.0), eigvals_only=True)
+        vals = vals[max(len(vals) - count, 0):]
     return vals[::-1]
+
+
+def _keep_prefix(levels, count: int):
+    """The levels nearest zero that cover `count` eigenvalues with multiplicity.
+
+    `levels` holds (value, multiplicity, ...) tuples.  The sort by |value| is
+    stable, so ties keep their input order.  Returns the kept indices in
+    that order and the multiplicity they cover.
+    """
+    kept, total = [], 0
+    for i in sorted(range(len(levels)), key=lambda i: abs(levels[i][0])):
+        if total >= count:
+            break
+        kept.append(i)
+        total += levels[i][1]
+    return kept, total
 
 
 def revolution_spectrum(
@@ -128,40 +150,62 @@ def revolution_spectrum(
 ) -> ClassicalSpectrum:
     """Low spectrum of a revolution surface by separated finite differences.
 
-    Solves each azimuthal mode m in [0, m_max] on `grid_points` cells of the
-    meridian angle, merges the bands (multiplicity 2 for m >= 1, else 1), and
-    keeps entries until `count` eigenvalues are covered with multiplicity.
-    A coarse companion solve estimates the discretization error of every kept
-    eigenvalue; estimates comparable to the eigenvalue itself raise.
+    Walks the azimuthal modes m = 0, 1, ..., m_max on `grid_points` cells of
+    the meridian angle (multiplicity 1 for m = 0, else 2) and keeps levels
+    until `count` eigenvalues are covered with multiplicity.  Mode 0 solves
+    its top levels by index.  Once the levels found so far cover `count` up
+    to |lambda| = tau, a later mode bisects only its levels in
+    [-(tau + margin), 0], and the walk stops at the first mode with none
+    there.  That is exact: the symmetrized band matrices satisfy
+    T_{m+1} = T_m - (2m+1) diag(1/r^2), so by Weyl's monotonicity every level
+    of band m+1 lies below the same-index level of band m.  Each mode offers
+    at most its top min(max(count, 2), grid_points//2 - 1) levels.  A coarse
+    companion solve on grid_points//2 cells estimates the discretization
+    error of every kept eigenvalue; estimates comparable to the eigenvalue
+    itself raise.
     """
+    if grid_points < 4:
+        raise ValueError(f"grid_points must be at least 4, got {grid_points}")
+    if m_max < 0:
+        raise ValueError(f"m_max must be nonnegative, got {m_max}")
     r, stretch = _meridian_coefficients(s)
-    per_mode = max(count, 2)
-    fine, coarse = [], []
-    for m in range(0, m_max + 1):
-        take = min(per_mode, grid_points - 1, grid_points // 2 - 1)
-        f = _mode_eigenvalues(r, stretch, grid_points, m, take)
-        c = _mode_eigenvalues(r, stretch, grid_points // 2, m, take)
-        mult = 1 if m == 0 else 2
-        for i in range(len(f)):
-            fine.append((f[i], mult, m, i))
-            coarse.append(c[i] if i < len(c) else f[i])
-    order = sorted(range(len(fine)), key=lambda i: abs(fine[i][0]))
-    kept_idx = []
-    total = 0
-    for i in order:
-        if total >= count:
+    take = min(max(count, 2), grid_points // 2 - 1)
+    fine = []  # (value, multiplicity, mode, index within the band)
+    tau = math.inf
+    modes_solved = levels_solved = 0
+    for m in range(m_max + 1):
+        if m == 0:
+            f = _mode_eigenvalues(r, stretch, grid_points, 0, min(take, max(count, 1)))
+        elif math.isinf(tau):
+            f = _mode_eigenvalues(r, stretch, grid_points, m, take)
+        else:
+            # far above the bisection tolerance, so near-ties at tau are solved
+            margin = 1e-6 * (1.0 + tau)
+            f = _mode_eigenvalues(r, stretch, grid_points, m, take, floor=-(tau + margin))
+        modes_solved += 1
+        levels_solved += len(f)
+        if len(f) == 0:
             break
-        kept_idx.append(i)
-        total += fine[i][1]
+        mult = 1 if m == 0 else 2
+        fine.extend((v, mult, m, i) for i, v in enumerate(f))
+        kept_idx, total = _keep_prefix(fine, count)
+        if total >= count:
+            tau = abs(fine[kept_idx[-1]][0]) if kept_idx else 0.0
+    kept_idx, total = _keep_prefix(fine, count)
     if total < count:
         raise ResolutionError(
             f"bands m <= {m_max} on {grid_points} cells provide only {total} of the "
             f"requested {count} eigenvalues"
         )
     kept = [fine[i] for i in kept_idx]
+    # a band's kept levels are its top ones and take < grid_points//2, so
+    # the coarse solve of each band returns one companion per kept level
+    depth = Counter(m for _, _, m, _ in kept)
+    coarse = {m: _mode_eigenvalues(r, stretch, grid_points // 2, m, k) for m, k in depth.items()}
+    levels_solved += len(kept)
     # second-order scheme: halving the grid scales the error by ~4, so the
     # fine/coarse difference over 3 estimates the fine-grid error
-    err_est = [abs(fine[i][0] - coarse[i]) / 3.0 for i in kept_idx]
+    err_est = [abs(v - coarse[m][i]) / 3.0 for v, _, m, i in kept]
     for (v, _, m, _), est in zip(kept, err_est):
         if est > 0.1 * (1.0 + abs(v)):
             raise ResolutionError(
@@ -177,6 +221,8 @@ def revolution_spectrum(
         "m_max": m_max,
         "max_error_estimate": max(err_est, default=0.0),
         "surface": s.name,
+        "modes_solved": modes_solved,
+        "levels_solved": levels_solved,
     }
     return ClassicalSpectrum(tuple(entries), meta)
 
@@ -221,18 +267,8 @@ def revolution_spectrum_richardson(
             n = min(len(best[m]), len(alt[m]))
             if n:
                 consistency = max(consistency, float(np.abs(best[m][:n] - alt[m][:n]).max()))
-    levels = []
-    for m, vals in best.items():
-        mult = 1 if m == 0 else 2
-        for v in vals:
-            levels.append((float(v), mult))
-    levels.sort(key=lambda t: abs(t[0]))
-    kept, total = [], 0
-    for v, mult in levels:
-        if total >= count:
-            break
-        kept.append((v, mult))
-        total += mult
+    levels = [(float(v), 1 if m == 0 else 2) for m, vals in best.items() for v in vals]
+    kept = [levels[i] for i in _keep_prefix(levels, count)[0]]
     entries = [SpectrumEntry(v, mult, "sturm_liouville") for v, mult in sorted(kept)]
     meta = {
         "grid_points": grids,
@@ -247,8 +283,9 @@ def reference_for(s, count: int) -> ClassicalSpectrum | None:
     """The classical reference for the `count` lowest eigenvalues of s.
 
     The analytic spectrum on the unit sphere, the Sturm-Liouville solver
-    (4000 cells, modes m <= count) on other surfaces of revolution, and None
-    where no reference applies.
+    (4000 cells, modes m <= count, walked only as far as a mode can still
+    hold one of the `count` lowest levels) on other surfaces of revolution,
+    and None where no reference applies.
     """
     if s.semi_axes == (1.0, 1.0, 1.0):
         return analytic_sphere_spectrum(max(8, count))

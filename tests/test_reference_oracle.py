@@ -4,6 +4,7 @@ import pytest
 
 import nclaplace as nc
 from nclaplace.errors import ResolutionError
+from nclaplace.reference_oracle import _meridian_coefficients, _mode_eigenvalues
 
 
 class TestAnalyticSphere:
@@ -94,6 +95,57 @@ class TestRevolutionSpectrum:
     def test_triaxial_rejected(self, triaxial_123):
         with pytest.raises(nc.NotRevolutionSurfaceError):
             nc.revolution_spectrum(triaxial_123, m_max=1, grid_points=100, count=3)
+
+    @pytest.mark.parametrize("grid_points", [2, 3])
+    def test_too_few_cells_rejected(self, unit_sphere, grid_points):
+        with pytest.raises(ValueError, match="grid_points"):
+            nc.revolution_spectrum(unit_sphere, m_max=1, grid_points=grid_points, count=1)
+
+    def test_negative_m_max_rejected(self, unit_sphere):
+        with pytest.raises(ValueError, match="m_max"):
+            nc.revolution_spectrum(unit_sphere, m_max=-1, grid_points=100, count=1)
+
+    def test_walk_bisects_only_reachable_levels(self):
+        # the exhaustive solve bisects 12 levels in each of the 13 bands on
+        # both grids: 312 eigenvalues, for 8 kept entries
+        spec = nc.reference_for(nc.spheroid(1, 2), 12)
+        assert spec.metadata["levels_solved"] <= 60
+        assert spec.metadata["modes_solved"] < 13
+
+
+def _exhaustive_revolution_spectrum(s, m_max, grid_points, count):
+    """Every band m <= m_max solved for its top `take` levels on both grids."""
+    r, stretch = _meridian_coefficients(s)
+    take = min(max(count, 2), grid_points // 2 - 1)
+    levels = []
+    for m in range(m_max + 1):
+        fine = _mode_eigenvalues(r, stretch, grid_points, m, take)
+        coarse = _mode_eigenvalues(r, stretch, grid_points // 2, m, take)
+        levels.extend((f, 1 if m == 0 else 2, abs(f - c) / 3.0) for f, c in zip(fine, coarse))
+    levels.sort(key=lambda t: abs(t[0]))
+    kept, total = [], 0
+    for level in levels:
+        if total >= count:
+            break
+        kept.append(level)
+        total += level[1]
+    assert total >= count
+    return sorted(kept)
+
+
+@pytest.mark.parametrize("c", [0.3, 0.5, 1.0, 1.5, 2.5])
+def test_walk_matches_exhaustive_band_solve(c):
+    s = nc.spheroid(1, c)
+    for count in (1, 4, 9, 12, 20, 40):
+        for m_max in (0, 2, count):
+            want = _exhaustive_revolution_spectrum(s, m_max, 400, count)
+            got = nc.revolution_spectrum(s, m_max=m_max, grid_points=400, count=count)
+            assert [e.multiplicity for e in got.entries] == [mult for _, mult, _ in want]
+            for e, (value, _, _) in zip(got.entries, want):
+                assert abs(e.value - value) <= 1e-8 * (1.0 + abs(value))
+            scale = 1.0 + max(abs(value) for value, _, _ in want)
+            worst = max(est for _, _, est in want)
+            assert abs(got.metadata["max_error_estimate"] - worst) <= 1e-8 * scale
 
 
 class TestClusterMultiplicities:
