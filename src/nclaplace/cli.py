@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import math
 import sys
 from pathlib import Path
@@ -40,18 +41,16 @@ def _add_surface_args(p: argparse.ArgumentParser) -> None:
                    help="sphere radius (sphere only; default 1)")
 
 
-def _add_grid_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--N", type=int, default=100, help="matrix size")
+def _add_grid_args(p: argparse.ArgumentParser, size: bool = True, epsilon: bool = False) -> None:
+    """Grid flags; --N and --epsilon only on the subcommands that read them."""
+    if size:
+        p.add_argument("--N", type=int, default=100, help="matrix size")
     p.add_argument("--beta", default="1",
                    help="grid scale parameter: a float, or 'auto' for area/(2*pi*(b-a))")
     p.add_argument("--grid-offset", choices=qz.GRID_OFFSETS, default="paper")
-    p.add_argument("--epsilon", type=float, default=1e-12,
-                   help="relative threshold for the regularized inverse of gamma")
-
-
-def _add_output_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--format", choices=("json", "csv", "both"), default="both")
+    if epsilon:
+        p.add_argument("--epsilon", type=float, default=1e-12,
+                       help="relative threshold for the regularized inverse of gamma")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -60,11 +59,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Spectra of the commutator Laplacian on axisymmetric surfaces",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # no abbreviations: a flag a subcommand does not take (--N on axioms) must
+    # not silently become a prefix of one it does (--N-list)
+    add_parser = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    p = sub.add_parser("spectrum", help="compute the low spectrum and write a report")
+    p = add_parser("spectrum", help="compute the low spectrum and write a report")
     _add_surface_args(p)
-    _add_grid_args(p)
-    _add_output_args(p)
+    _add_grid_args(p, epsilon=True)
+    p.add_argument("--out", default=".", help="output directory")
+    p.add_argument("--format", choices=("json", "csv", "both"), default="both")
     p.add_argument("--strategy", choices=("auto", "dense", "blocks", "iterative"), default="auto")
     p.add_argument("--count", type=int, default=9)
     p.add_argument("--K", type=int, default=None, help="block offset range (blocks strategy)")
@@ -73,10 +76,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also write the coordinate matrices under PATH")
     p.set_defaults(func=cmd_spectrum)
 
-    p = sub.add_parser("converge", help="eigenvalue errors against a classical reference")
+    p = add_parser("converge", help="eigenvalue errors against a classical reference")
     _add_surface_args(p)
-    _add_grid_args(p)
-    _add_output_args(p)
+    _add_grid_args(p, size=False, epsilon=True)
+    p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--N-list", dest="N_list", default=None,
                    help="comma-separated matrix sizes (at least two)")
     p.add_argument("--strategy", choices=("auto", "dense", "blocks", "iterative"), default="auto")
@@ -84,20 +87,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--K", type=int, default=None)
     p.set_defaults(func=cmd_converge)
 
-    p = sub.add_parser("axioms", help="product/bracket defect table over coordinate pairs")
+    p = add_parser("axioms", help="product/bracket defect table over coordinate pairs")
     _add_surface_args(p)
-    _add_grid_args(p)
-    _add_output_args(p)
+    _add_grid_args(p, size=False)
+    p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--N-list", dest="N_list", default="50,100,200")
     p.set_defaults(func=cmd_axioms)
 
-    p = sub.add_parser("trace", help="normalized trace of a built-in function vs quadrature")
+    p = add_parser("trace", help="normalized trace of a built-in function vs quadrature")
     _add_surface_args(p)
     _add_grid_args(p)
     p.add_argument("--function", choices=TRACE_FUNCTIONS, default="1")
     p.set_defaults(func=cmd_trace)
 
-    p = sub.add_parser("dump-coords", help="write the quantized coordinate matrices")
+    p = add_parser("dump-coords", help="write the quantized coordinate matrices")
     _add_surface_args(p)
     _add_grid_args(p)
     p.add_argument("--out", default=".", help="output directory")

@@ -5,7 +5,9 @@ its regularized inverse, and the operator
 
     L(F) = -(1/hbar^2) sum_i gamma^{-1} [X_i, gamma^{-1} [X_i, F]]
 
-acting on N x N matrices.  Three spectrum strategies are provided:
+acting on N x N matrices.  gamma is decomposed once and held as eigenpairs
+that gamma^{-1} shares; on a surface of revolution gamma is diagonal and no
+N x N array is formed.  Three spectrum strategies are provided:
 
 - dense (small N, any surface): L = G K with G = gamma^{-1} and K self-adjoint,
   so H = G^{1/2} K G^{1/2} is symmetric and similar to L: one real `eigh` per
@@ -22,7 +24,8 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +46,6 @@ from .quantization import (
     QuantizationGrid,
     build_grid,
     coordinate_matrices,
-    sparsify,
 )
 from .reference_oracle import cluster_multiplicities, reference_for
 from .surface import SurfaceDescriptor
@@ -55,14 +57,15 @@ DENSE_CAP = 40
 GAMMA_DIAGONAL_TOL = 1e-10
 
 
-def build_gamma(coords: CoordinateMatrices, hbar: float) -> np.ndarray:
-    """Principal square root of S = -([X,Y]^2 + [Y,Z]^2 + [Z,X]^2)/hbar^2.
+def build_gamma(coords: CoordinateMatrices, hbar: float):
+    """Eigenpairs (w, V) of gamma, the principal square root of
+    S = -([X,Y]^2 + [Y,Z]^2 + [Z,X]^2)/hbar^2: gamma = V diag(w) V^H.
 
     S must be hermitian positive semidefinite up to rounding; eigenvalues of S
     below -1e-10*||S|| signal a wrong hbar or broken coordinates.  On a
-    surface of revolution S is diagonal and gamma is the entrywise root of
-    its diagonal; off-diagonal mass above GAMMA_DIAGONAL_TOL raises
-    NotRevolutionSurfaceError.
+    surface of revolution S is diagonal: w is the entrywise root of its
+    diagonal and V is None (gamma = diag(w)); off-diagonal mass above
+    GAMMA_DIAGONAL_TOL raises NotRevolutionSurfaceError.
     """
     mats = coords.banded
     S = None
@@ -94,19 +97,13 @@ def build_gamma(coords: CoordinateMatrices, hbar: float) -> np.ndarray:
             f"area-density square has eigenvalue {w.min():.3e} below tolerance "
             f"(norm {wmax:.3e}); check hbar and the coordinate matrices"
         )
-    return _hermitian(np.sqrt(np.clip(w, 0.0, None)), V)
-
-
-def _is_diagonal(M: np.ndarray) -> bool:
-    return np.count_nonzero(M) == np.count_nonzero(np.diagonal(M))
+    return np.sqrt(np.clip(w, 0.0, None)), V
 
 
 def _eigh(M: np.ndarray):
-    """Eigenpairs (w, V) of hermitian M (V None if M is diagonal), with one
-    `eigh` per index-parity class when M has no odd offsets, so that V and
-    every `_hermitian(., V)` keep exact zeros there."""
-    if _is_diagonal(M):
-        return np.real(np.diagonal(M)), None
+    """Eigenpairs (w, V) of hermitian M, with one `eigh` per index-parity
+    class when M has no odd offsets, so that V and every `_hermitian(., V)`
+    keep exact zeros there."""
     if M[::2, 1::2].any():
         return np.linalg.eigh(M)
     w, V = np.empty(len(M)), np.zeros_like(M)
@@ -123,47 +120,59 @@ def _hermitian(w: np.ndarray, V) -> np.ndarray:
     return 0.5 * (M + M.conj().T)
 
 
-def gamma_inverse(gamma: np.ndarray, epsilon: float, return_truncated: bool = False):
-    """Pseudo-inverse through the eigenbasis of gamma.
+def gamma_inverse(w: np.ndarray, epsilon: float):
+    """Eigenvalues of the pseudo-inverse of gamma from the eigenvalues w of
+    gamma (the eigenvectors are shared), and the number of truncated modes.
 
-    Eigenvalues at or above epsilon*max eigenvalue are inverted, the rest
-    zeroed.  With everything below threshold the metric is degenerate.  A
-    diagonal gamma is its own eigenbasis and is inverted entrywise.
+    Eigenvalues at or above epsilon*max(w) are inverted, the rest zeroed.
+    With everything below threshold the metric is degenerate.
     """
-    w, V = _eigh(np.asarray(gamma))
     wmax = w.max()
     if wmax <= 0.0:
         raise DegenerateMetricError("quantized area density has no positive eigenvalues")
     keep = w >= epsilon * wmax
     if not keep.any():
         raise DegenerateMetricError("all eigenvalues below the regularization threshold")
-    winv = np.where(keep, 1.0 / np.where(keep, w, 1.0), 0.0)
-    inv = _hermitian(winv, V)
-    truncated = int((~keep).sum())
-    return (inv, truncated) if return_truncated else inv
+    return np.where(keep, 1.0 / np.where(keep, w, 1.0), 0.0), int((~keep).sum())
 
 
 @dataclass
 class QuantizedOperatorSet:
-    """Everything needed to apply the commutator Laplacian."""
+    """Everything needed to apply the commutator Laplacian.
+
+    gamma = V diag(gamma_eigenvalues) V^H and gamma^{-1} =
+    V diag(gamma_inv_eigenvalues) V^H with V = ``gamma_eigenvectors``, which
+    is None on a surface of revolution (gamma diagonal).  ``gamma`` and
+    ``gamma_inv`` are their dense forms, made on first use by the dense paths.
+    """
 
     coords: CoordinateMatrices
-    gamma: np.ndarray
-    gamma_inv: np.ndarray
+    gamma_eigenvalues: np.ndarray
+    gamma_inv_eigenvalues: np.ndarray
+    gamma_eigenvectors: np.ndarray | None
     hbar: float
     regularization_epsilon: float
     surface_is_revolution: bool
     gamma_truncated_modes: int = 0
-    _sparse: tuple | None = field(default=None, repr=False)
 
     @property
     def N(self) -> int:
         return self.coords.grid.N
 
-    def sparse_ops(self):
-        if self._sparse is None:
-            self._sparse = (*self.coords.banded, sparsify(self.gamma_inv))
-        return self._sparse
+    @cached_property
+    def gamma(self) -> np.ndarray:
+        return _hermitian(self.gamma_eigenvalues, self.gamma_eigenvectors)
+
+    @cached_property
+    def gamma_inv(self) -> np.ndarray:
+        return _hermitian(self.gamma_inv_eigenvalues, self.gamma_eigenvectors)
+
+    @cached_property
+    def sparse_ops(self) -> tuple:
+        """(X, Y, Z, gamma^{-1}) in CSR form, with no dense gamma^{-1} when diagonal."""
+        V = self.gamma_eigenvectors
+        G = sp.diags(self.gamma_inv_eigenvalues) if V is None else self.gamma_inv
+        return (*self.coords.banded, sp.csr_matrix(G))
 
 
 def build_operator_set(
@@ -171,14 +180,15 @@ def build_operator_set(
     grid: QuantizationGrid,
     epsilon: float = 1e-12,
 ) -> QuantizedOperatorSet:
-    """Quantize the surface coordinates and assemble gamma and its inverse."""
+    """Quantize the surface coordinates and decompose gamma and its inverse."""
     coords = coordinate_matrices(surface, grid)
-    gamma = build_gamma(coords, grid.hbar)
-    inv, truncated = gamma_inverse(gamma, epsilon, return_truncated=True)
+    w, V = build_gamma(coords, grid.hbar)
+    winv, truncated = gamma_inverse(w, epsilon)
     return QuantizedOperatorSet(
         coords=coords,
-        gamma=gamma,
-        gamma_inv=inv,
+        gamma_eigenvalues=w,
+        gamma_inv_eigenvalues=winv,
+        gamma_eigenvectors=V,
         hbar=grid.hbar,
         regularization_epsilon=epsilon,
         surface_is_revolution=surface.revolution,
@@ -192,8 +202,7 @@ def apply_laplacian(ops: QuantizedOperatorSet, F):
     Accepts dense arrays or scipy sparse matrices and returns the same kind.
     """
     if sp.issparse(F):
-        X, Y, Z, G = ops.sparse_ops()
-        mats = (X, Y, Z)
+        *mats, G = ops.sparse_ops
     else:
         F = np.asarray(F, dtype=complex)
         mats = (ops.coords.X, ops.coords.Y, ops.coords.Z)
@@ -296,7 +305,7 @@ def _offset_block(ops: QuantizedOperatorSet, k: int) -> OffsetBlock:
     M = N - abs(k)
     n = max(0, -k) + np.arange(M)
     m = n + k
-    g = np.real(np.diagonal(ops.gamma_inv))
+    g = ops.gamma_inv_eigenvalues
     gp = np.concatenate(([0.0], g, [0.0]))  # gp[j + 1] = g_j, zero outside
     diag_sum = np.zeros(M)
     qp = np.zeros(N + 1)  # qp[j + 1] = q_j, zero outside
@@ -337,10 +346,8 @@ def block_decompose(ops: QuantizedOperatorSet, max_offset: int) -> list[OffsetBl
     """
     if not ops.surface_is_revolution:
         raise NotRevolutionSurfaceError("block decomposition requires equal equatorial axes")
-    if not _is_diagonal(ops.gamma_inv):
-        raise NotRevolutionSurfaceError(
-            "gamma^{-1} carries off-diagonal mass; the metric is theta-dependent"
-        )
+    if ops.gamma_eigenvectors is not None:
+        raise NotRevolutionSurfaceError("gamma is not diagonal; the metric is theta-dependent")
     N = ops.N
     if not 0 <= max_offset < N:
         raise ValueError(f"need 0 <= K < N, got K={max_offset}")
@@ -383,7 +390,7 @@ class SpectrumReport:
                     "cluster": c,
                     "flagged": fl,
                 }
-                for v, r, b, c, fl in zip(
+                for v, r, b, fl, c in zip(
                     self.eigenvalues, self.residuals, self.blocks, self.flagged, self.cluster_index
                 )
             ],
@@ -559,8 +566,7 @@ def _dense_candidates(ops: QuantizedOperatorSet, count: int) -> list:
             f"epsilon truncated {ops.gamma_truncated_modes} gamma modes; the dense solve needs "
             "an invertible gamma (lower --epsilon)"
         )
-    w, V = _eigh(ops.gamma)  # the eigenpairs gamma_inverse inverted
-    root = _hermitian(1.0 / np.sqrt(w), V)
+    root = _hermitian(1.0 / np.sqrt(ops.gamma_eigenvalues), ops.gamma_eigenvectors)
     H = assemble_dense_superoperator(ops, root=root)
     parity = np.add.outer(np.arange(N), np.arange(N)).reshape(-1) % 2
     if H.imag.any() or H.real[parity[:, None] != parity].any():

@@ -41,9 +41,6 @@ GRID_OFFSETS = ("paper", "symmetric")
 #: entrywise hermiticity tolerance for matrices built from real-valued functions
 HERMITICITY_TOL = 1e-13
 
-#: relative floor under which entries are dropped when sparsifying
-SPARSE_DROP_TOL = 1e-15
-
 
 @dataclass(frozen=True)
 class QuantizationGrid:
@@ -159,15 +156,6 @@ def spectral_norm(M) -> float:
     band[offset, A.col[low]] = A.data[low]  # lower storage: band[k, j] = A[j + k, j]
     lam = sla.eigvals_banded(band, lower=True, select="i", select_range=(n - 1, n - 1))[0]
     return float(np.sqrt(max(lam, 0.0)))
-
-
-def sparsify(M, drop_tol: float = SPARSE_DROP_TOL):
-    """CSR copy of M without the entries below drop_tol times its largest."""
-    A = np.asarray(M)
-    scale = np.abs(A).max()
-    if scale > 0:
-        A = np.where(np.abs(A) > drop_tol * scale, A, 0.0)
-    return sp.csr_matrix(A)
 
 
 @dataclass(eq=False)

@@ -448,3 +448,23 @@ def test_bad_beta_is_config_error(capsys):
 def test_help_exits_zero():
     assert main(["--help"]) == 0
     assert main(["spectrum", "--help"]) == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["converge", "--N-list", "50,100", "--N", "100"],
+        ["converge", "--N-list", "50,100", "--format", "json"],
+        ["axioms", "--N", "100"],
+        ["axioms", "--epsilon", "1e-12"],
+        ["axioms", "--format", "csv"],
+        ["trace", "--epsilon", "1e-12"],
+        ["dump-coords", "--epsilon", "1e-12"],
+    ],
+    ids=lambda argv: f"{argv[0]}{argv[-2]}",
+)
+def test_flags_a_subcommand_does_not_read_are_rejected(argv, tmp_path, capsys):
+    out = [] if argv[0] == "trace" else ["--out", str(tmp_path)]
+    assert main([*argv, *out]) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())

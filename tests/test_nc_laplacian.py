@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -73,19 +74,19 @@ class TestGamma:
 
 class TestGammaInverse:
     def test_identity(self):
-        inv, truncated = nc.gamma_inverse(np.eye(5), 1e-12, return_truncated=True)
-        np.testing.assert_allclose(inv, np.eye(5), atol=1e-14)
+        inv, truncated = nc.gamma_inverse(np.ones(5), 1e-12)
+        np.testing.assert_allclose(np.diag(inv), np.eye(5), atol=1e-14)
         assert truncated == 0
 
     def test_thresholding_example(self):
-        gamma = np.diag([2.0, 1.0, 1e-18])
-        inv, truncated = nc.gamma_inverse(gamma, 1e-12, return_truncated=True)
-        np.testing.assert_allclose(inv, np.diag([0.5, 1.0, 0.0]), atol=1e-14)
+        gamma_eigenvalues = np.array([2.0, 1.0, 1e-18])
+        inv, truncated = nc.gamma_inverse(gamma_eigenvalues, 1e-12)
+        np.testing.assert_allclose(np.diag(inv), np.diag([0.5, 1.0, 0.0]), atol=1e-14)
         assert truncated == 1
 
     def test_degenerate_raises(self):
         with pytest.raises(DegenerateMetricError):
-            nc.gamma_inverse(np.zeros((3, 3)), 1e-12)
+            nc.gamma_inverse(np.zeros(3), 1e-12)
 
     def test_sphere_well_conditioned(self, unit_sphere):
         ops = _ops(unit_sphere, 100)
@@ -322,6 +323,11 @@ class TestSpectrum:
         assert payload["config"]["analytic_derivatives"] is True
         assert {"value", "residual", "block", "cluster"} <= set(payload["eigenvalues"][0])
         assert {"mean", "multiplicity"} <= set(payload["clusters"][0])
+        rows = payload["eigenvalues"]
+        assert len(rows) == len(rep.cluster_index) == len(rep.flagged)
+        for row, cluster, flagged in zip(rows, rep.cluster_index, rep.flagged):
+            assert type(row["cluster"]) is int and row["cluster"] == cluster
+            assert row["flagged"] is flagged
         json.dumps(payload)  # must be serializable as-is
         first = rep.save(tmp_path, "rep")
         again = rep.save(tmp_path / "copy", "rep")
@@ -431,3 +437,42 @@ class TestConvergenceStudy:
                 (r for r in rows if r["cluster"] == ci), key=lambda r: r["N"]
             )]
             assert errs[1] < errs[0]
+
+
+class TestGammaStorage:
+    def test_revolution_path_memory_is_linear_in_N(self):
+        # a dense N x N float64 array alone would take 128 MB at N = 4000
+        surf = nc.spheroid(1.0, 2.0)
+        grid = nc.build_grid(4000, *surf.z_interval, 1.0)
+        tracemalloc.start()
+        try:
+            ops = nc.build_operator_set(surf, grid)
+            nc.spectrum(ops, strategy="blocks", count=12, block_range=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ops.gamma_eigenvectors is None
+        assert peak < 32e6
+
+    def test_one_gamma_decomposition_per_operator_set(self, triaxial_123, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        nc.spectrum(_ops(triaxial_123, 12), strategy="dense", count=9)
+        # one eigh of S per index-parity class, none later
+        assert calls == [(6, 6), (6, 6)]
+
+    @pytest.mark.parametrize(
+        "surf", [nc.spheroid(1.0, 2.0), nc.ellipsoid(1.0, 2.0, 3.0)], ids=["spheroid", "ellipsoid"]
+    )
+    def test_dense_views_match_eigenpairs(self, surf):
+        ops = _ops(surf, 10)
+        np.testing.assert_allclose(ops.gamma @ ops.gamma_inv, np.eye(10), atol=1e-12)
+        G = ops.sparse_ops[3]
+        assert sp.issparse(G)
+        np.testing.assert_allclose(G.toarray(), ops.gamma_inv, rtol=0, atol=0)
