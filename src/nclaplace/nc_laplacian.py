@@ -447,8 +447,9 @@ def spectrum(
     Strategies: dense (any surface, N <= cap; one real symmetric solve per
     parity sector), blocks (revolution surfaces; one symmetric tridiagonal
     solve per offset k in [-K, K]), iterative (shift-invert around zero).
-    Residuals go through the full operator; one over tolerance, non-finite
-    or of a zero eigenmatrix fails the run (iterative: flags it).  Dense and
+    Residuals go through the full operator; one over the tolerance
+    1e-8*(1 + max |lambda| over the kept values), non-finite or of a zero
+    eigenmatrix fails the run (iterative: flags it).  Dense and
     block eigenvalues are real; blocks +-(K+1) must lie beyond the kept
     eigenvalues by the default cluster gap, or ConfigError asks for a wider
     K.  Iterative eigenvalues with imaginary part over 1e-8*(1 + |Re|) are
@@ -498,8 +499,7 @@ def spectrum(
     clusters = cluster_multiplicities([values[i] for i in order], gap)
     cluster_of = _assign_clusters(values, order, clusters)
 
-    scale = max((abs(c["value"]) for c in candidates), default=1.0)
-    tol = 1e-8 * (1.0 + scale)
+    tol = 1e-8 * (1.0 + max(abs(v) for v in values))
     bad = [i for i, r in enumerate(residuals) if not r <= tol]
     if bad:
         if strategy == "iterative":

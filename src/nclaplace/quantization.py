@@ -143,17 +143,19 @@ def spectral_norm(M) -> float:
 
     M^H M is hermitian with bandwidth at most the sum of the lower and upper
     bandwidths of M, so its largest eigenvalue comes from one banded solve
-    (LAPACK ?hbevx through `eigvals_banded`): O(N bw^2) work, no dense SVD.
-    An all-zero M gives exactly 0.0.
+    through `eigvals_banded`, with no dense SVD: LAPACK ?sbevx when every
+    stored entry of M^H M is real (as for purely real or purely imaginary M),
+    ?hbevx otherwise.  An all-zero M gives exactly 0.0.
     """
     if not np.any(M.data):
         return 0.0
     A = (M.conj().T @ M).tocoo()
+    data = A.data if np.any(A.data.imag) else A.data.real
     n = A.shape[0]
     low = A.row >= A.col
     offset = A.row[low] - A.col[low]
-    band = np.zeros((offset.max() + 1, n), dtype=A.dtype)
-    band[offset, A.col[low]] = A.data[low]  # lower storage: band[k, j] = A[j + k, j]
+    band = np.zeros((offset.max() + 1, n), dtype=data.dtype)
+    band[offset, A.col[low]] = data[low]  # lower storage: band[k, j] = A[j + k, j]
     lam = sla.eigvals_banded(band, lower=True, select="i", select_range=(n - 1, n - 1))[0]
     return float(np.sqrt(max(lam, 0.0)))
 
@@ -164,7 +166,7 @@ class CoordinateMatrices:
 
     ``banded`` holds (X, Y, Z) as the CSR matrices of `quantize_banded`; the
     attributes X, Y and Z are their dense forms, made on first use by the
-    dense operator paths and the matrix export.
+    dense operator paths.
     """
 
     banded: tuple
@@ -286,6 +288,11 @@ NCLQ_FLAG_HERMITIAN = 1
 _HEADER = struct.Struct("<4sIII16x")  # magic, version, N, flags, reserved -> 32 bytes
 
 
+def _is_hermitian(M) -> bool:
+    """Entrywise hermiticity to 1e-12 relative; M dense or sparse."""
+    return bool(abs(M - M.conj().T).max() <= 1e-12 * max(1.0, abs(M).max()))
+
+
 def write_matrix_binary(path, M: np.ndarray, flags: int | None = None) -> None:
     """Dense binary dump: 32-byte header then row-major complex128 pairs."""
     M = np.ascontiguousarray(np.asarray(M, dtype="<c16"))
@@ -293,8 +300,7 @@ def write_matrix_binary(path, M: np.ndarray, flags: int | None = None) -> None:
     if M.shape != (n, n):
         raise ValueError("matrix must be square")
     if flags is None:
-        herm = np.abs(M - M.conj().T).max() <= 1e-12 * max(1.0, np.abs(M).max())
-        flags = NCLQ_FLAG_HERMITIAN if herm else 0
+        flags = NCLQ_FLAG_HERMITIAN if _is_hermitian(M) else 0
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(NCLQ_MAGIC, NCLQ_VERSION, n, flags))
         fh.write(M.tobytes())
@@ -312,27 +318,60 @@ def read_matrix_binary(path) -> tuple[np.ndarray, int]:
     return M.astype(complex), flags
 
 
-def write_matrix_json(path, M: np.ndarray) -> None:
-    """Rows of [real, imag] pairs."""
-    M = np.ascontiguousarray(M, dtype=complex)
+def _stored_entries(M):
+    """(rows, cols, values) of the entries of M that are not written "[0.0, 0.0]".
+
+    Sparse M: the stored entries, valued as in M.toarray() (duplicates summed
+    onto +0, so a stored -0.0 reads 0.0).  Dense M: every entry with a
+    non-zero, non-finite or negative-zero part.
+    """
+    if sp.issparse(M):
+        A = M.tocoo()
+        A.sum_duplicates()
+        return A.row, A.col, A.data + 0.0
     pairs = M.view(np.float64).reshape(*M.shape, 2)
-    Path(path).write_text(json.dumps(pairs.tolist()))
+    rows, cols = np.nonzero(((pairs != 0.0) | np.signbit(pairs)).any(axis=2))
+    return rows, cols, M[rows, cols]
+
+
+def write_matrix_json(path, M) -> None:
+    """Rows of [real, imag] pairs, for a dense or sparse matrix.
+
+    The text is that of json.dumps(pairs.tolist()) for the dense [real, imag]
+    array, but only the stored entries are formatted; every other cell is
+    the shared string "[0.0, 0.0]".
+    """
+    if not sp.issparse(M):
+        M = np.ascontiguousarray(M, dtype=complex)
+    rows, cols, vals = _stored_entries(M)
+    # one encode of all stored parts gives the encoder's own float text
+    # (repr, NaN, Infinity, -Infinity)
+    parts = json.dumps(np.column_stack([vals.real, vals.imag]).ravel().tolist())[1:-1].split(", ")
+    n_rows, n_cols = M.shape
+    cells = [["[0.0, 0.0]"] * n_cols for _ in range(n_rows)]
+    for i, j, re, im in zip(rows.tolist(), cols.tolist(), parts[::2], parts[1::2]):
+        cells[i][j] = f"[{re}, {im}]"
+    text = ", ".join("[" + ", ".join(row) + "]" for row in cells)
+    Path(path).write_text("[" + text + "]")
 
 
 def read_matrix_json(path) -> np.ndarray:
-    payload = json.loads(Path(path).read_text())
-    return np.array([[complex(re, im) for re, im in row] for row in payload])
+    """Read a JSON dump back as an n x n complex matrix."""
+    pairs = np.asarray(json.loads(Path(path).read_text()), dtype=float)
+    if pairs.ndim != 3 or pairs.shape[1:] != (len(pairs), 2):
+        raise ValueError(f"expected n x n [real, imag] pairs, got shape {pairs.shape}")
+    return pairs.view(complex)[..., 0]
 
 
 def dump_coordinate_matrices(coords: CoordinateMatrices, out_dir, formats=("binary", "json")) -> list:
-    """Write X, Y, Z under out_dir; returns the created paths."""
+    """Write X, Y, Z under out_dir from their banded form; returns the created paths."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
-    for label, M in (("X", coords.X), ("Y", coords.Y), ("Z", coords.Z)):
+    for label, M in zip("XYZ", coords.banded):
         if "binary" in formats:
             p = out / f"coords_{label}.nclq"
-            write_matrix_binary(p, M)
+            write_matrix_binary(p, M.toarray(), NCLQ_FLAG_HERMITIAN if _is_hermitian(M) else 0)
             written.append(p)
         if "json" in formats:
             p = out / f"coords_{label}.json"

@@ -1,12 +1,15 @@
+import csv
 import json
 import math
 import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 import nclaplace as nc
 from nclaplace import nc_laplacian
+from nclaplace import quantization as qz
 from nclaplace.cli import main
 from nclaplace.quantization import norm_bound, read_matrix_binary, read_matrix_json
 
@@ -295,6 +298,42 @@ def test_axioms_table_matches_dense_svd(tmp_path, flags, surf, offset):
             row = [float(v) for v in got[(str(N), label)]]
             for w, v in zip(want, row):
                 assert v == pytest.approx(w, rel=1e-12, abs=1e-14), (N, label)
+
+
+def _complex_band_norm(M):
+    """sqrt(lambda_max(M^H M)) from a complex hermitian band (LAPACK ?hbevx)."""
+    A = (M.conj().T @ M).tocoo()
+    n = A.shape[0]
+    low = A.row >= A.col
+    offset = A.row[low] - A.col[low]
+    band = np.zeros((offset.max() + 1, n), dtype=complex)
+    band[offset, A.col[low]] = A.data[low]
+    lam = sla.eigvals_banded(band, lower=True, select="i", select_range=(n - 1, n - 1))[0]
+    return float(np.sqrt(max(lam, 0.0)))
+
+
+@pytest.mark.parametrize("flags", [["spheroid", "--axes", "1,1,2"], ["ellipsoid", "--axes", "1,2,3"]])
+def test_axioms_real_band_matches_complex_band(tmp_path, monkeypatch, flags):
+    argv = ["axioms", "--surface", *flags, "--N-list", "200,400,800"]
+
+    def rows(out):
+        assert main([*argv, "--out", str(out)]) == 0
+        (table,) = out.glob("axioms_*.csv")
+        return table.read_text().splitlines()
+
+    real = rows(tmp_path / "real")
+    complex_norm = lambda M: _complex_band_norm(M) if np.any(M.data) else 0.0
+    monkeypatch.setattr(qz, "spectral_norm", complex_norm)
+    hermitian = rows(tmp_path / "complex")
+    assert len(real) == len(hermitian) == 3 + 1 + 3 * 5
+    assert real[:4] == hermitian[:4]
+    for got, want in zip(csv.reader(real[4:]), csv.reader(hermitian[4:])):
+        assert got[:2] == want[:2]
+        if got[1] in ("z,z", "trace(1)"):
+            assert got == want
+        else:
+            for g, w in zip(got[2:], want[2:]):
+                assert float(g) == pytest.approx(float(w), rel=1e-14, abs=0), got
 
 
 def test_trace_identity_function(capsys):

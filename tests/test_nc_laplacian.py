@@ -273,6 +273,15 @@ class TestSpectrum:
         assert max(rep.residuals) <= rep.solver_tolerance
         assert all(b is not None for b in rep.blocks)
 
+    def test_residual_gate_scales_with_kept_values(self, prolate_112):
+        ops = _ops(prolate_112, 300)
+        reports = [nc.spectrum(ops, strategy="blocks", count=12, block_range=K) for K in (3, 6)]
+        for rep in reports:
+            assert rep.solver_tolerance == 1e-8 * (1.0 + max(abs(v) for v in rep.eigenvalues))
+            assert max(rep.residuals) <= rep.solver_tolerance
+        assert reports[0].eigenvalues == reports[1].eigenvalues
+        assert reports[0].solver_tolerance == reports[1].solver_tolerance
+
     def test_kernel_eigenvalue_and_residual(self, unit_sphere):
         for N in (8, 50):
             ops = _ops(unit_sphere, N)

@@ -1,13 +1,17 @@
+import json
 import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import nclaplace as nc
 from nclaplace.errors import ConsistencyError, DomainError
+from nclaplace import quantization
 from nclaplace.quantization import (
     norm_bound,
     spectral_norm,
@@ -324,6 +328,29 @@ def test_spectral_norm_of_zero_matrix_is_exactly_zero():
         assert spectral_norm(M) == 0.0
 
 
+@pytest.mark.parametrize("kind", ["real", "imaginary", "mixed"])
+def test_spectral_norm_takes_a_real_band_when_mhm_is_real(kind, monkeypatch):
+    bands = []
+    solve = sla.eigvals_banded
+
+    def spy(band, *args, **kwargs):
+        bands.append(band)
+        return solve(band, *args, **kwargs)
+
+    monkeypatch.setattr(quantization.sla, "eigvals_banded", spy)
+    rng = np.random.default_rng(7)
+    part = {"real": lambda x, y: x, "imaginary": lambda x, y: 1j * y, "mixed": lambda x, y: x + 1j * y}[kind]
+    sizes = (1, 2, 3, 17, 60)
+    for N in sizes:
+        offsets = [k for k in (-2, -1, 0, 1, 3) if abs(k) < N]
+        diagonals = [part(*rng.standard_normal((2, N - abs(k)))) for k in offsets]
+        M = sp.diags(diagonals, offsets, shape=(N, N), format="csr")
+        want = np.linalg.norm(M.toarray(), 2)
+        assert spectral_norm(M) == pytest.approx(want, rel=1e-13, abs=0)
+    # a 1 x 1 M^H M is |m|^2, real for every kind
+    assert [b.dtype == np.float64 for b in bands] == [kind != "mixed" or N == 1 for N in sizes]
+
+
 def test_uniform_boundedness_proxy(unit_sphere):
     for N in (8, 16, 32, 64, 128, 256):
         g = nc.build_grid(N, -1, 1, 1)
@@ -355,6 +382,31 @@ class TestDequantize:
             nc.dequantize(np.eye(4), g, max_mode=4)
 
 
+def _json_matrices(n):
+    """Dense n x n complex matrices whose parts are often 0.0, -0.0 or
+    non-finite, or CSR matrices storing any subset of their entries."""
+    parts = hnp.arrays(np.float64, (n, n, 2), elements=st.sampled_from([0.0, -0.0]) | st.floats())
+    stored = hnp.arrays(bool, (n, n))
+
+    def build(parts, stored, sparse):
+        D = parts.view(complex)[..., 0]
+        if not sparse:
+            return D
+        r, c = np.nonzero(stored)
+        return sp.csr_matrix((D[r, c], (r, c)), shape=(n, n))
+
+    return st.builds(build, parts, stored, st.booleans())
+
+
+def _assert_json_bytes(path, M):
+    dense = M.toarray() if sp.issparse(M) else M
+    n = dense.shape[0]
+    want = json.dumps(np.ascontiguousarray(dense).view(float).reshape(n, n, 2).tolist())
+    write_matrix_json(path, M)
+    assert path.read_text() == want
+    np.testing.assert_array_equal(read_matrix_json(path), dense)
+
+
 class TestMatrixDumps:
     def test_binary_roundtrip_and_header(self, tmp_path, unit_sphere):
         g = nc.build_grid(5, -1, 1, 1)
@@ -375,6 +427,43 @@ class TestMatrixDumps:
         write_matrix_json(path, Y)
         np.testing.assert_array_equal(read_matrix_json(path), Y)
 
+    def test_json_reader_refuses_a_non_square_payload(self, tmp_path):
+        path = tmp_path / "M.json"
+        for payload in ([[[1.0, 0.0], [2.0, 0.0]]], [[1.0, 2.0]], [[[1.0, 0.0, 0.0]]], 3.0):
+            path.write_text(json.dumps(payload))
+            with pytest.raises(ValueError):
+                read_matrix_json(path)
+
+    def test_json_writer_special_entries(self, tmp_path):
+        # signed zeros, non-finite parts, a stored zero and an all-zero row
+        D = np.zeros((4, 4), dtype=complex)
+        D[0, 1] = complex(-0.0, 0.0)
+        D[0, 2] = complex(0.0, -0.0)
+        D[1, 0] = complex(np.nan, 1.0)
+        D[1, 3] = complex(np.inf, -np.inf)
+        D[3, 3] = complex(1e-300, -2.5)
+        signed = [0.0, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)]
+        stored_zero = sp.csr_matrix((signed, ([2, 0, 3, 3], [1, 0, 2, 3])), shape=(4, 4))
+        assert stored_zero.nnz == 4
+        for M in (D, sp.csr_matrix(D), stored_zero, np.zeros((1, 1), complex), np.full((1, 1), -0.0j)):
+            _assert_json_bytes(tmp_path / "M.json", M)
+
+    @settings(max_examples=200, deadline=None)
+    @given(M=st.integers(1, 6).flatmap(_json_matrices))
+    def test_json_writer_bytes_match_the_encoder(self, tmp_path_factory, M):
+        _assert_json_bytes(tmp_path_factory.mktemp("json") / "M.json", M)
+
+    def test_dump_caches_no_dense_coordinates(self, tmp_path, prolate_112):
+        a, b = prolate_112.z_interval
+        coords = nc.coordinate_matrices(prolate_112, nc.build_grid(9, a, b, 1))
+        nc.dump_coordinate_matrices(coords, tmp_path)
+        assert not {"X", "Y", "Z"} & set(coords.__dict__)
+        for label, M in zip("XYZ", coords.banded):
+            back, flags = read_matrix_binary(tmp_path / f"coords_{label}.nclq")
+            np.testing.assert_array_equal(back, M.toarray())
+            assert flags == 1
+            np.testing.assert_array_equal(read_matrix_json(tmp_path / f"coords_{label}.json"), back)
+
     def test_dump_coordinate_matrices(self, tmp_path, unit_sphere):
         g = nc.build_grid(4, -1, 1, 1)
         coords = nc.coordinate_matrices(unit_sphere, g)
@@ -382,3 +471,4 @@ class TestMatrixDumps:
         assert len(written) == 6
         M, _ = read_matrix_binary(tmp_path / "coords_Z.nclq")
         np.testing.assert_array_equal(M, coords.Z)
+
