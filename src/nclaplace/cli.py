@@ -255,14 +255,15 @@ def cmd_axioms(args) -> int:
         writer.writerow(["N", "pair", "product_defect", "bracket_defect", "norm_bound"])
         for N in N_list:
             grid = qz.build_grid(N, a, b, beta, args.grid_offset)
-            # operator norm over the uniform bound, once per coordinate
+            # each coordinate quantized once; operator norm over the uniform bound
+            mats = {c: qz.quantize_banded(f, grid) for c, f in coords.items()}
             ratio = {
-                c: qz.spectral_norm(qz.quantize_banded(f, grid)) / qz.norm_bound(f, grid)
-                for c, f in coords.items()
+                c: qz.spectral_norm(mats[c]) / qz.norm_bound(f, grid) for c, f in coords.items()
             }
             for label in pairs:
                 names = label.split(",")
-                defects = qz.axiom_defects(coords[names[0]], coords[names[1]], grid)
+                f, g = (coords[c] for c in names)
+                defects = qz.axiom_defects(f, g, grid, *(mats[c] for c in names))
                 bound = max(ratio[c] for c in names)
                 writer.writerow(
                     [N, label, _fmt(defects.product_defect), _fmt(defects.bracket_defect), _fmt(bound)]

@@ -11,7 +11,10 @@ N x N array is formed.  Three spectrum strategies are provided:
 
 - dense (small N, any surface): L = G K with G = gamma^{-1} and K self-adjoint,
   so H = G^{1/2} K G^{1/2} is symmetric and similar to L: one real `eigh` per
-  parity sector of F[n, m] (n - m even or odd), which H keeps apart.
+  parity sector of F[n, m] (n - m even or odd), which H keeps apart.  Each
+  sector is assembled directly in real arithmetic from Kronecker products of
+  the quarter-size parity blocks of real factors; the factors, not H, are
+  checked for being real or imaginary and of one offset parity.
 - blocks (revolution surfaces, large N): gamma is diagonal, so L maps each
   matrix diagonal (Fourier offset) to itself by a closed-form tridiagonal
   matrix that a diagonal similarity makes symmetric (Parlett, The Symmetric
@@ -215,16 +218,76 @@ def apply_laplacian(ops: QuantizedOperatorSet, F):
     return -out / ops.hbar**2
 
 
-def assemble_dense_superoperator(ops: QuantizedOperatorSet, cap: int = DENSE_CAP, root=None) -> np.ndarray:
+def _kron_terms(ops: QuantizedOperatorSet, root=None) -> list:
+    """The Kronecker expansion of the Laplacian: L (H with ``root``) is
+    -(1/hbar^2) times the sum of kron(P, Q) over the returned pairs (P, Q).
+
+    With vec(A F B) = kron(A, B^T) vec(F), G = gamma^{-1} and A_i = G X_i,
+    each term G[X_i, G[X_i, F]] expands to
+    kron(A_i A_i, I) - kron(A_i G + G A_i, X_i^T) + kron(G G, X_i^T X_i^T);
+    with root = G^{1/2} and A_i = root X_i root the sum is root K root.
+    """
+    G = ops.gamma_inv
+    mats = (ops.coords.X, ops.coords.Y, ops.coords.Z)
+    A = [G @ Xi if root is None else root @ Xi @ root for Xi in mats]
+    return [
+        (sum(Ai @ Ai for Ai in A), np.eye(ops.N)),
+        *((-(Ai @ G + G @ Ai), Xi.T) for Ai, Xi in zip(A, mats)),
+        (G @ G, sum(Xi.T @ Xi.T for Xi in mats)),
+    ]
+
+
+def _real_factors(terms: list, N: int) -> list:
+    """Each pair (P, Q) as (P~, Q~, q): real factors with kron(P~, Q~) =
+    kron(P, Q) and the one offset parity q that P and Q share.
+
+    A pair must be both real or both imaginary (kron(iP~, iQ~) =
+    -kron(P~, Q~)) and hold exact zeros off its offset parity; then every
+    term maps each parity sector of F[n, m] (n + m even or odd) to itself in
+    real arithmetic, and so does their sum.  Anything else raises
+    ConsistencyError.
+    """
+    n = np.arange(N)
+    odd = np.add.outer(n, n) % 2 == 1
+    factors = []
+    for P, Q in terms:
+        imag = P.imag.any() or Q.imag.any()
+        parities = [q for q, at in ((0, ~odd), (1, odd)) if P[at].any() or Q[at].any()]
+        if len(parities) > 1 or imag and (P.real.any() or Q.real.any()):
+            raise ConsistencyError(
+                "a Kronecker factor of the operator is complex or couples the parity sectors"
+            )
+        pair = (-P.imag, Q.imag) if imag else (P.real, Q.real)
+        factors.append((*pair, parities[0] if parities else 0))
+    return factors
+
+
+def _sector_index(N: int, parity: int) -> np.ndarray:
+    """Row-major flat indices n*N + m of the entries F[n, m] with n + m = parity
+    (mod 2), in sector order: n even first, then n odd, each row-major."""
+    n = np.arange(N)
+    return np.concatenate(
+        [(N * n[a::2, None] + n[b::2]).ravel() for a, b in ((0, parity), (1, 1 - parity))]
+    )
+
+
+def assemble_dense_superoperator(
+    ops: QuantizedOperatorSet, cap: int = DENSE_CAP, root=None, parity: int | None = None
+) -> np.ndarray:
     """N^2 x N^2 matrix of the Laplacian in row-major vectorization (the
     small-N oracle): column j is the image of the j-th standard basis matrix.
     Refused above the cap; use blocks (revolution) or iterative instead.
 
-    With vec(A F B) = kron(A, B^T) vec(F), G = gamma^{-1} and A_i = G X_i,
-    each term G[X_i, G[X_i, F]] expands to
-    kron(A_i A_i, I) - kron(A_i G + G A_i, X_i^T) + kron(G G, X_i^T X_i^T):
-    N x N products and five Kronecker products in all, O(N^4) work.  With
-    root = G^{1/2} and A_i = root X_i root it is H of `_dense_candidates`.
+    The matrix is the sum of the Kronecker products of `_kron_terms`: N x N
+    products and five Kronecker products in all, O(N^4) work.  With root =
+    G^{1/2} it is H of `_dense_candidates`.
+
+    With ``parity`` = p in (0, 1) only the real restriction to the sector
+    F[n, m], n + m = p (mod 2), is formed, with rows and columns in the order
+    of `_sector_index`: the factors are checked and made real by
+    `_real_factors`, and the sector is a 2 x 2 arrangement of blocks, each a
+    sum of kron(P~[a::2, c::2], Q~[b::2, d::2]) over the factors whose offset
+    parity is a - c.  No complex or N^2 x N^2 array is formed.
     """
     N = ops.N
     if N > cap:
@@ -232,14 +295,27 @@ def assemble_dense_superoperator(ops: QuantizedOperatorSet, cap: int = DENSE_CAP
             f"dense superoperator needs N <= {cap} (got {N}); "
             "use the blocks strategy on revolution surfaces or iterative otherwise"
         )
-    G = ops.gamma_inv
-    mats = (ops.coords.X, ops.coords.Y, ops.coords.Z)
-    A = [G @ Xi if root is None else root @ Xi @ root for Xi in mats]
-    total = np.kron(sum(Ai @ Ai for Ai in A), np.eye(N))
-    for Ai, Xi in zip(A, mats):
-        total -= np.kron(Ai @ G + G @ Ai, Xi.T)
-    total += np.kron(G @ G, sum(Xi.T @ Xi.T for Xi in mats))
-    return -total / ops.hbar**2
+    if parity not in (None, 0, 1):
+        raise ValueError(f"parity must be 0, 1 or None, got {parity!r}")
+    terms = _kron_terms(ops, root)
+    if parity is None:
+        (P, Q), *rest = terms
+        total = np.kron(P, Q)
+        for P, Q in rest:
+            total += np.kron(P, Q)
+        return -total / ops.hbar**2
+    factors = _real_factors(terms, N)
+    groups = ((0, parity), (1, 1 - parity))
+    edges = np.cumsum([0] + [len(range(a, N, 2)) * len(range(b, N, 2)) for a, b in groups])
+    H = np.zeros((edges[-1], edges[-1]))
+    for (a, b), r0, r1 in zip(groups, edges, edges[1:]):
+        for (c, d), c0, c1 in zip(groups, edges, edges[1:]):
+            block = H[r0:r1, c0:c1]
+            for P, Q, q in factors:
+                if (a - c) % 2 == q:
+                    block += np.kron(P[a::2, c::2], Q[b::2, d::2])
+    H *= -1.0 / ops.hbar**2
+    return H
 
 
 @dataclass
@@ -559,7 +635,9 @@ def _assign_clusters(values, order, clusters) -> list:
 def _dense_candidates(ops: QuantizedOperatorSet, count: int) -> list:
     """The `count` eigenpairs of L closest to 0.  L = G K with K self-adjoint, so
     H = (R (x) I) K (R (x) I), R = G^{1/2}, is symmetric with L's eigenvalues and
-    eigenmatrices F = R Y; its largest ones per parity sector are the ones wanted."""
+    eigenmatrices F = R Y; its largest ones per parity sector are the ones wanted.
+    Each real sector of H is assembled on its own and its eigenvectors are
+    scattered back through `_sector_index`."""
     N = ops.N
     if ops.gamma_truncated_modes:
         raise ConsistencyError(
@@ -567,16 +645,13 @@ def _dense_candidates(ops: QuantizedOperatorSet, count: int) -> list:
             "an invertible gamma (lower --epsilon)"
         )
     root = _hermitian(1.0 / np.sqrt(ops.gamma_eigenvalues), ops.gamma_eigenvectors)
-    H = assemble_dense_superoperator(ops, root=root)
-    parity = np.add.outer(np.arange(N), np.arange(N)).reshape(-1) % 2
-    if H.imag.any() or H.real[parity[:, None] != parity].any():
-        raise ConsistencyError("the symmetrized operator is complex or couples the parity sectors")
     found = []
-    for idx in (np.flatnonzero(parity == 0), np.flatnonzero(parity == 1)):
-        k = min(count, len(idx))
-        w, Y = sla.eigh(H.real[np.ix_(idx, idx)], subset_by_index=[len(idx) - k, len(idx) - 1])
+    for p in (0, 1):
+        H = assemble_dense_superoperator(ops, root=root, parity=p)
+        k = min(count, len(H))
+        w, Y = sla.eigh(H, subset_by_index=[len(H) - k, len(H) - 1])
         E = np.zeros((N * N, k))
-        E[idx] = Y
+        E[_sector_index(N, p)] = Y
         found += [(lam, root @ e.reshape(N, N)) for lam, e in zip(w, E.T)]
     top, tol = max(f[0] for f in found), 1e-8 * (1.0 + max(abs(f[0]) for f in found))
     if top > tol:

@@ -225,14 +225,17 @@ class AxiomDefects:
     bracket_defect_fro: float
 
 
-def axiom_defects(f: BandLimitedFunction, g: BandLimitedFunction, grid: QuantizationGrid) -> AxiomDefects:
+def axiom_defects(
+    f: BandLimitedFunction, g: BandLimitedFunction, grid: QuantizationGrid, Tf=None, Tg=None
+) -> AxiomDefects:
     """Measure both defect norms at the given N.
 
     fg and {f, g} are formed by exact mode convolution before quantization so
-    the defects isolate the discretization error.
+    the defects isolate the discretization error.  Tf and Tg are
+    `quantize_banded` of f and g, computed here unless the caller has them.
     """
-    Tf = quantize_banded(f, grid)
-    Tg = quantize_banded(g, grid)
+    Tf = quantize_banded(f, grid) if Tf is None else Tf
+    Tg = quantize_banded(g, grid) if Tg is None else Tg
     TfTg = Tf @ Tg
     P = TfTg - quantize_banded(pointwise_product(f, g), grid)
     B = (TfTg - Tg @ Tf) / (1j * grid.hbar) - quantize_banded(bracket_function(f, g), grid)

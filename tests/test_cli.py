@@ -255,6 +255,21 @@ def test_axioms_table(tmp_path):
     assert all(b <= 1.0 + 1e-12 for b in bounds)
 
 
+def test_axioms_quantizes_each_matrix_once(tmp_path, monkeypatch):
+    # per N: x, y, z, and fg and {f, g} for each of the 4 pairs, and the constant 1
+    calls = []
+    original = qz.quantize_banded
+
+    def counting(f, grid):
+        calls.append(grid.N)
+        return original(f, grid)
+
+    monkeypatch.setattr(qz, "quantize_banded", counting)
+    argv = ["axioms", "--surface", "ellipsoid", "--axes", "1,2,3", "--N-list", "200,400,800"]
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    assert sorted(calls) == [200] * 12 + [400] * 12 + [800] * 12
+
+
 def test_axioms_empty_size_list_is_config_error(tmp_path, capsys):
     code = main(["axioms", "--surface", "sphere", "--N-list", ",", "--out", str(tmp_path)])
     assert code == 1

@@ -177,6 +177,10 @@ class TestDenseSuperoperator:
         sup = assemble_dense_superoperator(ops, cap=44)
         assert sup.shape == (44 * 44, 44 * 44)
 
+    def test_parity_must_name_a_sector(self, triaxial_123):
+        with pytest.raises(ValueError, match="parity"):
+            assemble_dense_superoperator(_ops(triaxial_123, 6), parity=2)
+
 
 class TestBlocks:
     def test_block_count_and_dimensions(self, unit_sphere):
@@ -357,6 +361,15 @@ DENSE_ORACLE_CASES = [
     pytest.param(nc.sphere(), 10, 1.0, "paper", id="sphere-N10"),
 ]
 
+SECTOR_CASES = [
+    pytest.param(nc.ellipsoid(1.0, 2.0, 3.0), N, 1.0, offset, id=f"ellipsoid-1-2-3-N{N}-{offset}")
+    for N in (6, 7, 12)
+    for offset in ("paper", "symmetric")
+] + [
+    pytest.param(nc.ellipsoid(1.0, 1.2, 1.5), 10, 0.7, "paper", id="ellipsoid-1-1.2-1.5-beta0.7"),
+    pytest.param(nc.sphere(), 10, 1.0, "paper", id="sphere-N10"),
+]
+
 
 class TestDenseSectors:
     @pytest.mark.parametrize("surf, N, beta, offset", DENSE_ORACLE_CASES)
@@ -406,18 +419,66 @@ class TestDenseSectors:
 
     @pytest.mark.parametrize("entry", [(0, 1, 1e-3), (0, 0, 1e-3j)], ids=["coupling", "imaginary"])
     def test_broken_sector_structure_is_refused(self, triaxial_123, monkeypatch, entry):
-        # vec index 0 is F[0, 0] (even sector), index 1 is F[0, 1] (odd sector)
-        original = nc_laplacian.assemble_dense_superoperator
+        # the first factor, sum_i A_i A_i, is real with even offsets only: (0, 1)
+        # is an odd offset (couples the sectors), 1e-3j an imaginary entry
+        original = nc_laplacian._kron_terms
 
         def perturbed(*args, **kwargs):
-            H = original(*args, **kwargs)
-            i, j, value = entry
-            H[i, j] += value
-            return H
+            terms = original(*args, **kwargs)
+            (P, Q), i, j, value = terms[0], *entry
+            P = P.copy()
+            P[i, j] += value
+            terms[0] = (P, Q)
+            return terms
 
-        monkeypatch.setattr(nc_laplacian, "assemble_dense_superoperator", perturbed)
+        monkeypatch.setattr(nc_laplacian, "_kron_terms", perturbed)
         with pytest.raises(ConsistencyError, match="parity sectors"):
             nc.spectrum(_ops(triaxial_123, 8), strategy="dense", count=4)
+
+    @pytest.mark.parametrize("surf, N, beta, offset", SECTOR_CASES)
+    def test_sectors_are_restrictions_of_root_form_operator(self, surf, N, beta, offset):
+        ops = _ops(surf, N, beta=beta, offset=offset)
+        R = nc_laplacian._hermitian(1.0 / np.sqrt(ops.gamma_eigenvalues), ops.gamma_eigenvectors)
+        # H = (R (x) I) K (R (x) I) in the expanded Kronecker form, A_i = R X_i R
+        G, mats = ops.gamma_inv, (ops.coords.X, ops.coords.Y, ops.coords.Z)
+        A = [R @ Xi @ R for Xi in mats]
+        H = np.kron(sum(Ai @ Ai for Ai in A), np.eye(N))
+        for Ai, Xi in zip(A, mats):
+            H -= np.kron(Ai @ G + G @ Ai, Xi.T)
+        H += np.kron(G @ G, sum(Xi.T @ Xi.T for Xi in mats))
+        H = -H / ops.hbar**2
+        scale = np.abs(H).max()
+        n = np.arange(N)
+        parity = np.add.outer(n, n).ravel() % 2
+        dims = []
+        for p in (0, 1):
+            idx = nc_laplacian._sector_index(N, p)
+            np.testing.assert_array_equal(np.sort(idx), np.flatnonzero(parity == p))
+            sector = assemble_dense_superoperator(ops, root=R, parity=p)
+            assert sector.dtype == np.float64
+            assert np.abs(sector - H[np.ix_(idx, idx)]).max() <= 1e-15 * scale
+            assert not H[np.ix_(idx, np.flatnonzero(parity != p))].any()
+            dims.append(len(sector))
+        if N % 2:
+            assert dims == [(N * N + 1) // 2, (N * N - 1) // 2]
+
+    def test_count_beyond_the_smaller_sector(self, unit_sphere):
+        # N = 3: sectors of dimension 5 and 4, so all nine eigenvalues are wanted
+        ops = _ops(unit_sphere, 3)
+        rep = nc.spectrum(ops, strategy="dense", count=9)
+        oracle = np.sort(np.linalg.eigvals(assemble_dense_superoperator(ops)).real)
+        np.testing.assert_allclose(np.sort(rep.eigenvalues), oracle, rtol=0, atol=1e-10)
+
+    def test_dense_solve_memory(self, triaxial_123):
+        # the complex N^2 x N^2 operator alone would take 16.8 MB at N = 32
+        ops = _ops(triaxial_123, 32)
+        tracemalloc.start()
+        try:
+            nc.spectrum(ops, strategy="dense", count=9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12e6
 
 
 class TestConvergenceStudy:
