@@ -18,13 +18,22 @@ N x N array is formed.  Three spectrum strategies are provided:
 - blocks (revolution surfaces, large N): gamma is diagonal, so L maps each
   matrix diagonal (Fourier offset) to itself by a closed-form tridiagonal
   matrix that a diagonal similarity makes symmetric (Parlett, The Symmetric
-  Eigenvalue Problem, sec. 7): one `eigh_tridiagonal` per block, O(N) work.
+  Eigenvalue Problem, ch. 7).  The blocks offer their levels nearest zero
+  one at a time, each bisected alone by index, and a k-way merge keeps the
+  `count` closest to zero; eigenvectors are solved for the kept levels
+  only.  O(dim) work per bisected level, and at most count + 2K + 2 levels
+  (range check included) whatever the block sizes.
 - iterative (theta-dependent metrics at moderate N): matrix-free shift-invert.
+
+Sparse arguments of `apply_laplacian` (the residual check of the blocks
+strategy) are evaluated on stored diagonals: every product of two banded
+matrices is a sum of shifted elementwise products of their diagonals.
 """
 
 from __future__ import annotations
 
 import csv
+import heapq
 import json
 import math
 from dataclasses import dataclass
@@ -171,11 +180,16 @@ class QuantizedOperatorSet:
         return _hermitian(self.gamma_inv_eigenvalues, self.gamma_eigenvectors)
 
     @cached_property
-    def sparse_ops(self) -> tuple:
-        """(X, Y, Z, gamma^{-1}) in CSR form, with no dense gamma^{-1} when diagonal."""
-        V = self.gamma_eigenvectors
-        G = sp.diags(self.gamma_inv_eigenvalues) if V is None else self.gamma_inv
-        return (*self.coords.banded, sp.csr_matrix(G))
+    def diagonals(self) -> tuple:
+        """(X, G): the diagonals of X, Y and Z stacked, offset k -> 3 x N
+        array, and those of G = gamma^{-1} (`_diagonals`).  G is the single
+        offset 0 when diagonal, else every nonzero diagonal of its dense form."""
+        N, V = self.N, self.gamma_eigenvectors
+        per = [_diagonals(X, N) for X in self.coords.banded]
+        zero = np.zeros(N, dtype=complex)
+        X = {k: np.array([d.get(k, zero) for d in per]) for k in sorted(set().union(*per))}
+        G = {0: self.gamma_inv_eigenvalues.astype(complex)} if V is None else _diagonals(self.gamma_inv, N)
+        return X, G
 
 
 def build_operator_set(
@@ -199,23 +213,88 @@ def build_operator_set(
     )
 
 
+def _diagonals(A, N: int) -> dict:
+    """The stored diagonals of an N x N matrix A (dense or sparse) by offset
+    k = column - row, in scipy's DIA layout: d[c] = A[c - k, c], zero where
+    row c - k lies outside the matrix."""
+    A = A.todia() if sp.issparse(A) else sp.dia_array(A)
+    out = {}
+    for k, row in zip(A.offsets.tolist(), A.data):
+        lo, hi = max(0, k), min(N + min(0, k), len(row))
+        d = np.zeros(N, dtype=complex)
+        d[lo:hi] = row[lo:hi]
+        out[k] = out[k] + d if k in out else d
+    return out
+
+
+def _shift(a: np.ndarray, s: int) -> np.ndarray:
+    """b[..., c] = a[..., c - s], zero where c - s is out of range."""
+    if s == 0:
+        return a
+    b = np.zeros_like(a)
+    if s > 0:
+        b[..., s:] = a[..., :-s]
+    else:
+        b[..., :s] = a[..., -s:]
+    return b
+
+
+def _banded_product(A: dict, B: dict, N: int) -> dict:
+    """Diagonals of A @ B from those of A and B (`_diagonals` maps).
+    (AB)[r, c] sums A[r, c - l] B[c - l, c] over the offsets l of B, so
+    offset k + l of the product gains a_k shifted by l times b_l,
+    elementwise.  Diagonals may carry leading axes (a stack of matrices);
+    they broadcast."""
+    out = {}
+    for l, b in B.items():
+        for k, a in A.items():
+            if abs(k + l) < N:
+                term = _shift(a, l) * b
+                out[k + l] = out[k + l] + term if k + l in out else term
+    return out
+
+
+def _banded_commutator(A: dict, B: dict, N: int) -> dict:
+    """Diagonals of A @ B - B @ A."""
+    out = _banded_product(A, B, N)
+    for k, d in _banded_product(B, A, N).items():
+        out[k] = out[k] - d if k in out else -d
+    return out
+
+
 def apply_laplacian(ops: QuantizedOperatorSet, F):
     """Apply L(F) = -(1/hbar^2) sum_i gamma^{-1}[X_i, gamma^{-1}[X_i, F]].
 
     Accepts dense arrays or scipy sparse matrices and returns the same kind.
+    A sparse F is read by offset and every product is taken on stored
+    diagonals (`_banded_product`), with X, Y, Z stacked and gamma^{-1}
+    from ``ops.diagonals``; the result is rebuilt in F's sparse format.  The
+    closed-form blocks of `_offset_block` are not used, so the check stays
+    independent of the solve it verifies.
     """
     if sp.issparse(F):
-        *mats, G = ops.sparse_ops
-    else:
-        F = np.asarray(F, dtype=complex)
-        mats = (ops.coords.X, ops.coords.Y, ops.coords.Z)
-        G = ops.gamma_inv
+        return _apply_banded(ops, F)
+    F = np.asarray(F, dtype=complex)
+    mats = (ops.coords.X, ops.coords.Y, ops.coords.Z)
+    G = ops.gamma_inv
     out = None
     for Xi in mats:
         inner = G @ (Xi @ F - F @ Xi)
         term = G @ (Xi @ inner - inner @ Xi)
         out = term if out is None else out + term
     return -out / ops.hbar**2
+
+
+def _apply_banded(ops: QuantizedOperatorSet, F):
+    """`apply_laplacian` of a sparse F, on stored diagonals."""
+    N = ops.N
+    X, G = ops.diagonals
+    inner = _banded_product(G, _banded_commutator(X, _diagonals(F, N), N), N)
+    out = _banded_product(G, _banded_commutator(X, inner, N), N)
+    offsets = sorted(out)
+    data = np.array([out[k].sum(axis=0) for k in offsets]).reshape(len(offsets), N) / -ops.hbar**2
+    kind = sp.dia_array if isinstance(F, sp.sparray) else sp.dia_matrix
+    return kind((data, offsets), shape=F.shape).asformat(F.format)
 
 
 def _kron_terms(ops: QuantizedOperatorSet, root=None) -> list:
@@ -344,24 +423,67 @@ class OffsetBlock:
         """Dense view of the block (small-size oracles)."""
         return np.diag(self.diag) + np.diag(self.upper, 1) + np.diag(self.lower, -1)
 
-    def lowest(self, take: int):
-        """The `take` eigenvalues closest to 0, descending, and their vectors (rows).
-
-        The Laplacian is self-adjoint and negative semidefinite in the inner
-        product weighted by gamma, so these are the largest eigenvalues.  The
-        similarity D^{-1} B D with D_{j+1}/D_j = sqrt(lower_j/upper_j) makes
-        the block symmetric; eigenvectors of B are D times those of the
-        symmetric matrix.
-        """
+    @cached_property
+    def symmetric(self) -> tuple:
+        """(off, scale): the off-diagonal of the symmetric tridiagonal matrix
+        D^{-1} B D, with D_{j+1}/D_j = sqrt(lower_j/upper_j), and D's diagonal.
+        Eigenvectors of B are D times those of the symmetric matrix."""
         if np.any(self.upper * self.lower <= 0.0):
             raise ConsistencyError(
                 f"offset-{self.offset} block has a non-positive off-diagonal product "
                 "(a gamma mode truncated by a large epsilon decouples the block)"
             )
         ratio = np.sqrt(self.lower / self.upper)
+        return self.upper * ratio, np.concatenate(([1.0], np.cumprod(ratio)))
+
+    def level(self, j: int) -> float:
+        """The j-th eigenvalue counted from 0 downwards (j = 0 is the closest
+        to 0), bisected alone by index with no eigenvector: O(dim) work."""
+        i = self.dim - 1 - j
+        return float(
+            sla.eigh_tridiagonal(
+                self.diag, self.symmetric[0], eigvals_only=True, select="i", select_range=(i, i)
+            )[0]
+        )
+
+    def vectors(self, values) -> np.ndarray:
+        """Eigenvectors (rows) for eigenvalues already bisected by `level`,
+        by inverse iteration (LAPACK ?stein), with no second bisection.  The
+        symmetric form is one unreduced block: `symmetric` refuses a zero
+        off-diagonal product."""
+        off, scale = self.symmetric
+        order = np.argsort(values)
+        n = self.dim
+        stein = sla.get_lapack_funcs("stein", (self.diag, off))
+        Y, info = stein(
+            self.diag,
+            off if n > 1 else np.zeros(1),  # the wrapper wants e non-empty
+            np.asarray(values, dtype=float)[order],
+            np.ones(n, dtype=np.int32),
+            np.full(n, n, dtype=np.int32),
+        )
+        if info != 0:
+            raise SolverConvergenceError(
+                f"inverse iteration on the offset-{self.offset} block failed (info={info})"
+            )
+        out = np.empty((len(order), n))
+        out[order] = (scale[:, None] * Y).T
+        return out
+
+    def lowest(self, take: int):
+        """The `take` eigenvalues closest to 0, descending, and their vectors (rows).
+
+        The Laplacian is self-adjoint and negative semidefinite in the inner
+        product weighted by gamma, so these are the largest eigenvalues.  One
+        `eigh_tridiagonal` call bisects the `take` top levels of the
+        symmetric form (`symmetric`) and solves their eigenvectors; take
+        above dim returns all dim levels.
+        """
+        if take < 1:
+            raise ValueError(f"take must be at least 1, got take={take}")
+        off, scale = self.symmetric
         select = (self.dim - min(take, self.dim), self.dim - 1)
-        w, Y = sla.eigh_tridiagonal(self.diag, self.upper * ratio, select="i", select_range=select)
-        scale = np.concatenate(([1.0], np.cumprod(ratio)))
+        w, Y = sla.eigh_tridiagonal(self.diag, off, select="i", select_range=select)
         return w[::-1], (scale[:, None] * Y).T[::-1]
 
 
@@ -403,8 +525,8 @@ def _offset_block(ops: QuantizedOperatorSet, k: int) -> OffsetBlock:
 
 
 def _embed_offset(v: np.ndarray, k: int, N: int):
-    """Sparse N x N matrix with vector v along diagonal offset k."""
-    return sp.diags(np.asarray(v, dtype=complex), k, shape=(N, N), format="csr")
+    """Sparse N x N matrix (DIA format) with vector v along diagonal offset k."""
+    return sp.diags(np.asarray(v, dtype=complex), k, shape=(N, N), format="dia")
 
 
 def block_decompose(ops: QuantizedOperatorSet, max_offset: int) -> list[OffsetBlock]:
@@ -438,6 +560,8 @@ class SpectrumReport:
     Entries are sorted by ascending absolute value.  ``blocks[i]`` names the
     offset block an eigenvalue came from (None off the blocks strategy),
     ``cluster_index[i]`` points into ``clusters`` (mean, multiplicity) pairs.
+    ``diagnostics`` (blocks strategy only) records the work done; it goes
+    into the JSON report, not into the CSV or ``config``.
     """
 
     eigenvalues: list
@@ -450,9 +574,10 @@ class SpectrumReport:
     imaginary_leakage: float
     solver_tolerance: float
     config: dict
+    diagnostics: dict | None = None
 
     def to_json_dict(self) -> dict:
-        return {
+        out = {
             "surface": self.config.get("surface"),
             "N": self.config.get("N"),
             "beta": self.config.get("beta"),
@@ -475,6 +600,9 @@ class SpectrumReport:
             "solver_tolerance": self.solver_tolerance,
             "config": dict(sorted(self.config.items())),
         }
+        if self.diagnostics is not None:
+            out["diagnostics"] = self.diagnostics
+        return out
 
     def to_csv_rows(self) -> list:
         rows = [["value", "residual", "block", "cluster"]]
@@ -521,15 +649,20 @@ def spectrum(
     """The `count` eigenvalues of smallest absolute value, with residuals.
 
     Strategies: dense (any surface, N <= cap; one real symmetric solve per
-    parity sector), blocks (revolution surfaces; one symmetric tridiagonal
-    solve per offset k in [-K, K]), iterative (shift-invert around zero).
-    Residuals go through the full operator; one over the tolerance
+    parity sector), blocks (revolution surfaces, offsets k in [-K, K]; a
+    k-way merge over the blocks bisects their levels nearest zero one at a
+    time until `count` are kept, `_closest_levels`, and inverse iteration
+    gives the kept levels' eigenvectors), iterative (shift-invert around
+    zero).  Residuals go through the full operator; one over the tolerance
     1e-8*(1 + max |lambda| over the kept values), non-finite or of a zero
     eigenmatrix fails the run (iterative: flags it).  Dense and
     block eigenvalues are real; blocks +-(K+1) must lie beyond the kept
     eigenvalues by the default cluster gap, or ConfigError asks for a wider
-    K.  Iterative eigenvalues with imaginary part over 1e-8*(1 + |Re|) are
+    K (at K = N - 1 the blocks hold all N^2 eigenvalues, and the error says
+    so).  Iterative eigenvalues with imaginary part over 1e-8*(1 + |Re|) are
     flagged; real parts are reported, the largest imaginary part recorded.
+    The blocks strategy reports ``diagnostics = {"levels_solved": n}``, the
+    levels bisected including the range check, in the JSON report only.
     """
     strategy = _select_strategy(ops, strategy)
     N = ops.N
@@ -539,10 +672,13 @@ def spectrum(
         candidates = _dense_candidates(ops, count)
     elif strategy == "blocks":
         K = block_range if block_range is not None else min(N - 1, max(3, int(math.isqrt(count)) + 1))
+        blocks = block_decompose(ops, K)
+        levels, levels_solved = _closest_levels(blocks, count)
         candidates = [
-            {"value": float(lam), "imag": 0.0, "block": b.offset, "vec": v, "kind": "block"}
-            for b in block_decompose(ops, K)
-            for lam, v in zip(*b.lowest(count))
+            {"value": lam, "imag": 0.0, "block": b.offset, "vec": v, "kind": "block"}
+            for b, values in zip(blocks, levels)
+            if values
+            for lam, v in zip(values, b.vectors(values))
         ]
     elif strategy == "iterative":
         candidates = _iterative_candidates(ops, count)
@@ -556,7 +692,13 @@ def spectrum(
             partial = True
             count = available
         else:
-            hint = "; widen the block range K" if strategy == "blocks" else ""
+            hint = ""
+            if strategy == "blocks":
+                hint = (
+                    f"; the blocks at K = N - 1 hold all N^2 = {N * N} eigenvalues"
+                    if K == N - 1
+                    else "; widen the block range K"
+                )
             raise ConfigError(
                 f"requested {count} eigenvalues, only {available} available{hint}"
             )
@@ -564,6 +706,7 @@ def spectrum(
     kept = candidates[:count]
     if strategy == "blocks" and K + 1 < N:
         _check_block_range(ops, K, max(abs(c["value"]) for c in kept))
+        levels_solved += 2
 
     values = [c["value"] for c in kept]
     residuals = [_full_residual(ops, c) for c in kept]
@@ -618,6 +761,7 @@ def spectrum(
         imaginary_leakage=imag_leak,
         solver_tolerance=tol,
         config=config,
+        diagnostics={"levels_solved": levels_solved} if strategy == "blocks" else None,
     )
 
 
@@ -665,10 +809,40 @@ def _dense_candidates(ops: QuantizedOperatorSet, count: int) -> list:
     ]
 
 
+def _closest_levels(blocks: list, count: int) -> tuple:
+    """Each block's share of the `count` eigenvalues closest to 0 over all
+    blocks (a list of values per block, descending), and the number of
+    levels bisected.
+
+    A k-way merge: every block offers its next level (`OffsetBlock.level`)
+    to a heap ordered like the kept spectrum, by (|lambda|, lambda, offset),
+    and a popped level is replaced by the next one of its block.  Each
+    block's levels descend from about 0, so the merge is exact and bisects
+    at most count + len(blocks) - 1 levels.  With fewer levels in all
+    blocks than `count`, every level is taken.
+    """
+    tops = [b.level(0) for b in blocks]
+    heap = [(abs(lam), lam, b.offset, i) for i, (b, lam) in enumerate(zip(blocks, tops))]
+    heapq.heapify(heap)
+    levels = [[] for _ in blocks]
+    solved = len(blocks)
+    for kept in range(1, count + 1):
+        if not heap:
+            break
+        _, lam, _, i = heapq.heappop(heap)
+        levels[i].append(lam)
+        j = len(levels[i])
+        if kept < count and j < blocks[i].dim:
+            lam = blocks[i].level(j)
+            heapq.heappush(heap, (abs(lam), lam, blocks[i].offset, i))
+            solved += 1
+    return levels, solved
+
+
 def _check_block_range(ops: QuantizedOperatorSet, K: int, largest_kept: float) -> None:
     """Blocks +-(K+1) must not reach the kept spectrum within the default cluster gap."""
     margin = 10.0 * ops.hbar
-    nearest = min(abs(_offset_block(ops, k).lowest(1)[0][0]) for k in (K + 1, -K - 1))
+    nearest = min(abs(_offset_block(ops, k).level(0)) for k in (K + 1, -K - 1))
     if nearest < largest_kept + margin:
         raise ConfigError(
             f"blocks +-{K + 1} have an eigenvalue of magnitude {nearest:.6g}, within {margin:.3g} "

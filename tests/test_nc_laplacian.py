@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 
 import nclaplace as nc
@@ -107,6 +108,54 @@ class TestApply:
         dense = nc.apply_laplacian(ops, np.asarray(F.todense()))
         sparse_out = nc.apply_laplacian(ops, F)
         np.testing.assert_allclose(np.asarray(sparse_out.todense()), dense, atol=1e-10)
+
+    @pytest.mark.parametrize("N", [2, 3, 24])
+    @pytest.mark.parametrize("offset", ["paper", "symmetric"])
+    @pytest.mark.parametrize(
+        "surf", [nc.sphere(), nc.spheroid(1.0, 2.0)], ids=["sphere", "spheroid"]
+    )
+    def test_banded_path_matches_dense(self, surf, offset, N):
+        ops = _ops(surf, N, offset=offset)
+        rng = np.random.default_rng(N)
+        dense = np.zeros((N, N), dtype=complex)
+        for k in sorted({0, 1, -1, N - 1, 1 - N, N // 2}):
+            dense += np.diag(rng.standard_normal(N - abs(k)) + 1j * rng.standard_normal(N - abs(k)), k)
+        want = nc.apply_laplacian(ops, dense)
+        for kind in (sp.csr_matrix, sp.csc_array, sp.coo_matrix, sp.dia_matrix):
+            F = kind(dense)
+            got = nc.apply_laplacian(ops, F)
+            assert type(got) is type(F)
+            assert np.abs(got.toarray() - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_banded_path_with_full_gamma(self, triaxial_123):
+        # gamma^{-1} of an ellipsoid fills every even offset
+        ops = _ops(triaxial_123, 12)
+        rng = np.random.default_rng(3)
+        F = _embed_offset(rng.standard_normal(10), 2, 12) + _embed_offset(rng.standard_normal(11), -1, 12)
+        want = nc.apply_laplacian(ops, F.toarray())
+        got = nc.apply_laplacian(ops, F)
+        assert np.abs(got.toarray() - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize(
+        "surf", [nc.sphere(), nc.spheroid(1.0, 2.0)], ids=["sphere", "spheroid"]
+    )
+    def test_banded_residual_equals_csr_residual(self, surf):
+        N = 200
+        ops = _ops(surf, N)
+        G = sp.csr_matrix(sp.diags(ops.gamma_inv_eigenvalues))
+        for block in nc.block_decompose(ops, 2):
+            values, vectors = block.lowest(3)
+            for lam, v in zip(values, vectors):
+                F = sp.diags(v.astype(complex), block.offset, shape=(N, N), format="csr")
+                LF = 0
+                for X in ops.coords.banded:
+                    inner = G @ (X @ F - F @ X)
+                    LF = LF + G @ (X @ inner - inner @ X)
+                LF = -LF / ops.hbar**2
+                want = sp.linalg.norm(LF - lam * F) / np.linalg.norm(v)
+                cand = {"value": lam, "vec": v, "block": block.offset, "kind": "block"}
+                got = nc_laplacian._full_residual(ops, cand)
+                assert abs(got - want) <= 1e-13 * want
 
     def test_degree_one_harmonic_symmetric_grid(self, unit_sphere):
         # uniform O(1/N^2) defect on the boundary-symmetric grid
@@ -225,6 +274,11 @@ class TestBlocks:
                     resp.diagonal(block.offset).real, block.operator @ v, atol=1e-10
                 )
 
+    def test_lowest_names_a_bad_take(self, unit_sphere):
+        block = nc.block_decompose(_ops(unit_sphere, 8), 1)[0]
+        with pytest.raises(ValueError, match="take"):
+            block.lowest(0)
+
     def test_truncated_gamma_mode_raises(self, unit_sphere):
         # a truncated mode zeroes a row of gamma^{-1} and decouples its block
         ops = _ops(unit_sphere, 20, epsilon=0.5)
@@ -316,6 +370,19 @@ class TestSpectrum:
         with pytest.raises(ConfigError):
             nc.spectrum(ops, strategy="dense", count=37)
 
+    def test_full_block_range_names_the_total(self, unit_sphere):
+        # at K = N - 1 the blocks hold every eigenvalue; a wider K does not exist
+        ops = _ops(unit_sphere, 8)
+        with pytest.raises(ConfigError, match=r"only 64 available.*N\^2 = 64") as err:
+            nc.spectrum(ops, strategy="blocks", count=70, block_range=7)
+        assert "widen" not in str(err.value)
+        with pytest.raises(ConfigError, match="widen the block range K"):
+            nc.spectrum(ops, strategy="blocks", count=40, block_range=3)
+        # every level, the one-by-one blocks at +-7 included
+        blocks = nc.spectrum(ops, strategy="blocks", count=64, block_range=7)
+        dense = nc.spectrum(ops, strategy="dense", count=64)
+        np.testing.assert_allclose(sorted(blocks.eigenvalues), sorted(dense.eigenvalues), atol=1e-9)
+
     def test_dequantized_eigenmatrix_is_single_mode(self, unit_sphere):
         # a block eigenmatrix lives on one offset, so its mode content is pure
         ops = _ops(unit_sphere, 16)
@@ -326,6 +393,16 @@ class TestSpectrum:
         F = np.asarray(_embed_offset(V[:, i], 1, 16).todense())
         back = nc.dequantize(F, ops.coords.grid, max_mode=3)
         assert set(back.modes) == {-1}
+
+    def test_levels_solved_in_json_only(self, unit_sphere, tmp_path):
+        ops = _ops(unit_sphere, 12)
+        rep = nc.spectrum(ops, strategy="blocks", count=4, block_range=1)
+        # three blocks, four kept levels, one push saved, and blocks +-2
+        assert rep.to_json_dict()["diagnostics"] == {"levels_solved": 3 + 4 - 1 + 2}
+        assert "diagnostics" not in rep.config
+        csv_path = rep.save(tmp_path, "rep", formats=("csv",))[0]
+        assert "levels_solved" not in csv_path.read_text()
+        assert "diagnostics" not in nc.spectrum(ops, strategy="dense", count=4).to_json_dict()
 
     def test_report_serialization(self, unit_sphere, tmp_path):
         ops = _ops(unit_sphere, 12)
@@ -509,6 +586,66 @@ class TestConvergenceStudy:
             assert errs[1] < errs[0]
 
 
+def _exhaustive_selection(ops, count, K):
+    """(value, offset) of every block's `count` top levels, sorted like the
+    kept spectrum: the selection without the merge is its first `count`."""
+    found = [(float(lam), b.offset) for b in nc.block_decompose(ops, K) for lam in b.lowest(count)[0]]
+    return sorted(found, key=lambda f: (abs(f[0]), f[0], f[1]))
+
+
+class TestBoundedSelection:
+    @pytest.mark.parametrize("offset", ["paper", "symmetric"])
+    @pytest.mark.parametrize("c", [None, 0.5, 1.5, 2.5], ids=["sphere", "c0.5", "c1.5", "c2.5"])
+    def test_matches_exhaustive_selection(self, c, offset):
+        surf = nc.sphere() if c is None else nc.spheroid(1.0, c)
+        for N in (16, 64, 200):
+            ops = _ops(surf, N, offset=offset)
+            gap = 10.0 * ops.hbar
+            for K in (1, 3, 5):
+                outer = min(
+                    abs(nc_laplacian._offset_block(ops, k).lowest(1)[0][0]) for k in (K + 1, -K - 1)
+                )
+                for count in (1, 4, 9, 12, 20):
+                    found = _exhaustive_selection(ops, count, K)
+                    values = [v for v, _ in found[:count]]
+                    if outer < max(abs(v) for v in values) + gap:
+                        with pytest.raises(ConfigError, match="widen"):
+                            nc.spectrum(ops, strategy="blocks", count=count, block_range=K)
+                        continue
+                    rep = nc.spectrum(ops, strategy="blocks", count=count, block_range=K)
+                    for i, (got, value) in enumerate(zip(rep.eigenvalues, values)):
+                        tol = 1e-10 * (1.0 + abs(value))
+                        assert abs(got - value) <= tol
+                        if offset == "paper":
+                            assert rep.blocks[i] == found[i][1]
+                        elif rep.blocks[i] != found[i][1]:
+                            # on this grid blocks +-k mirror each other, and the
+                            # last bits order their equal levels: any block
+                            # holding a level within tol is as good
+                            assert any(b == rep.blocks[i] and abs(v - got) <= tol for v, b in found)
+                    order = sorted(range(count), key=lambda i: values[i])
+                    clusters = nc.cluster_multiplicities([values[i] for i in order], gap)
+                    assert [m for _, m in rep.clusters] == [m for _, m in clusters]
+                    assert rep.cluster_index == nc_laplacian._assign_clusters(values, order, clusters)
+
+    def test_pinned_levels_requested(self, monkeypatch):
+        # the per-block selection requested count levels from each of the
+        # 2K + 1 blocks plus 2 for the range check: 86 here
+        requested = []
+        eigh_tridiagonal = sla.eigh_tridiagonal
+
+        def counting(d, e, *args, select="a", select_range=None, **kwargs):
+            requested.append(len(d) if select == "a" else select_range[1] - select_range[0] + 1)
+            return eigh_tridiagonal(d, e, *args, select=select, select_range=select_range, **kwargs)
+
+        ops = _ops(nc.spheroid(1.0, 2.0), 1000)
+        monkeypatch.setattr(sla, "eigh_tridiagonal", counting)
+        count, K = 12, 3
+        rep = nc.spectrum(ops, strategy="blocks", count=count, block_range=K)
+        assert sum(requested) <= 2 * count + 2 * K + 3
+        assert rep.to_json_dict()["diagnostics"]["levels_solved"] == sum(requested)
+
+
 class TestGammaStorage:
     def test_revolution_path_memory_is_linear_in_N(self):
         # a dense N x N float64 array alone would take 128 MB at N = 4000
@@ -543,6 +680,9 @@ class TestGammaStorage:
     def test_dense_views_match_eigenpairs(self, surf):
         ops = _ops(surf, 10)
         np.testing.assert_allclose(ops.gamma @ ops.gamma_inv, np.eye(10), atol=1e-12)
-        G = ops.sparse_ops[3]
-        assert sp.issparse(G)
-        np.testing.assert_allclose(G.toarray(), ops.gamma_inv, rtol=0, atol=0)
+        _, G = ops.diagonals
+        if surf.revolution:
+            assert list(G) == [0]
+        offsets = sorted(G)
+        stored = sp.dia_array((np.array([G[k] for k in offsets]), offsets), shape=(10, 10))
+        np.testing.assert_allclose(stored.toarray(), ops.gamma_inv, rtol=0, atol=0)
