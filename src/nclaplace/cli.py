@@ -68,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_grid_args(p, epsilon=True)
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--format", choices=("json", "csv", "both"), default="both")
-    p.add_argument("--strategy", choices=("auto", "dense", "blocks", "iterative"), default="auto")
+    p.add_argument("--strategy", choices=("auto", "dense", "blocks"), default="auto")
     p.add_argument("--count", type=int, default=9)
     p.add_argument("--K", type=int, default=None, help="block offset range (blocks strategy)")
     p.add_argument("--gap", type=float, default=None, help="cluster gap (default 10*hbar)")
@@ -82,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--N-list", dest="N_list", default=None,
                    help="comma-separated matrix sizes (at least two)")
-    p.add_argument("--strategy", choices=("auto", "dense", "blocks", "iterative"), default="auto")
+    p.add_argument("--strategy", choices=("auto", "dense", "blocks"), default="auto")
     p.add_argument("--count", type=int, default=9)
     p.add_argument("--K", type=int, default=None)
     p.set_defaults(func=cmd_converge)

@@ -26,7 +26,8 @@ class NotRevolutionSurfaceError(NCLaplaceError):
 
 
 class DenseSizeError(NCLaplaceError):
-    """Dense superoperator assembly refused above the size cap."""
+    """Dense superoperator assembly refused above N = DENSE_CAP; on a surface
+    that is not one of revolution no other strategy exists there."""
 
 
 class SolverConvergenceError(NCLaplaceError):

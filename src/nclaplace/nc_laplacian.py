@@ -7,14 +7,14 @@ its regularized inverse, and the operator
 
 acting on N x N matrices.  gamma is decomposed once and held as eigenpairs
 that gamma^{-1} shares; on a surface of revolution gamma is diagonal and no
-N x N array is formed.  Three spectrum strategies are provided:
+N x N array is formed.  Two spectrum strategies are provided:
 
-- dense (small N, any surface): L = G K with G = gamma^{-1} and K self-adjoint,
-  so H = G^{1/2} K G^{1/2} is symmetric and similar to L: one real `eigh` per
-  parity sector of F[n, m] (n - m even or odd), which H keeps apart.  Each
-  sector is assembled directly in real arithmetic from Kronecker products of
-  the quarter-size parity blocks of real factors; the factors, not H, are
-  checked for being real or imaginary and of one offset parity.
+- dense (any surface, N <= DENSE_CAP): L = G K with G = gamma^{-1} and K
+  self-adjoint, so H = G^{1/2} K G^{1/2} is symmetric and similar to L: one
+  real `eigh` per parity sector of F[n, m] (n - m even or odd), which H keeps
+  apart.  Each sector is assembled directly in real arithmetic from Kronecker
+  products of the quarter-size parity blocks of real factors; the factors,
+  not H, are checked for being real or imaginary and of one offset parity.
 - blocks (revolution surfaces, large N): gamma is diagonal, so L maps each
   matrix diagonal (Fourier offset) to itself by a closed-form tridiagonal
   matrix that a diagonal similarity makes symmetric (Parlett, The Symmetric
@@ -23,7 +23,6 @@ N x N array is formed.  Three spectrum strategies are provided:
   `count` closest to zero; eigenvectors are solved for the kept levels
   only.  O(dim) work per bisected level, and at most count + 2K + 2 levels
   (range check included) whatever the block sizes.
-- iterative (theta-dependent metrics at moderate N): matrix-free shift-invert.
 
 Sparse arguments of `apply_laplacian` (the residual check of the blocks
 strategy) are evaluated on stored diagonals: every product of two banded
@@ -43,7 +42,6 @@ from pathlib import Path
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import (
     ConfigError,
@@ -62,7 +60,9 @@ from .quantization import (
 from .reference_oracle import cluster_multiplicities, reference_for
 from .surface import SurfaceDescriptor
 
-DENSE_CAP = 40
+#: largest N of the dense strategy: each real parity sector is at most
+#: N^2/2 = 3200 square, about 82 MB in float64
+DENSE_CAP = 80
 
 #: relative off-diagonal mass allowed in the commutator-square sum of a
 #: surface of revolution, whose gamma is read off the diagonal
@@ -351,11 +351,12 @@ def _sector_index(N: int, parity: int) -> np.ndarray:
 
 
 def assemble_dense_superoperator(
-    ops: QuantizedOperatorSet, cap: int = DENSE_CAP, root=None, parity: int | None = None
+    ops: QuantizedOperatorSet, root=None, parity: int | None = None
 ) -> np.ndarray:
     """N^2 x N^2 matrix of the Laplacian in row-major vectorization (the
     small-N oracle): column j is the image of the j-th standard basis matrix.
-    Refused above the cap; use blocks (revolution) or iterative instead.
+    Refused with DenseSizeError above N = DENSE_CAP.  With ``parity`` None the
+    oracle forms a complex N^2 x N^2 array, about 0.65 GB at N = 80.
 
     The matrix is the sum of the Kronecker products of `_kron_terms`: N x N
     products and five Kronecker products in all, O(N^4) work.  With root =
@@ -369,10 +370,10 @@ def assemble_dense_superoperator(
     parity is a - c.  No complex or N^2 x N^2 array is formed.
     """
     N = ops.N
-    if N > cap:
+    if N > DENSE_CAP:
         raise DenseSizeError(
-            f"dense superoperator needs N <= {cap} (got {N}); "
-            "use the blocks strategy on revolution surfaces or iterative otherwise"
+            f"dense superoperator needs N <= {DENSE_CAP} (got {N}); "
+            "use the blocks strategy on surfaces of revolution"
         )
     if parity not in (None, 0, 1):
         raise ValueError(f"parity must be 0, 1 or None, got {parity!r}")
@@ -567,11 +568,9 @@ class SpectrumReport:
     eigenvalues: list
     residuals: list
     blocks: list
-    flagged: list
     cluster_index: list
     clusters: list
     strategy: str
-    imaginary_leakage: float
     solver_tolerance: float
     config: dict
     diagnostics: dict | None = None
@@ -584,19 +583,12 @@ class SpectrumReport:
             "hbar": self.config.get("hbar"),
             "strategy": self.strategy,
             "eigenvalues": [
-                {
-                    "value": v,
-                    "residual": r,
-                    "block": b,
-                    "cluster": c,
-                    "flagged": fl,
-                }
-                for v, r, b, fl, c in zip(
-                    self.eigenvalues, self.residuals, self.blocks, self.flagged, self.cluster_index
+                {"value": v, "residual": r, "block": b, "cluster": c}
+                for v, r, b, c in zip(
+                    self.eigenvalues, self.residuals, self.blocks, self.cluster_index
                 )
             ],
             "clusters": [{"mean": m, "multiplicity": mult} for m, mult in self.clusters],
-            "imaginary_leakage": self.imaginary_leakage,
             "solver_tolerance": self.solver_tolerance,
             "config": dict(sorted(self.config.items())),
         }
@@ -634,9 +626,7 @@ class SpectrumReport:
 def _select_strategy(ops: QuantizedOperatorSet, strategy: str) -> str:
     if strategy != "auto":
         return strategy
-    if ops.surface_is_revolution:
-        return "blocks"
-    return "dense" if ops.N <= DENSE_CAP else "iterative"
+    return "blocks" if ops.surface_is_revolution else "dense"
 
 
 def spectrum(
@@ -648,21 +638,20 @@ def spectrum(
 ) -> SpectrumReport:
     """The `count` eigenvalues of smallest absolute value, with residuals.
 
-    Strategies: dense (any surface, N <= cap; one real symmetric solve per
-    parity sector), blocks (revolution surfaces, offsets k in [-K, K]; a
-    k-way merge over the blocks bisects their levels nearest zero one at a
-    time until `count` are kept, `_closest_levels`, and inverse iteration
-    gives the kept levels' eigenvectors), iterative (shift-invert around
-    zero).  Residuals go through the full operator; one over the tolerance
+    Strategies: dense (any surface, N <= DENSE_CAP, else DenseSizeError; one
+    real symmetric solve per parity sector) and blocks (revolution surfaces,
+    offsets k in [-K, K]; a k-way merge over the blocks bisects their levels
+    nearest zero one at a time until `count` are kept, `_closest_levels`,
+    and inverse iteration gives the kept levels' eigenvectors); auto picks
+    blocks on a surface of revolution, else dense.  Eigenvalues are real.
+    Residuals go through the full operator; one over the tolerance
     1e-8*(1 + max |lambda| over the kept values), non-finite or of a zero
-    eigenmatrix fails the run (iterative: flags it).  Dense and
-    block eigenvalues are real; blocks +-(K+1) must lie beyond the kept
-    eigenvalues by the default cluster gap, or ConfigError asks for a wider
-    K (at K = N - 1 the blocks hold all N^2 eigenvalues, and the error says
-    so).  Iterative eigenvalues with imaginary part over 1e-8*(1 + |Re|) are
-    flagged; real parts are reported, the largest imaginary part recorded.
-    The blocks strategy reports ``diagnostics = {"levels_solved": n}``, the
-    levels bisected including the range check, in the JSON report only.
+    eigenmatrix raises SolverConvergenceError.  Blocks +-(K+1) must lie
+    beyond the kept eigenvalues by the default cluster gap, or ConfigError
+    asks for a wider K (at K = N - 1 the blocks hold all N^2 eigenvalues,
+    and the error says so).  The blocks strategy reports
+    ``diagnostics = {"levels_solved": n}``, the levels bisected including the
+    range check, in the JSON report only.
     """
     strategy = _select_strategy(ops, strategy)
     N = ops.N
@@ -675,33 +664,24 @@ def spectrum(
         blocks = block_decompose(ops, K)
         levels, levels_solved = _closest_levels(blocks, count)
         candidates = [
-            {"value": lam, "imag": 0.0, "block": b.offset, "vec": v, "kind": "block"}
+            {"value": lam, "block": b.offset, "vec": v, "kind": "block"}
             for b, values in zip(blocks, levels)
             if values
             for lam, v in zip(values, b.vectors(values))
         ]
-    elif strategy == "iterative":
-        candidates = _iterative_candidates(ops, count)
     else:
         raise ConfigError(f"unknown strategy {strategy!r}")
 
-    partial = False
     available = len(candidates)
     if count > available:
-        if strategy == "iterative" and available > 0:
-            partial = True
-            count = available
-        else:
-            hint = ""
-            if strategy == "blocks":
-                hint = (
-                    f"; the blocks at K = N - 1 hold all N^2 = {N * N} eigenvalues"
-                    if K == N - 1
-                    else "; widen the block range K"
-                )
-            raise ConfigError(
-                f"requested {count} eigenvalues, only {available} available{hint}"
+        hint = ""
+        if strategy == "blocks":
+            hint = (
+                f"; the blocks at K = N - 1 hold all N^2 = {N * N} eigenvalues"
+                if K == N - 1
+                else "; widen the block range K"
             )
+        raise ConfigError(f"requested {count} eigenvalues, only {available} available{hint}")
     candidates.sort(key=lambda c: (abs(c["value"]), c["value"], c.get("block") or 0))
     kept = candidates[:count]
     if strategy == "blocks" and K + 1 < N:
@@ -710,8 +690,6 @@ def spectrum(
 
     values = [c["value"] for c in kept]
     residuals = [_full_residual(ops, c) for c in kept]
-    flags = [bool(abs(c["imag"]) > 1e-8 * (1.0 + abs(c["value"]))) for c in kept]
-    imag_leak = max((abs(c["imag"]) for c in kept), default=0.0)
 
     gap = cluster_gap if cluster_gap is not None else 10.0 * ops.hbar
     order = sorted(range(len(values)), key=lambda i: values[i])
@@ -721,16 +699,10 @@ def spectrum(
     tol = 1e-8 * (1.0 + max(abs(v) for v in values))
     bad = [i for i, r in enumerate(residuals) if not r <= tol]
     if bad:
-        if strategy == "iterative":
-            # converged subset only: flag the rest instead of failing outright
-            partial = True
-            for i in bad:
-                flags[i] = True
-        else:
-            worst = max(residuals[i] for i in bad)
-            raise SolverConvergenceError(
-                f"{len(bad)} residuals exceed the solver tolerance {tol:.2e} (max {worst:.2e})"
-            )
+        worst = max(residuals[i] for i in bad)
+        raise SolverConvergenceError(
+            f"{len(bad)} residuals exceed the solver tolerance {tol:.2e} (max {worst:.2e})"
+        )
 
     grid = ops.coords.grid
     surf = ops.coords.surface
@@ -747,18 +719,15 @@ def spectrum(
         "block_range": block_range,
         "cluster_gap": gap,
         "gamma_truncated_modes": ops.gamma_truncated_modes,
-        "partial": partial,
         "analytic_derivatives": surf.has_analytic_derivatives,
     }
     return SpectrumReport(
         eigenvalues=values,
         residuals=residuals,
         blocks=[c.get("block") for c in kept],
-        flagged=flags,
         cluster_index=cluster_of,
         clusters=clusters,
         strategy=strategy,
-        imaginary_leakage=imag_leak,
         solver_tolerance=tol,
         config=config,
         diagnostics={"levels_solved": levels_solved} if strategy == "blocks" else None,
@@ -804,7 +773,7 @@ def _dense_candidates(ops: QuantizedOperatorSet, count: int) -> list:
             "the operator is not negative semidefinite"
         )
     return [
-        {"value": float(lam), "imag": 0.0, "block": None, "vec": F.reshape(-1), "kind": "dense"}
+        {"value": float(lam), "block": None, "vec": F.reshape(-1), "kind": "dense"}
         for lam, F in sorted(found, key=lambda f: abs(f[0]))[:count]
     ]
 
@@ -850,47 +819,6 @@ def _check_block_range(ops: QuantizedOperatorSet, K: int, largest_kept: float) -
         )
 
 
-def _iterative_candidates(ops: QuantizedOperatorSet, count: int, sigma: float = 0.5) -> list:
-    N = ops.N
-    dim = N * N
-    if count > dim - 2:
-        raise ConfigError(f"iterative strategy needs count <= {dim - 2}")
-
-    def matvec(x):
-        F = x.reshape(N, N)
-        return np.asarray(apply_laplacian(ops, F)).reshape(-1)
-
-    op = spla.LinearOperator((dim, dim), matvec=matvec, dtype=complex)
-
-    def solve_shifted(b):
-        x, info = spla.lgmres(
-            spla.LinearOperator(
-                (dim, dim), matvec=lambda v: matvec(v) - sigma * v, dtype=complex
-            ),
-            b,
-            rtol=1e-11,
-            atol=0.0,
-            maxiter=400,
-        )
-        if info != 0:
-            raise SolverConvergenceError(f"inner shifted solve stalled (info={info})")
-        return x
-
-    opinv = spla.LinearOperator((dim, dim), matvec=solve_shifted, dtype=complex)
-    # a seeded start vector: identical configurations give identical output
-    v0 = np.random.default_rng(0).standard_normal(dim).astype(complex)
-    try:
-        w, V = spla.eigs(op, k=count, sigma=sigma, OPinv=opinv, which="LM", tol=1e-10, v0=v0)
-    except spla.ArpackNoConvergence as exc:
-        w, V = exc.eigenvalues, exc.eigenvectors
-        if w is None or len(w) == 0:
-            raise SolverConvergenceError("iterative solve produced no converged eigenpairs")
-    return [
-        {"value": w[i].real, "imag": w[i].imag, "block": None, "vec": V[:, i], "kind": "dense"}
-        for i in range(len(w))
-    ]
-
-
 def _full_residual(ops: QuantizedOperatorSet, cand: dict) -> float:
     """||L(F) - lambda F||_F / ||F||_F through the full operator; inf when F = 0."""
     lam = cand["value"]
@@ -900,7 +828,7 @@ def _full_residual(ops: QuantizedOperatorSet, cand: dict) -> float:
     if cand["kind"] == "block":
         F = _embed_offset(cand["vec"], cand["block"], ops.N)
         resid = apply_laplacian(ops, F) - lam * F
-        return float(spla.norm(resid) / norm)
+        return float(np.linalg.norm(resid.tocsr().data) / norm)
     F = np.asarray(cand["vec"]).reshape(ops.N, ops.N)
     resid = apply_laplacian(ops, F) - lam * F
     return float(np.linalg.norm(resid) / norm)

@@ -94,22 +94,38 @@ def test_narrow_block_range_is_config_error(tmp_path, capsys):
     assert not list(tmp_path.glob("spectrum_*"))
 
 
-def test_spectrum_iterative_report_is_deterministic(tmp_path):
+def test_spectrum_dense_report_is_deterministic(tmp_path):
     args = [
         "spectrum",
         "--surface", "ellipsoid",
         "--axes", "1,2,3",
         "--N", "8",
-        "--strategy", "iterative",
+        "--strategy", "auto",
     ]
     assert main(args + ["--out", str(tmp_path / "a")]) == 0
     assert main(args + ["--out", str(tmp_path / "b")]) == 0
     payload = json.loads((tmp_path / "a" / "spectrum_ellipsoid_1-2-3_N8.json").read_text())
-    assert payload["strategy"] == "iterative"
+    assert payload["strategy"] == "dense"
     assert len(payload["eigenvalues"]) == 9
     a = (tmp_path / "a" / "spectrum_ellipsoid_1-2-3_N8.csv").read_bytes()
     b = (tmp_path / "b" / "spectrum_ellipsoid_1-2-3_N8.csv").read_bytes()
     assert a == b
+    assert b"# partial" not in a
+
+
+def test_triaxial_above_dense_cap_exits_one(tmp_path, capsys):
+    args = ["spectrum", "--surface", "ellipsoid", "--axes", "1,2,3", "--N", "81",
+            "--out", str(tmp_path)]
+    assert main(args) == 1
+    assert "N <= 80" in capsys.readouterr().err
+    assert not list(tmp_path.glob("spectrum_*"))
+
+
+@pytest.mark.parametrize("command", ["spectrum", "converge"])
+def test_iterative_strategy_is_rejected(command, tmp_path, capsys):
+    args = [command, "--strategy", "iterative", "--out", str(tmp_path)]
+    assert main(args) == 1
+    assert "invalid choice: 'iterative'" in capsys.readouterr().err
 
 
 def test_triaxial_dense_succeeds_blocks_fails(tmp_path, capsys):

@@ -219,12 +219,15 @@ class TestDenseSuperoperator:
         w = np.linalg.eigvals(assemble_dense_superoperator(ops))
         assert np.abs(w).min() < 1e-12
 
-    def test_cap_refusal(self, unit_sphere):
-        ops = _ops(unit_sphere, 44)
-        with pytest.raises(DenseSizeError):
-            assemble_dense_superoperator(ops)
-        sup = assemble_dense_superoperator(ops, cap=44)
-        assert sup.shape == (44 * 44, 44 * 44)
+    def test_cap_refusal(self, triaxial_123):
+        N = nc_laplacian.DENSE_CAP + 1
+        ops = _ops(triaxial_123, N)
+        for parity in (None, 0):
+            with pytest.raises(DenseSizeError):
+                assemble_dense_superoperator(ops, parity=parity)
+        # no other strategy serves a surface that is not one of revolution
+        with pytest.raises(DenseSizeError, match=f"N <= {nc_laplacian.DENSE_CAP} "):
+            nc.spectrum(ops)
 
     def test_parity_must_name_a_sector(self, triaxial_123):
         with pytest.raises(ValueError, match="parity"):
@@ -355,13 +358,9 @@ class TestSpectrum:
     def test_auto_strategy_selection(self, unit_sphere, triaxial_123):
         assert nc.spectrum(_ops(unit_sphere, 12), count=4).strategy == "blocks"
         assert nc.spectrum(_ops(triaxial_123, 10), count=4).strategy == "dense"
-
-    def test_iterative_matches_dense_triaxial(self, triaxial_123):
-        ops = _ops(triaxial_123, 12)
-        dense = nc.spectrum(ops, strategy="dense", count=5)
-        it = nc.spectrum(ops, strategy="iterative", count=5)
-        np.testing.assert_allclose(it.eigenvalues, dense.eigenvalues, atol=1e-7)
-        assert it.strategy == "iterative"
+        rep = nc.spectrum(_ops(triaxial_123, 44), count=9)
+        assert rep.strategy == "dense"
+        assert max(rep.residuals) <= 1e-10
 
     def test_count_validation(self, unit_sphere):
         ops = _ops(unit_sphere, 6)
@@ -414,10 +413,11 @@ class TestSpectrum:
         assert {"value", "residual", "block", "cluster"} <= set(payload["eigenvalues"][0])
         assert {"mean", "multiplicity"} <= set(payload["clusters"][0])
         rows = payload["eigenvalues"]
-        assert len(rows) == len(rep.cluster_index) == len(rep.flagged)
-        for row, cluster, flagged in zip(rows, rep.cluster_index, rep.flagged):
+        assert len(rows) == len(rep.cluster_index)
+        for row, cluster in zip(rows, rep.cluster_index):
             assert type(row["cluster"]) is int and row["cluster"] == cluster
-            assert row["flagged"] is flagged
+            assert "flagged" not in row
+        assert "imaginary_leakage" not in payload
         json.dumps(payload)  # must be serializable as-is
         first = rep.save(tmp_path, "rep")
         again = rep.save(tmp_path / "copy", "rep")
@@ -457,7 +457,9 @@ class TestDenseSectors:
         w = np.linalg.eigvals(assemble_dense_superoperator(ops))
         oracle = np.sort(w[np.argsort(np.abs(w))[:count]].real)
         np.testing.assert_allclose(np.sort(rep.eigenvalues), oracle, rtol=0, atol=1e-10)
-        assert rep.imaginary_leakage == 0.0 and not any(rep.flagged)
+        payload = rep.to_json_dict()
+        assert "imaginary_leakage" not in payload
+        assert not any("flagged" in row for row in payload["eigenvalues"])
         # each eigenmatrix lives in one parity sector of F[n, m]
         odd = _odd_offsets(N)
         for cand in _dense_candidates(ops, count):
