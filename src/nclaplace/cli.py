@@ -3,10 +3,13 @@
 Subcommands: spectrum | converge | axioms | trace | dump-coords.  The
 surface flags --surface/--axes/--radius go through the same parser as a
 surface config file (``surface.surface_from_spec``), so a flag that does not
-apply to the surface kind is an error, not ignored.  Reports are written as
-JSON and/or CSV with the fully resolved configuration embedded; identical
-configurations produce byte-identical CSV output.  Exit codes: 0 success,
-1 configuration error, 2 solver non-convergence.
+apply to the surface kind is an error, not ignored.  spectrum, converge and
+axioms write their tables through one writer, `write_report`: a CSV that
+opens with the resolved configuration as sorted ``# key = value`` lines
+(spectrum also writes the JSON report), so identical configurations produce
+byte-identical CSV output.  dump-coords writes the coordinate matrices.
+Exit codes: 0 success, 1 configuration or file error, 2 solver
+non-convergence.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import json
 import math
 import sys
 from pathlib import Path
@@ -28,8 +32,42 @@ from .errors import ConfigError, NCLaplaceError, SolverConvergenceError
 TRACE_FUNCTIONS = ("1", "z", "z2", "x2", "xy")
 
 
-def _fmt(x) -> str:
-    return "%.15g" % float(x)
+def _fmt(value) -> str:
+    """One rule for printed numbers and report cells."""
+    if isinstance(value, float):
+        return "%.15g" % value
+    return "" if value is None else str(value)
+
+
+def write_report(out_dir, stem: str, config: dict, rows, payload=None, formats=("csv",)) -> list:
+    """Write ``<stem>.json`` from `payload` when "json" is in `formats`, and
+    ``<stem>.csv`` when "csv" is: the sorted ``# key = value`` lines of
+    `config`, then `rows` (header first), each cell a float as %.15g, None
+    as empty, anything else as str.  Returns the paths written."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    written = []
+    if "json" in formats:
+        path = out / f"{stem}.json"
+        path.write_text(json.dumps(payload, indent=2) + "\n")
+        written.append(path)
+    if "csv" in formats:
+        path = out / f"{stem}.csv"
+        with open(path, "w", newline="") as fh:
+            fh.writelines(f"# {key} = {config[key]}\n" for key in sorted(config))
+            csv.writer(fh).writerows([_fmt(v) for v in row] for row in rows)
+        written.append(path)
+    return written
+
+
+def _size_list(text: str) -> list:
+    try:
+        sizes = [int(t) for t in text.split(",") if t.strip()]
+    except ValueError:
+        sizes = []
+    if not sizes:
+        raise argparse.ArgumentTypeError(f"expected comma-separated matrix sizes, got {text!r}")
+    return sizes
 
 
 def _add_surface_args(p: argparse.ArgumentParser) -> None:
@@ -80,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_surface_args(p)
     _add_grid_args(p, size=False, epsilon=True)
     p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--N-list", dest="N_list", default=None,
+    p.add_argument("--N-list", dest="N_list", type=_size_list, required=True,
                    help="comma-separated matrix sizes (at least two)")
     p.add_argument("--strategy", choices=("auto", "dense", "blocks"), default="auto")
     p.add_argument("--count", type=int, default=9)
@@ -91,7 +129,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_surface_args(p)
     _add_grid_args(p, size=False)
     p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--N-list", dest="N_list", default="50,100,200")
+    p.add_argument("--N-list", dest="N_list", type=_size_list, default="50,100,200",
+                   help="comma-separated matrix sizes")
     p.set_defaults(func=cmd_axioms)
 
     p = add_parser("trace", help="normalized trace of a built-in function vs quadrature")
@@ -132,12 +171,20 @@ def resolve_beta(args, surf: srf.SurfaceDescriptor) -> float:
     return beta
 
 
-def _build_ops(args, surf):
+def _grid(args, surf: srf.SurfaceDescriptor, N: int) -> qz.QuantizationGrid:
     a, b = surf.z_interval
-    beta = resolve_beta(args, surf)
-    grid = qz.build_grid(args.N, a, b, beta, args.grid_offset)
-    ops = ncl.build_operator_set(surf, grid, args.epsilon)
-    return grid, ops
+    return qz.build_grid(N, a, b, resolve_beta(args, surf), args.grid_offset)
+
+
+def _grid_config(args, surf: srf.SurfaceDescriptor) -> dict:
+    """The configuration keys converge and axioms share with spectrum."""
+    return {
+        "surface": surf.name,
+        "semi_axes": list(surf.semi_axes) if surf.semi_axes else None,
+        "beta": resolve_beta(args, surf),
+        "grid_offset": args.grid_offset,
+        "N_list": args.N_list,
+    }
 
 
 def _surface_tag(surf) -> str:
@@ -146,7 +193,8 @@ def _surface_tag(surf) -> str:
 
 def cmd_spectrum(args) -> int:
     surf = resolve_surface(args)
-    grid, ops = _build_ops(args, surf)
+    grid = _grid(args, surf, args.N)
+    ops = ncl.build_operator_set(surf, grid, args.epsilon)
     report = ncl.spectrum(
         ops,
         strategy=args.strategy,
@@ -156,24 +204,18 @@ def cmd_spectrum(args) -> int:
     )
     formats = ("json", "csv") if args.format == "both" else (args.format,)
     stem = f"spectrum_{_surface_tag(surf)}_N{args.N}"
-    written = report.save(args.out, stem, formats)
+    written = write_report(
+        args.out, stem, report.config, report.to_csv_rows(), report.to_json_dict(), formats
+    )
     if args.dump_coords:
         written += qz.dump_coordinate_matrices(ops.coords, args.dump_coords)
 
     ref = oracle.reference_for(surf, args.count)
-    ref_values = None
-    if ref is not None:
-        expanded = sorted(sorted(ref.expanded(), key=abs)[: args.count])
-        ref_values = sorted(
-            (m for m, _ in oracle.cluster_multiplicities(expanded, report.config["cluster_gap"])),
-            key=abs,
-        )
+    ref_values = [] if ref is None else ref.cluster_means(args.count, report.config["cluster_gap"])
     print(f"strategy={report.strategy}  N={args.N}  hbar={_fmt(grid.hbar)}")
     print("cluster  mean                multiplicity  oracle_delta")
     for ci, (mean, mult) in enumerate(sorted(report.clusters, key=lambda c: abs(c[0]))):
-        delta = ""
-        if ref_values is not None and ci < len(ref_values):
-            delta = _fmt(abs(mean - ref_values[ci]))
+        delta = _fmt(abs(mean - ref_values[ci])) if ci < len(ref_values) else ""
         print(f"{ci:>7d}  {_fmt(mean):<18s}  {mult:>12d}  {delta}")
     for path in written:
         print(f"wrote {path}")
@@ -182,95 +224,45 @@ def cmd_spectrum(args) -> int:
 
 def cmd_converge(args) -> int:
     surf = resolve_surface(args)
-    if not args.N_list:
-        raise ConfigError("--N-list is required (comma-separated, at least two sizes)")
-    N_list = [int(t) for t in args.N_list.split(",") if t.strip()]
-    if len(N_list) < 2:
-        raise ConfigError("--N-list needs at least two values of N")
-    beta = resolve_beta(args, surf)
+    config = {
+        **_grid_config(args, surf),
+        "epsilon": args.epsilon,
+        "strategy": args.strategy,
+        "count": args.count,
+        "block_range": args.K,
+    }
     rows = ncl.convergence_study(
-        surf,
-        N_list,
-        args.count,
-        beta=beta,
-        grid_offset=args.grid_offset,
-        strategy=args.strategy,
-        block_range=args.K,
-        epsilon=args.epsilon,
+        surf, args.N_list, args.count, beta=config["beta"], grid_offset=args.grid_offset,
+        strategy=args.strategy, block_range=args.K, epsilon=args.epsilon,
     )
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    table = out / f"converge_{_surface_tag(surf)}.csv"
-    with open(table, "w", newline="") as fh:
-        fh.write(f"# surface = {surf.name}\n")
-        fh.write(f"# beta = {_fmt(beta)}\n")
-        fh.write(f"# grid_offset = {args.grid_offset}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["N", "hbar", "cluster", "lambda", "reference", "abs_error", "fitted_order"])
-        for row in rows:
-            writer.writerow(
-                [
-                    row["N"],
-                    _fmt(row["hbar"]),
-                    row["cluster"],
-                    _fmt(row["lambda"]),
-                    _fmt(row["reference"]),
-                    _fmt(row["abs_error"]),
-                    "" if row["fitted_order"] is None else _fmt(row["fitted_order"]),
-                ]
-            )
-    print(f"wrote {table}")
-    clusters = sorted({r["cluster"] for r in rows})
-    for ci in clusters:
-        data = out / f"converge_{_surface_tag(surf)}_cluster{ci}.dat"
-        with open(data, "w") as fh:
-            fh.write("# gnuplot data: N  abs_error\n")
-            fh.write(f"# surface = {surf.name}, cluster = {ci}\n")
-            for row in rows:
-                if row["cluster"] == ci:
-                    fh.write(f"{row['N']} {_fmt(row['abs_error'])}\n")
-        print(f"wrote {data}")
+    table = [list(rows[0])] + [list(row.values()) for row in rows]
+    for path in write_report(args.out, f"converge_{_surface_tag(surf)}", config, table):
+        print(f"wrote {path}")
     return 0
 
 
 def cmd_axioms(args) -> int:
     surf = resolve_surface(args)
-    beta = resolve_beta(args, surf)
-    a, b = surf.z_interval
-    N_list = [int(t) for t in args.N_list.split(",") if t.strip()]
-    if not N_list:
-        raise ConfigError("--N-list needs at least one value of N")
+    config = _grid_config(args, surf)
     coords = dict(zip("xyz", surf.coordinates))
-    pairs = ("x,y", "y,z", "z,x", "z,z")
     one = _builtin_function(surf, "1")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    table = out / f"axioms_{_surface_tag(surf)}.csv"
     area = srf.surface_area(surf)
-    with open(table, "w", newline="") as fh:
-        fh.write(f"# surface = {surf.name}\n")
-        fh.write(f"# beta = {_fmt(beta)}\n")
-        fh.write(f"# grid_offset = {args.grid_offset}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["N", "pair", "product_defect", "bracket_defect", "norm_bound"])
-        for N in N_list:
-            grid = qz.build_grid(N, a, b, beta, args.grid_offset)
-            # each coordinate quantized once; operator norm over the uniform bound
-            mats = {c: qz.quantize_banded(f, grid) for c, f in coords.items()}
-            ratio = {
-                c: qz.spectral_norm(mats[c]) / qz.norm_bound(f, grid) for c, f in coords.items()
-            }
-            for label in pairs:
-                names = label.split(",")
-                f, g = (coords[c] for c in names)
-                defects = qz.axiom_defects(f, g, grid, *(mats[c] for c in names))
-                bound = max(ratio[c] for c in names)
-                writer.writerow(
-                    [N, label, _fmt(defects.product_defect), _fmt(defects.bracket_defect), _fmt(bound)]
-                )
-            trace_err = abs(qz.trace_functional(qz.quantize_banded(one, grid), grid) - area)
-            writer.writerow([N, "trace(1)", _fmt(trace_err), "", ""])
-    print(f"wrote {table}")
+    rows = [["N", "pair", "product_defect", "bracket_defect", "norm_bound"]]
+    for N in args.N_list:
+        grid = _grid(args, surf, N)
+        # each coordinate quantized once; operator norm over the uniform bound
+        mats = {c: qz.quantize_banded(f, grid) for c, f in coords.items()}
+        ratio = {c: qz.spectral_norm(mats[c]) / qz.norm_bound(f, grid) for c, f in coords.items()}
+        for label in ("x,y", "y,z", "z,x", "z,z"):
+            names = label.split(",")
+            f, g = (coords[c] for c in names)
+            defects = qz.axiom_defects(f, g, grid, *(mats[c] for c in names))
+            bound = max(ratio[c] for c in names)
+            rows.append([N, label, defects.product_defect, defects.bracket_defect, bound])
+        trace_err = abs(qz.trace_functional(qz.quantize_banded(one, grid), grid) - area)
+        rows.append([N, "trace(1)", trace_err, None, None])
+    for path in write_report(args.out, f"axioms_{_surface_tag(surf)}", config, rows):
+        print(f"wrote {path}")
     return 0
 
 
@@ -293,9 +285,7 @@ def _builtin_function(surf, name: str):
 
 def cmd_trace(args) -> int:
     surf = resolve_surface(args)
-    beta = resolve_beta(args, surf)
-    a, b = surf.z_interval
-    grid = qz.build_grid(args.N, a, b, beta, args.grid_offset)
+    grid = _grid(args, surf, args.N)
     f = _builtin_function(surf, args.function)
     t = qz.trace_functional(qz.quantize_banded(f, grid), grid)
     integral = srf.surface_integral(surf, f)
@@ -308,10 +298,7 @@ def cmd_trace(args) -> int:
 
 def cmd_dump_coords(args) -> int:
     surf = resolve_surface(args)
-    beta = resolve_beta(args, surf)
-    a, b = surf.z_interval
-    grid = qz.build_grid(args.N, a, b, beta, args.grid_offset)
-    coords = qz.coordinate_matrices(surf, grid)
+    coords = qz.coordinate_matrices(surf, _grid(args, surf, args.N))
     formats = ("binary", "json") if args.format == "both" else (args.format,)
     for path in qz.dump_coordinate_matrices(coords, args.out, formats):
         print(f"wrote {path}")
@@ -329,7 +316,7 @@ def main(argv=None) -> int:
     except SolverConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NCLaplaceError, ValueError) as exc:
+    except (NCLaplaceError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -31,13 +31,10 @@ matrices is a sum of shifted elementwise products of their diagonals.
 
 from __future__ import annotations
 
-import csv
 import heapq
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 import scipy.linalg as sla
@@ -597,30 +594,9 @@ class SpectrumReport:
         return out
 
     def to_csv_rows(self) -> list:
-        rows = [["value", "residual", "block", "cluster"]]
-        for v, r, b, c in zip(self.eigenvalues, self.residuals, self.blocks, self.cluster_index):
-            rows.append(
-                ["%.15g" % v, "%.15g" % r, "" if b is None else str(b), str(c)]
-            )
-        return rows
-
-    def save(self, out_dir, stem: str, formats=("json", "csv")) -> list:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        written = []
-        if "json" in formats:
-            p = out / f"{stem}.json"
-            p.write_text(json.dumps(self.to_json_dict(), indent=2, sort_keys=False) + "\n")
-            written.append(p)
-        if "csv" in formats:
-            p = out / f"{stem}.csv"
-            with open(p, "w", newline="") as fh:
-                for key in sorted(self.config):
-                    fh.write(f"# {key} = {self.config[key]}\n")
-                writer = csv.writer(fh)
-                writer.writerows(self.to_csv_rows())
-            written.append(p)
-        return written
+        """The header, then one unformatted row per eigenvalue."""
+        rows = zip(self.eigenvalues, self.residuals, self.blocks, self.cluster_index)
+        return [("value", "residual", "block", "cluster"), *rows]
 
 
 def _select_strategy(ops: QuantizedOperatorSet, strategy: str) -> str:
@@ -847,14 +823,17 @@ def convergence_study(
 ) -> list:
     """Cluster-level eigenvalue errors against a classical reference.
 
-    Returns one row per (N, cluster): dict with keys N, hbar, cluster,
-    lambda, reference, abs_error, fitted_order.  The reference defaults to
+    The sizes must be distinct.  Returns one row per (N, cluster): dict with
+    keys N, hbar, cluster, lambda, reference, abs_error, fitted_order, in
+    that order, ascending in N.  The reference defaults to
     ``reference_for(surface, count)``; a ClassicalSpectrum can be passed
     explicitly.
     """
     N_list = sorted(int(n) for n in N_list)
     if len(N_list) < 2:
         raise ConfigError("convergence study needs at least two values of N")
+    if len(set(N_list)) < len(N_list):
+        raise ConfigError(f"convergence study sizes must be distinct, got {N_list}")
     if reference is None:
         reference = reference_for(surface, count)
         if reference is None:
@@ -869,10 +848,7 @@ def convergence_study(
         runs.append((N, grid.hbar, rep))
 
     # cluster the reference with the finest run's gap so levels line up
-    gap_finest = 10.0 * runs[-1][1]
-    ref_expanded = sorted(sorted(reference.expanded(), key=abs)[:count])
-    ref_clusters = cluster_multiplicities(ref_expanded, gap_finest)
-    ref_values = sorted((m for m, _ in ref_clusters), key=abs)
+    ref_values = reference.cluster_means(count, 10.0 * runs[-1][1])
 
     rows = []
     n_clusters = min(len(ref_values), min(len(r[2].clusters) for r in runs))

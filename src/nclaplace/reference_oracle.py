@@ -48,6 +48,12 @@ class ClassicalSpectrum:
             out.extend([e.value] * e.multiplicity)
         return out
 
+    def cluster_means(self, count: int, gap: float) -> list:
+        """Means of the clusters (`cluster_multiplicities` with `gap`) of the
+        `count` levels nearest zero, sorted by absolute value."""
+        nearest = sorted(sorted(self.expanded(), key=abs)[:count])
+        return sorted((m for m, _ in cluster_multiplicities(nearest, gap)), key=abs)
+
 
 def _sphere_multiplicity(k: int) -> int:
     # dimension of the degree-k harmonic space on the 2-sphere

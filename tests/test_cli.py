@@ -177,19 +177,20 @@ def test_zero_eigenmatrix_exits_two(tmp_path, capsys, monkeypatch):
 
 
 def test_spectrum_csv_deterministic(tmp_path):
-    args = [
-        "spectrum",
-        "--surface", "sphere",
-        "--N", "24",
-        "--strategy", "blocks",
-        "--count", "6",
-        "--K", "2",
+    # every command that writes a CSV table goes through the same writer
+    runs = [
+        (["spectrum", "--surface", "sphere", "--N", "24", "--strategy", "blocks",
+          "--count", "6", "--K", "2"], "spectrum_sphere_N24.csv"),
+        (["converge", "--surface", "sphere", "--N-list", "50,100", "--count", "4", "--K", "1"],
+         "converge_sphere.csv"),
+        (["axioms", "--surface", "sphere", "--N-list", "50,100"], "axioms_sphere.csv"),
     ]
-    assert main(args + ["--out", str(tmp_path / "a")]) == 0
-    assert main(args + ["--out", str(tmp_path / "b")]) == 0
-    a = (tmp_path / "a" / "spectrum_sphere_N24.csv").read_bytes()
-    b = (tmp_path / "b" / "spectrum_sphere_N24.csv").read_bytes()
-    assert a == b
+    for args, name in runs:
+        assert main(args + ["--out", str(tmp_path / "a")]) == 0
+        assert main(args + ["--out", str(tmp_path / "b")]) == 0
+        a = (tmp_path / "a" / name).read_bytes()
+        b = (tmp_path / "b" / name).read_bytes()
+        assert a == b, name
 
 
 def test_converge_requires_two_sizes(tmp_path, capsys):
@@ -218,8 +219,37 @@ def test_converge_sphere_table(tmp_path):
     rows = [l.split(",") for l in table if l and l[0].isdigit()]
     errs = {(r[0], r[2]): float(r[5]) for r in rows}
     assert errs[("100", "1")] < errs[("50", "1")]
-    assert (tmp_path / "converge_sphere_cluster1.dat").exists()
-    assert "# gnuplot" in (tmp_path / "converge_sphere_cluster0.dat").read_text()
+    config = dict(l[2:].split(" = ") for l in table if l.startswith("#"))
+    assert config["count"] == "4"
+    assert config["block_range"] == "1"
+    assert config["strategy"] == "auto"
+    assert config["epsilon"] == "1e-12"
+    assert config["N_list"] == "[50, 100]"
+    assert not list(tmp_path.glob("*.dat"))
+
+
+def test_converge_repeated_sizes_is_config_error(tmp_path, capsys):
+    argv = ["converge", "--surface", "sphere", "--N-list", "50,50,100", "--count", "4", "--K", "1"]
+    assert main([*argv, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "distinct" in err
+    assert not list(tmp_path.glob("converge_*.csv"))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--surface", "sphere", "--N", "4", "--strategy", "dense", "--count", "2"],
+        ["dump-coords", "--surface", "sphere", "--N", "4"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_out_naming_a_file_exits_one(argv, tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main([*argv, "--out", str(taken)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(taken) in err
 
 
 def test_converge_spheroid_uses_separated_reference(tmp_path):
@@ -356,9 +386,10 @@ def test_axioms_real_band_matches_complex_band(tmp_path, monkeypatch, flags):
     complex_norm = lambda M: _complex_band_norm(M) if np.any(M.data) else 0.0
     monkeypatch.setattr(qz, "spectral_norm", complex_norm)
     hermitian = rows(tmp_path / "complex")
-    assert len(real) == len(hermitian) == 3 + 1 + 3 * 5
-    assert real[:4] == hermitian[:4]
-    for got, want in zip(csv.reader(real[4:]), csv.reader(hermitian[4:])):
+    real, hermitian = ([l for l in t if not l.startswith("#")] for t in (real, hermitian))
+    assert len(real) == len(hermitian) == 1 + 3 * 5
+    assert real[0] == hermitian[0]
+    for got, want in zip(csv.reader(real[1:]), csv.reader(hermitian[1:])):
         assert got[:2] == want[:2]
         if got[1] in ("z,z", "trace(1)"):
             assert got == want

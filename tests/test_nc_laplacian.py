@@ -17,7 +17,7 @@ from nclaplace.errors import (
     NotRevolutionSurfaceError,
     SolverConvergenceError,
 )
-from nclaplace import nc_laplacian
+from nclaplace import cli, nc_laplacian
 from nclaplace.nc_laplacian import _dense_candidates, _embed_offset, assemble_dense_superoperator
 
 from conftest import metric_oracle
@@ -399,11 +399,11 @@ class TestSpectrum:
         # three blocks, four kept levels, one push saved, and blocks +-2
         assert rep.to_json_dict()["diagnostics"] == {"levels_solved": 3 + 4 - 1 + 2}
         assert "diagnostics" not in rep.config
-        csv_path = rep.save(tmp_path, "rep", formats=("csv",))[0]
+        (csv_path,) = cli.write_report(tmp_path, "rep", rep.config, rep.to_csv_rows())
         assert "levels_solved" not in csv_path.read_text()
         assert "diagnostics" not in nc.spectrum(ops, strategy="dense", count=4).to_json_dict()
 
-    def test_report_serialization(self, unit_sphere, tmp_path):
+    def test_report_serialization(self, unit_sphere):
         ops = _ops(unit_sphere, 12)
         rep = nc.spectrum(ops, strategy="blocks", count=4, block_range=1)
         payload = rep.to_json_dict()
@@ -419,9 +419,6 @@ class TestSpectrum:
             assert "flagged" not in row
         assert "imaginary_leakage" not in payload
         json.dumps(payload)  # must be serializable as-is
-        first = rep.save(tmp_path, "rep")
-        again = rep.save(tmp_path / "copy", "rep")
-        assert (tmp_path / "rep.csv").read_bytes() == (tmp_path / "copy" / "rep.csv").read_bytes()
 
 
 def _odd_offsets(N):
