@@ -79,16 +79,13 @@ def _add_surface_args(p: argparse.ArgumentParser) -> None:
                    help="sphere radius (sphere only; default 1)")
 
 
-def _add_grid_args(p: argparse.ArgumentParser, size: bool = True, epsilon: bool = False) -> None:
-    """Grid flags; --N and --epsilon only on the subcommands that read them."""
+def _add_grid_args(p: argparse.ArgumentParser, size: bool = True) -> None:
+    """Grid flags; --N only on the subcommands that read it."""
     if size:
         p.add_argument("--N", type=int, default=100, help="matrix size")
     p.add_argument("--beta", default="1",
                    help="grid scale parameter: a float, or 'auto' for area/(2*pi*(b-a))")
     p.add_argument("--grid-offset", choices=qz.GRID_OFFSETS, default="paper")
-    if epsilon:
-        p.add_argument("--epsilon", type=float, default=1e-12,
-                       help="relative threshold for the regularized inverse of gamma")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -103,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("spectrum", help="compute the low spectrum and write a report")
     _add_surface_args(p)
-    _add_grid_args(p, epsilon=True)
+    _add_grid_args(p)
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--format", choices=("json", "csv", "both"), default="both")
     p.add_argument("--strategy", choices=("auto", "dense", "blocks"), default="auto")
@@ -116,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("converge", help="eigenvalue errors against a classical reference")
     _add_surface_args(p)
-    _add_grid_args(p, size=False, epsilon=True)
+    _add_grid_args(p, size=False)
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--N-list", dest="N_list", type=_size_list, required=True,
                    help="comma-separated matrix sizes (at least two)")
@@ -194,7 +191,7 @@ def _surface_tag(surf) -> str:
 def cmd_spectrum(args) -> int:
     surf = resolve_surface(args)
     grid = _grid(args, surf, args.N)
-    ops = ncl.build_operator_set(surf, grid, args.epsilon)
+    ops = ncl.build_operator_set(surf, grid)
     report = ncl.spectrum(
         ops,
         strategy=args.strategy,
@@ -226,14 +223,13 @@ def cmd_converge(args) -> int:
     surf = resolve_surface(args)
     config = {
         **_grid_config(args, surf),
-        "epsilon": args.epsilon,
-        "strategy": args.strategy,
+        "strategy": ncl.resolve_strategy(args.strategy, surf.revolution),
         "count": args.count,
         "block_range": args.K,
     }
     rows = ncl.convergence_study(
         surf, args.N_list, args.count, beta=config["beta"], grid_offset=args.grid_offset,
-        strategy=args.strategy, block_range=args.K, epsilon=args.epsilon,
+        strategy=args.strategy, block_range=args.K,
     )
     table = [list(rows[0])] + [list(row.values()) for row in rows]
     for path in write_report(args.out, f"converge_{_surface_tag(surf)}", config, table):

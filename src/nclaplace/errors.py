@@ -18,7 +18,9 @@ class ConsistencyError(NCLaplaceError):
 
 
 class DegenerateMetricError(NCLaplaceError):
-    """All eigenvalues of the quantized area density fell below threshold."""
+    """The quantized area density gamma is not safely invertible: it has no
+    positive eigenvalue, or its smallest is below GAMMA_MIN_RATIO times its
+    largest."""
 
 
 class NotRevolutionSurfaceError(NCLaplaceError):

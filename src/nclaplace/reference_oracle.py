@@ -55,20 +55,12 @@ class ClassicalSpectrum:
         return sorted((m for m, _ in cluster_multiplicities(nearest, gap)), key=abs)
 
 
-def _sphere_multiplicity(k: int) -> int:
-    # dimension of the degree-k harmonic space on the 2-sphere
-    n = 2
-    lead = math.comb(n + k, k)
-    sub = math.comb(n + k - 2, k - 2) if k >= 2 else 0
-    return lead - sub
-
-
 def analytic_sphere_spectrum(k_max: int) -> ClassicalSpectrum:
     """Unit-sphere levels -k(k+1) with multiplicity 2k+1 for k = 0..k_max."""
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
     entries = [
-        SpectrumEntry(-float(k * (k + 1)), _sphere_multiplicity(k), "analytic")
+        SpectrumEntry(-float(k * (k + 1)), 2 * k + 1, "analytic")
         for k in range(k_max, -1, -1)
     ]
     return ClassicalSpectrum(tuple(entries), {"k_max": k_max})
@@ -147,13 +139,7 @@ def _keep_prefix(levels, count: int):
     return kept, total
 
 
-def revolution_spectrum(
-    s,
-    m_max: int,
-    grid_points: int,
-    count: int,
-    source: str = "sturm_liouville",
-) -> ClassicalSpectrum:
+def revolution_spectrum(s, m_max: int, grid_points: int, count: int) -> ClassicalSpectrum:
     """Low spectrum of a revolution surface by separated finite differences.
 
     Walks the azimuthal modes m = 0, 1, ..., m_max on `grid_points` cells of
@@ -219,7 +205,7 @@ def revolution_spectrum(
                 f"with an estimated error {est:.2e}; refine the grid or request fewer eigenvalues"
             )
     entries = [
-        SpectrumEntry(float(v), mult, source)
+        SpectrumEntry(float(v), mult, "sturm_liouville")
         for v, mult, _, _ in sorted(kept, key=lambda t: t[0])
     ]
     meta = {

@@ -31,8 +31,9 @@ def test_spectrum_small_sphere_contains_kernel(tmp_path, capsys):
     assert min(abs(v) for v in values) < 1e-12
     # the resolved configuration travels with the report
     assert payload["config"]["beta"] == 1.0
-    assert payload["config"]["epsilon"] == 1e-12
     assert payload["config"]["grid_offset"] == "paper"
+    # gamma^{-1} is the exact inverse: no regularization setting to record
+    assert not {"epsilon", "gamma_truncated_modes"} & set(payload["config"])
 
 
 def test_spectrum_blocks_summary_has_oracle_deltas(tmp_path, capsys):
@@ -144,20 +145,17 @@ def test_triaxial_dense_succeeds_blocks_fails(tmp_path, capsys):
     assert "equatorial" in err or "offset" in err or "theta" in err
 
 
-def test_dense_truncated_gamma_exits_one(tmp_path, capsys):
-    code = main(
-        [
-            "spectrum",
-            "--surface", "ellipsoid",
-            "--axes", "1,2,3",
-            "--N", "12",
-            "--epsilon", "0.3",
-            "--strategy", "dense",
-            "--out", str(tmp_path),
-        ]
-    )
-    assert code == 1
-    assert "truncated" in capsys.readouterr().err
+def test_triaxial_far_above_dense_cap_is_refused_before_gamma(tmp_path, capsys, monkeypatch):
+    # the refusal costs what N = 81 costs: the dense N x N decomposition of
+    # the commutator-square sum is never started
+    def no_eigh(M):
+        raise AssertionError(f"gamma decomposed at size {len(M)}")
+
+    monkeypatch.setattr(nc_laplacian, "_eigh", no_eigh)
+    args = ["spectrum", "--surface", "ellipsoid", "--axes", "1,2,3", "--N", "2000",
+            "--out", str(tmp_path)]
+    assert main(args) == 1
+    assert "N <= 80" in capsys.readouterr().err
     assert not list(tmp_path.glob("spectrum_*"))
 
 
@@ -222,8 +220,8 @@ def test_converge_sphere_table(tmp_path):
     config = dict(l[2:].split(" = ") for l in table if l.startswith("#"))
     assert config["count"] == "4"
     assert config["block_range"] == "1"
-    assert config["strategy"] == "auto"
-    assert config["epsilon"] == "1e-12"
+    assert config["strategy"] == "blocks"  # resolved, as in the spectrum CSV
+    assert "epsilon" not in config
     assert config["N_list"] == "[50, 100]"
     assert not list(tmp_path.glob("*.dat"))
 
@@ -556,6 +554,8 @@ def test_help_exits_zero():
     [
         ["converge", "--N-list", "50,100", "--N", "100"],
         ["converge", "--N-list", "50,100", "--format", "json"],
+        ["converge", "--N-list", "50,100", "--epsilon", "1e-12"],
+        ["spectrum", "--N", "4", "--epsilon", "1e-12"],
         ["axioms", "--N", "100"],
         ["axioms", "--epsilon", "1e-12"],
         ["axioms", "--format", "csv"],

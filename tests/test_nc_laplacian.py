@@ -23,10 +23,10 @@ from nclaplace.nc_laplacian import _dense_candidates, _embed_offset, assemble_de
 from conftest import metric_oracle
 
 
-def _ops(surf, N, beta=1.0, offset="paper", epsilon=1e-12):
+def _ops(surf, N, beta=1.0, offset="paper"):
     a, b = surf.z_interval
     grid = nc.build_grid(N, a, b, beta, offset)
-    return nc.build_operator_set(surf, grid, epsilon)
+    return nc.build_operator_set(surf, grid)
 
 
 class TestGamma:
@@ -74,24 +74,66 @@ class TestGamma:
 
 
 class TestGammaInverse:
-    def test_identity(self):
-        inv, truncated = nc.gamma_inverse(np.ones(5), 1e-12)
-        np.testing.assert_allclose(np.diag(inv), np.eye(5), atol=1e-14)
-        assert truncated == 0
+    def test_exact_inverse(self):
+        # the floor is relative: min/max = 1.5e-12 is inverted
+        w = 1e6 * np.array([2.0, 1.0, 0.25, 3e-12])
+        np.testing.assert_array_equal(nc.gamma_inverse(w), 1.0 / w)
 
-    def test_thresholding_example(self):
-        gamma_eigenvalues = np.array([2.0, 1.0, 1e-18])
-        inv, truncated = nc.gamma_inverse(gamma_eigenvalues, 1e-12)
-        np.testing.assert_allclose(np.diag(inv), np.diag([0.5, 1.0, 0.0]), atol=1e-14)
-        assert truncated == 1
-
-    def test_degenerate_raises(self):
+    @pytest.mark.parametrize(
+        "w",
+        [np.zeros(3), -np.ones(3), 1e6 * np.array([2.0, 1.0, 1e-12]), np.array([1.0, 0.0]),
+         np.array([1.0, -1e-3])],
+        ids=["zero", "negative", "near-singular", "singular", "indefinite"],
+    )
+    def test_degenerate_raises(self, w):
         with pytest.raises(DegenerateMetricError):
-            nc.gamma_inverse(np.zeros(3), 1e-12)
+            nc.gamma_inverse(w)
 
-    def test_sphere_well_conditioned(self, unit_sphere):
-        ops = _ops(unit_sphere, 100)
-        assert ops.gamma_truncated_modes == 0
+    def test_refused_when_the_operator_set_is_built(self, unit_sphere, monkeypatch):
+        # the one refusal sits in the constructor, before any solve
+        calls = []
+        original = nc_laplacian.gamma_inverse
+        monkeypatch.setattr(nc_laplacian, "gamma_inverse", lambda w: calls.append(w) or original(w))
+        ops = _ops(unit_sphere, 8)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(ops.gamma_inv_eigenvalues, 1.0 / ops.gamma_eigenvalues)
+        w = ops.gamma_eigenvalues.copy()
+        w[3] = 0.0
+        with pytest.raises(DegenerateMetricError):
+            nc.QuantizedOperatorSet(ops.coords, w, None)
+
+    def test_three_fields_and_the_grid_read_through(self, triaxial_123):
+        ops = _ops(triaxial_123, 10, beta=0.7, offset="symmetric")
+        names = [f.name for f in dataclasses.fields(nc.QuantizedOperatorSet)]
+        assert names == ["coords", "gamma_eigenvalues", "gamma_eigenvectors"]
+        assert ops.hbar == ops.coords.grid.hbar and ops.N == 10
+
+
+#: every surface kind the CLI builds, with aspect ratios from 0.2 to 20
+GAMMA_SURFACES = [
+    pytest.param(nc.sphere(), id="sphere"),
+    pytest.param(nc.spheroid(1.0, 2.0), id="spheroid-1-2"),
+    pytest.param(nc.spheroid(1.0, 0.2), id="spheroid-1-0.2"),
+    pytest.param(nc.spheroid(1.0, 10.0), id="spheroid-1-10"),
+    pytest.param(nc.ellipsoid(1.0, 2.0, 3.0), id="ellipsoid-1-2-3"),
+    pytest.param(nc.ellipsoid(1.0, 10.0, 20.0), id="ellipsoid-1-10-20"),
+]
+
+
+@pytest.mark.parametrize("offset", ["paper", "symmetric"])
+@pytest.mark.parametrize("surf", GAMMA_SURFACES)
+def test_gamma_is_positive_definite_with_margin(surf, offset):
+    # gamma^{-1} is the plain inverse because no grid in use comes near the
+    # GAMMA_MIN_RATIO floor: the smallest min/max measured is about 1.25e-5
+    sizes = (2, 3, 8, 40, 80) + ((1000, 8000, 32000) if surf.revolution else ())
+    a, b = surf.z_interval
+    auto = nc.default_beta(surf)
+    # an `auto` beta above 1 puts nodes outside the surface interval, so no
+    # operator set exists there (DomainError from the quantization)
+    for beta in (0.5, 1.0) + ((auto,) if auto <= 1.0 else ()):
+        for N in sizes:
+            w = nc.build_operator_set(surf, nc.build_grid(N, a, b, beta, offset)).gamma_eigenvalues
+            assert w.min() / w.max() > 1e6 * nc_laplacian.GAMMA_MIN_RATIO, (beta, N)
 
 
 class TestApply:
@@ -219,15 +261,19 @@ class TestDenseSuperoperator:
         w = np.linalg.eigvals(assemble_dense_superoperator(ops))
         assert np.abs(w).min() < 1e-12
 
-    def test_cap_refusal(self, triaxial_123):
+    def test_cap_refusal(self, triaxial_123, prolate_112):
         N = nc_laplacian.DENSE_CAP + 1
-        ops = _ops(triaxial_123, N)
+        # a forced dense run on a surface of revolution reaches the assembly
+        ops = _ops(prolate_112, N)
         for parity in (None, 0):
             with pytest.raises(DenseSizeError):
                 assemble_dense_superoperator(ops, parity=parity)
-        # no other strategy serves a surface that is not one of revolution
         with pytest.raises(DenseSizeError, match=f"N <= {nc_laplacian.DENSE_CAP} "):
-            nc.spectrum(ops)
+            nc.spectrum(ops, strategy="dense")
+        # no other strategy serves a surface that is not one of revolution, so
+        # its gamma is refused before the dense decomposition
+        with pytest.raises(DenseSizeError, match=f"N <= {nc_laplacian.DENSE_CAP} "):
+            _ops(triaxial_123, N)
 
     def test_parity_must_name_a_sector(self, triaxial_123):
         with pytest.raises(ValueError, match="parity"):
@@ -282,25 +328,18 @@ class TestBlocks:
         with pytest.raises(ValueError, match="take"):
             block.lowest(0)
 
-    def test_truncated_gamma_mode_raises(self, unit_sphere):
-        # a truncated mode zeroes a row of gamma^{-1} and decouples its block
-        ops = _ops(unit_sphere, 20, epsilon=0.5)
-        assert ops.gamma_truncated_modes > 0
-        with pytest.raises(ConsistencyError):
-            nc.spectrum(ops, strategy="blocks", count=4, block_range=1)
-
     def test_triaxial_raises(self, triaxial_123):
         ops = _ops(triaxial_123, 8)
         with pytest.raises(NotRevolutionSurfaceError):
             nc.block_decompose(ops, 3)
 
-    def test_triaxial_gamma_leakage_detected_without_flag(self, triaxial_123):
-        # even if the revolution flag were wrongly set, the off-diagonal mass
-        # of gamma is caught before any block is trusted
-        ops = _ops(triaxial_123, 8)
-        ops.surface_is_revolution = True
-        with pytest.raises(NotRevolutionSurfaceError):
-            nc.block_decompose(ops, 3)
+    def test_triaxial_wrongly_flagged_revolution_is_refused(self, triaxial_123):
+        # a wrong revolution flag cannot make gamma diagonal: the off-diagonal
+        # mass of the commutator-square sum is caught in build_gamma
+        flagged = dataclasses.replace(triaxial_123, revolution=True)
+        grid = nc.build_grid(8, *flagged.z_interval, 1.0)
+        with pytest.raises(NotRevolutionSurfaceError, match="off-diagonal mass"):
+            nc.build_gamma(nc.coordinate_matrices(flagged, grid), grid.hbar)
 
     def test_offset_grading_of_full_apply(self, unit_sphere):
         ops = _ops(unit_sphere, 16)
@@ -466,12 +505,6 @@ class TestDenseSectors:
         # gamma and gamma^{-1} from one eigh per index-parity class
         assert not ops.gamma[odd].any()
         assert not ops.gamma_inv[odd].any()
-
-    def test_truncated_gamma_is_refused(self, triaxial_123):
-        ops = _ops(triaxial_123, 12, epsilon=0.3)
-        assert ops.gamma_truncated_modes > 0
-        with pytest.raises(ConsistencyError, match="truncated"):
-            nc.spectrum(ops, strategy="dense", count=9)
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("bad", [0.0, np.nan, np.inf], ids=["zero", "nan", "inf"])
