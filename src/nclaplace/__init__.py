@@ -45,6 +45,7 @@ from .reference_oracle import (
     SpectrumEntry,
     analytic_sphere_spectrum,
     cluster_multiplicities,
+    galerkin_spectrum,
     reference_for,
     revolution_spectrum,
     revolution_spectrum_richardson,

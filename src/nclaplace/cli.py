@@ -26,7 +26,13 @@ from . import nc_laplacian as ncl
 from . import quantization as qz
 from . import reference_oracle as oracle
 from . import surface as srf
-from .errors import ConfigError, NCLaplaceError, SolverConvergenceError
+from .errors import (
+    ConfigError,
+    DomainError,
+    NCLaplaceError,
+    ResolutionError,
+    SolverConvergenceError,
+)
 
 #: functions accepted by the trace command, built from the surface coordinates
 TRACE_FUNCTIONS = ("1", "z", "z2", "x2", "xy")
@@ -84,7 +90,8 @@ def _add_grid_args(p: argparse.ArgumentParser, size: bool = True) -> None:
     if size:
         p.add_argument("--N", type=int, default=100, help="matrix size")
     p.add_argument("--beta", default="1",
-                   help="grid scale parameter: a float, or 'auto' for area/(2*pi*(b-a))")
+                   help="grid scale parameter: a float, or 'auto' for area/(2*pi*(b-a)); "
+                        "the grid fits the surface only for beta <= 1 (paper offset)")
     p.add_argument("--grid-offset", choices=qz.GRID_OFFSETS, default="paper")
 
 
@@ -168,9 +175,25 @@ def resolve_beta(args, surf: srf.SurfaceDescriptor) -> float:
     return beta
 
 
-def _grid(args, surf: srf.SurfaceDescriptor, N: int) -> qz.QuantizationGrid:
+def _grid(args, surf: srf.SurfaceDescriptor, N: int, fitted: bool = True) -> qz.QuantizationGrid:
+    """The grid of --N/--beta/--grid-offset.  With `fitted`, a grid whose
+    nodes leave the surface interval, where the coordinates cannot be
+    quantized, is refused with a ConfigError that names --beta."""
     a, b = surf.z_interval
-    return qz.build_grid(N, a, b, resolve_beta(args, surf), args.grid_offset)
+    beta = resolve_beta(args, surf)
+    grid = qz.build_grid(N, a, b, beta, args.grid_offset)
+    if fitted:
+        nodes = grid.nodes()
+        try:
+            surf.coordinates[2].check_domain(nodes)
+        except DomainError:
+            largest = beta * (b - a) / (nodes[-1] - a)
+            raise ConfigError(
+                f"--beta {beta:.6g} puts the N = {N} grid on z in [{nodes[0]:g}, {nodes[-1]:g}], "
+                f"past the surface interval [{a:g}, {b:g}]; the grid fits only for smaller "
+                f"beta (beta <= {largest:.6g})"
+            ) from None
+    return grid
 
 
 def _grid_config(args, surf: srf.SurfaceDescriptor) -> dict:
@@ -207,9 +230,18 @@ def cmd_spectrum(args) -> int:
     if args.dump_coords:
         written += qz.dump_coordinate_matrices(ops.coords, args.dump_coords)
 
-    ref = oracle.reference_for(surf, args.count)
+    try:
+        ref = oracle.reference_for(surf, args.count)
+    except ResolutionError:  # the solve stands; only the printed deltas are lost
+        ref, oracle_line = None, "oracle=unresolved"
+    else:
+        oracle_line = "oracle=none" if ref is None else (
+            f"oracle={ref.entries[0].source}  "
+            f"max_error_estimate={_fmt(float(ref.metadata.get('max_error_estimate', 0.0)))}"
+        )
     ref_values = [] if ref is None else ref.cluster_means(args.count, report.config["cluster_gap"])
     print(f"strategy={report.strategy}  N={args.N}  hbar={_fmt(grid.hbar)}")
+    print(oracle_line)
     print("cluster  mean                multiplicity  oracle_delta")
     for ci, (mean, mult) in enumerate(sorted(report.clusters, key=lambda c: abs(c[0]))):
         delta = _fmt(abs(mean - ref_values[ci])) if ci < len(ref_values) else ""
@@ -221,6 +253,8 @@ def cmd_spectrum(args) -> int:
 
 def cmd_converge(args) -> int:
     surf = resolve_surface(args)
+    for N in args.N_list:  # refuse a grid that leaves the surface before any solve
+        _grid(args, surf, N)
     config = {
         **_grid_config(args, surf),
         "strategy": ncl.resolve_strategy(args.strategy, surf.revolution),
@@ -281,7 +315,8 @@ def _builtin_function(surf, name: str):
 
 def cmd_trace(args) -> int:
     surf = resolve_surface(args)
-    grid = _grid(args, surf, args.N)
+    # the constant is defined past the surface interval (`_builtin_function`)
+    grid = _grid(args, surf, args.N, fitted=args.function != "1")
     f = _builtin_function(surf, args.function)
     t = qz.trace_functional(qz.quantize_banded(f, grid), grid)
     integral = srf.surface_integral(surf, f)

@@ -37,7 +37,8 @@ class SolverConvergenceError(NCLaplaceError):
 
 
 class ResolutionError(NCLaplaceError):
-    """Finite-difference grid too coarse to resolve the requested eigenvalues."""
+    """A classical reference's discretization (finite-difference grid or
+    Galerkin degree) is too coarse to resolve the requested eigenvalues."""
 
 
 class ConfigError(NCLaplaceError):

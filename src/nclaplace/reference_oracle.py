@@ -1,11 +1,12 @@
 """Independent classical references for the spectrum computations.
 
-Provides the closed-form sphere spectrum with multiplicities, a separated
-Sturm-Liouville finite-difference solver for surfaces of revolution, the
-rule that picks one of them for a surface (``reference_for``), and the
-greedy clustering used to group near-degenerate numerical eigenvalues.  The
-sign convention matches the matrix operator: reported eigenvalues are
-nonpositive.
+Provides the closed-form sphere spectrum with multiplicities, a spectral
+per-mode Galerkin solver for surfaces of revolution (the default reference
+there), a separated Sturm-Liouville finite-difference solver kept as its
+cross-check, the rule that picks one of them for a surface
+(``reference_for``), and the greedy clustering used to group near-degenerate
+numerical eigenvalues.  The sign convention matches the matrix operator:
+reported eigenvalues are nonpositive.
 """
 
 from __future__ import annotations
@@ -16,15 +17,26 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
+from scipy.special import roots_legendre
 
-from .errors import ResolutionError
+from .errors import NotRevolutionSurfaceError, ResolutionError
+
+#: basis functions per azimuthal mode of the first Galerkin solve, doubled
+#: until the estimate passes, and the largest count tried
+GALERKIN_DEGREE = 24
+GALERKIN_MAX_DEGREE = 384
+#: the estimate compares each level with the one from the leading
+#: degree - GALERKIN_NEST basis functions
+GALERKIN_NEST = 8
+#: a kept level passes when its estimate is below GALERKIN_TOL * (1 + |lambda|)
+GALERKIN_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class SpectrumEntry:
     value: float
     multiplicity: int
-    source: str  # "analytic" | "sturm_liouville"
+    source: str  # "analytic" | "galerkin" | "sturm_liouville"
 
 
 @dataclass(frozen=True)
@@ -66,6 +78,14 @@ def analytic_sphere_spectrum(k_max: int) -> ClassicalSpectrum:
     return ClassicalSpectrum(tuple(entries), {"k_max": k_max})
 
 
+def _revolution_axes(s):
+    """Equatorial and axial semi-axes (a, c) of a sphere or spheroid."""
+    if not s.revolution or s.semi_axes is None:
+        raise NotRevolutionSurfaceError(f"{s.name}: no separated classical problem available")
+    a_eq, _, c_ax = s.semi_axes
+    return a_eq, c_ax
+
+
 def _meridian_coefficients(s):
     """Radius and meridian stretch along the colatitude-type angle t in (0, pi).
 
@@ -74,11 +94,7 @@ def _meridian_coefficients(s):
     angle coordinate keeps every coefficient smooth and r vanishing linearly
     at the poles, which is what makes the finite differences second order.
     """
-    if not s.revolution or s.semi_axes is None:
-        from .errors import NotRevolutionSurfaceError
-
-        raise NotRevolutionSurfaceError(f"{s.name}: no separated classical problem available")
-    a_eq, _, c_ax = s.semi_axes
+    a_eq, c_ax = _revolution_axes(s)
 
     def r(t):
         return a_eq * np.sin(t)
@@ -271,18 +287,139 @@ def revolution_spectrum_richardson(
     return ClassicalSpectrum(tuple(entries), meta)
 
 
+def _legendre_basis(m: int, L: int, x):
+    """Orthonormal associated Legendre functions on [-1, 1] and their
+    derivatives: P[i] = Pbar_l^m(x) and D[i] = (1 - x^2) Pbar_l^m'(x) for
+    l = m + i, i < L.
+
+    P comes from the three-term recurrence in l started at
+    Pbar_m^m = const * (1 - x^2)^(m/2), and D from the identity
+    (1 - x^2) P_l^m' = (l + m) P_{l-1}^m - l x P_l^m rescaled to the
+    orthonormal functions.  The phase convention does not matter here.
+    """
+    l = np.arange(m, m + L, dtype=float)
+    P = np.empty((L, x.size))
+    norm = math.sqrt(0.5 * math.prod((2 * k + 1) / (2 * k) for k in range(1, m + 1)))
+    P[0] = norm * (1.0 - x * x) ** (0.5 * m)
+    # P_l = alpha_l (x P_{l-1} - beta_l P_{l-2}) for l > m, with beta_{m+1} = 0
+    up = l[1:]
+    alpha = np.sqrt((4 * up * up - 1) / (up * up - m * m))
+    beta = np.sqrt(((up - 1) ** 2 - m * m) / (4 * (up - 1) ** 2 - 1))
+    prev = np.zeros_like(x)
+    for i in range(1, L):
+        P[i] = alpha[i - 1] * (x * P[i - 1] - beta[i - 1] * prev)
+        prev = P[i - 1]
+    D = -l[:, None] * x * P
+    D[1:] += np.sqrt((2 * up + 1) * (up * up - m * m) / (2 * up - 1))[:, None] * P[:-1]
+    return P, D
+
+
+def _galerkin_mode(a: float, c: float, m: int, L: int, k: int, x, w):
+    """The k lowest levels mu of azimuthal mode m on spheroid (a, a, c) from
+    L basis functions, and the change of each from the leading
+    L - GALERKIN_NEST ones, integrated by the Gauss-Legendre rule (x, w).
+
+    With x = cos t and E(x) = sqrt(a^2 x^2 + c^2 (1 - x^2)), the weak form
+    S u = mu M u has
+        S = int a (1 - x^2)/E P'P' + m^2 E / (a (1 - x^2)) P P dx,
+        M = int a E P P dx,
+    and lambda = -mu.  Every integrand is a polynomial times E^(+-1), so a
+    rule with 2L + m + 16 nodes or more leaves about 2L degrees for E and is
+    as accurate as the basis.  M = C C^T (Cholesky) reduces the pencil to
+    H = C^-1 S C^-T, whose leading principal submatrix is the pencil of the
+    leading basis functions: the nested solve needs no second assembly.
+    """
+    s2 = 1.0 - x * x
+    E = np.sqrt((a * x) ** 2 + (c * c) * s2)
+    P, D = _legendre_basis(m, L, x)
+    A = D * np.sqrt(w * a / (E * s2))
+    B = P * (m * np.sqrt(w * E / (a * s2)))
+    C = P * np.sqrt(w * a * E)
+    inv = np.linalg.inv(np.linalg.cholesky(C @ C.T))
+    H = inv @ (A @ A.T + B @ B.T) @ inv.T
+    mu = np.linalg.eigvalsh(H)[:k]
+    nested = np.linalg.eigvalsh(H[: L - GALERKIN_NEST, : L - GALERKIN_NEST])[:k]
+    return mu, np.abs(nested - mu)
+
+
+def _galerkin_walk(a: float, c: float, count: int, L: int):
+    """Kept levels (lambda, multiplicity, estimate, index within the mode) at
+    degree L, whether they pass the gate, and the number of modes solved."""
+    k = min(count, L - GALERKIN_NEST)
+    x, w = roots_legendre(2 * L + count + 16)  # enough nodes for every m <= count
+    levels = []
+    tau = math.inf
+    modes_solved = 0
+    for m in range(count + 1):
+        mu, est = _galerkin_mode(a, c, m, L, k, x, w)
+        # Galerkin levels bound the true ones from above, and the true lowest
+        # level of a mode grows with m: past tau, no later mode can reach in
+        if mu[0] - est[0] > tau:
+            break
+        modes_solved += 1
+        mult = 1 if m == 0 else 2
+        levels.extend((-float(v), mult, float(e), i) for i, (v, e) in enumerate(zip(mu, est)))
+        kept_idx, total = _keep_prefix(levels, count)
+        if total >= count:
+            tau = abs(levels[kept_idx[-1]][0])
+    kept = [levels[i] for i in _keep_prefix(levels, count)[0]]
+    # a kept last level of a mode may hide its next one, which L cannot offer.
+    # Off the sphere its estimate, against the nested pencil's top level,
+    # fails anyway; on the sphere every level is exact and this check doubles L
+    passed = all(e <= GALERKIN_TOL * (1.0 + abs(v)) for v, _, e, _ in kept) and not (
+        k < count and any(i == k - 1 for *_, i in kept)
+    )
+    return kept, passed, modes_solved
+
+
+def galerkin_spectrum(s, count: int) -> ClassicalSpectrum:
+    """Low spectrum of a sphere or spheroid by a spectral Galerkin solve per
+    azimuthal mode, covering `count` eigenvalues with multiplicity.
+
+    Each mode m = 0, 1, ... (multiplicity 1 for m = 0, else 2) is solved in
+    the orthonormal associated Legendre functions of order m
+    (`_galerkin_mode`).  The walk stops at the first mode whose lowest level,
+    less its estimate, lies beyond the `count`-th kept |lambda|.  The degree
+    starts at GALERKIN_DEGREE and doubles until every kept level's estimate
+    is below GALERKIN_TOL * (1 + |lambda|); past GALERKIN_MAX_DEGREE it
+    raises ResolutionError.
+    """
+    if count < 1:
+        raise ValueError(f"count must be at least 1, got {count}")
+    a, c = _revolution_axes(s)
+    L = GALERKIN_DEGREE
+    while True:
+        kept, passed, modes_solved = _galerkin_walk(a, c, count, L)
+        if passed:
+            break
+        if 2 * L > GALERKIN_MAX_DEGREE:
+            raise ResolutionError(
+                f"{s.name}: {L} Legendre functions per mode do not resolve the "
+                f"{count} lowest eigenvalues and {GALERKIN_MAX_DEGREE} is the most allowed"
+            )
+        L *= 2
+    entries = [SpectrumEntry(v, mult, "galerkin") for v, mult, *_ in sorted(kept)]
+    meta = {
+        "surface": s.name,
+        "degree": L,
+        "modes_solved": modes_solved,
+        "max_error_estimate": max(e for _, _, e, _ in kept),
+    }
+    return ClassicalSpectrum(tuple(entries), meta)
+
+
 def reference_for(s, count: int) -> ClassicalSpectrum | None:
     """The classical reference for the `count` lowest eigenvalues of s.
 
-    The analytic spectrum on the unit sphere, the Sturm-Liouville solver
-    (4000 cells, modes m <= count, walked only as far as a mode can still
-    hold one of the `count` lowest levels) on other surfaces of revolution,
-    and None where no reference applies.
+    The analytic spectrum on the unit sphere, `galerkin_spectrum` on every
+    other surface of revolution, and None where no reference applies (a
+    triaxial ellipsoid).  The finite-difference solvers are cross-checks,
+    not defaults.
     """
     if s.semi_axes == (1.0, 1.0, 1.0):
         return analytic_sphere_spectrum(max(8, count))
     if s.revolution:
-        return revolution_spectrum(s, m_max=count, grid_points=4000, count=count)
+        return galerkin_spectrum(s, count)
     return None
 
 

@@ -53,10 +53,42 @@ def test_spectrum_blocks_summary_has_oracle_deltas(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "strategy=blocks" in out
     assert "oracle_delta" in out
+    assert "oracle=analytic  max_error_estimate=0\n" in out
     payload = json.loads((tmp_path / "spectrum_sphere_N80.json").read_text())
     mults = sorted(c["multiplicity"] for c in payload["clusters"])
     assert mults == [1, 3, 5]
     assert payload["config"]["cluster_gap"] == pytest.approx(10 * 2 / 80)
+
+
+@pytest.mark.parametrize(
+    "flags, source",
+    [(["--surface", "spheroid", "--axes", "1,2"], "galerkin"),
+     (["--surface", "ellipsoid", "--axes", "1,2,3"], "none")],
+)
+def test_spectrum_summary_names_the_oracle(tmp_path, capsys, flags, source):
+    assert main(["spectrum", *flags, "--N", "12", "--count", "4", "--out", str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    oracle_line = [l for l in lines if l.startswith("oracle=")]
+    if source == "none":
+        assert oracle_line == ["oracle=none"]
+        return
+    fields = dict(f.split("=") for f in oracle_line[0].split())
+    assert fields["oracle"] == source
+    want = nc.reference_for(nc.spheroid(1, 2), 4).metadata["max_error_estimate"]
+    assert float(fields["max_error_estimate"]) == pytest.approx(want, rel=1e-12)
+    assert 0 < want <= 1e-9
+
+
+def test_unresolved_oracle_does_not_fail_the_solve(tmp_path, capsys, monkeypatch):
+    # spheroid(1,10) needs 48 Legendre functions per mode; allow only 24
+    monkeypatch.setattr(nc.reference_oracle, "GALERKIN_MAX_DEGREE", 24)
+    argv = ["spectrum", "--surface", "spheroid", "--axes", "1,10", "--N", "12", "--count", "12"]
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "oracle=unresolved" in lines
+    header = lines.index("cluster  mean                multiplicity  oracle_delta")
+    assert all(len(line.split()) == 3 for line in lines[header + 1 :] if not line.startswith("wrote"))
+    assert len(list(tmp_path.glob("spectrum_*"))) == 2
 
 
 def test_spectrum_gap_flag_overrides_clustering(tmp_path):
@@ -537,6 +569,19 @@ def test_beta_auto_equals_one_for_sphere(tmp_path):
         payload = json.loads((out / "spectrum_sphere_N16.json").read_text())
         argsets.append([e["value"] for e in payload["eigenvalues"]])
     np.testing.assert_allclose(argsets[0], argsets[1], atol=1e-9)
+
+
+@pytest.mark.parametrize("command", ["spectrum", "converge", "axioms", "dump-coords"])
+def test_beta_past_the_surface_names_beta(tmp_path, capsys, command):
+    sizes = ["--N-list", "50,100"] if command in ("converge", "axioms") else ["--N", "100"]
+    argv = [command, "--surface", "spheroid", "--axes", "1,2", "--beta", "auto", *sizes]
+    assert main([*argv, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    beta = qz.default_beta(nc.spheroid(1, 2))
+    assert f"--beta {beta:.6g} " in err and beta > 1.7
+    assert "[-1, 1]" in err
+    assert "fits only for smaller beta (beta <= 1)" in err
+    assert not list(tmp_path.iterdir())
 
 
 def test_bad_beta_is_config_error(capsys):

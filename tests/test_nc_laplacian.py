@@ -617,6 +617,16 @@ class TestConvergenceStudy:
             )]
             assert errs[1] < errs[0]
 
+    @pytest.mark.parametrize("c", [2.0, 0.5])
+    def test_second_order_on_spheroids(self, c):
+        # against the default (Galerkin) reference; cluster 0 is the kernel,
+        # whose reference is 0 to rounding and has no order
+        rows = nc.convergence_study(nc.spheroid(1, c), [500, 1000, 2000, 4000], count=9)
+        finest = [r for r in rows if r["N"] == 4000 and r["cluster"] > 0]
+        assert len(finest) >= 4
+        for r in finest:
+            assert 1.9 <= r["fitted_order"] <= 2.1, r
+
 
 def _exhaustive_selection(ops, count, K):
     """(value, offset) of every block's `count` top levels, sorted like the

@@ -1,10 +1,20 @@
 import math
 
+import numpy as np
 import pytest
+from scipy.special import assoc_legendre_p, roots_legendre
 
 import nclaplace as nc
+from nclaplace import reference_oracle
 from nclaplace.errors import ResolutionError
-from nclaplace.reference_oracle import _meridian_coefficients, _mode_eigenvalues
+from nclaplace.reference_oracle import (
+    GALERKIN_DEGREE,
+    _galerkin_mode,
+    _keep_prefix,
+    _legendre_basis,
+    _meridian_coefficients,
+    _mode_eigenvalues,
+)
 
 
 class TestAnalyticSphere:
@@ -108,7 +118,7 @@ class TestRevolutionSpectrum:
     def test_walk_bisects_only_reachable_levels(self):
         # the exhaustive solve bisects 12 levels in each of the 13 bands on
         # both grids: 312 eigenvalues, for 8 kept entries
-        spec = nc.reference_for(nc.spheroid(1, 2), 12)
+        spec = nc.revolution_spectrum(nc.spheroid(1, 2), m_max=12, grid_points=4000, count=12)
         assert spec.metadata["levels_solved"] <= 60
         assert spec.metadata["modes_solved"] < 13
 
@@ -175,7 +185,108 @@ def test_reference_for_picks_one_reference_per_surface_class():
     assert {e.source for e in sphere.entries} == {"analytic"}
     assert sphere.metadata == {"k_max": 9}
     spheroid = nc.reference_for(nc.spheroid(1, 2), 4)
-    assert {e.source for e in spheroid.entries} == {"sturm_liouville"}
-    assert spheroid.metadata["grid_points"] == 4000
+    assert {e.source for e in spheroid.entries} == {"galerkin"}
+    assert set(spheroid.metadata) == {"surface", "degree", "modes_solved", "max_error_estimate"}
+    assert spheroid.metadata["surface"] == "spheroid(1,2)"
+    assert spheroid.metadata["degree"] == GALERKIN_DEGREE
+    assert spheroid.metadata["max_error_estimate"] <= 1e-9
     assert nc.reference_for(nc.sphere(2.0), 4).metadata["surface"] == "sphere(radius=2)"
     assert nc.reference_for(nc.ellipsoid(1, 2, 3), 4) is None
+
+
+def test_legendre_basis_matches_scipy():
+    x = np.linspace(-0.995, 0.995, 41)
+    for m in (0, 1, 2, 5, 12):
+        P, D = _legendre_basis(m, 10, x)
+        for i in range(10):
+            # scipy's normalized functions carry the Condon-Shortley phase
+            want = assoc_legendre_p(m + i, m, x, norm=True, diff_n=1)
+            sign = np.sign(P[i] @ want[0])
+            assert np.allclose(P[i], sign * want[0], rtol=0, atol=1e-12)
+            assert np.allclose(D[i], sign * (1 - x * x) * want[1], rtol=0, atol=1e-11)
+
+
+class TestGalerkinSpectrum:
+    @pytest.mark.parametrize("radius", [1.0, 2.0])
+    def test_sphere_levels_and_multiplicities(self, radius):
+        spec = nc.galerkin_spectrum(nc.sphere(radius), 25)
+        assert {e.source for e in spec.entries} == {"galerkin"}
+        clusters = nc.cluster_multiplicities(sorted(spec.expanded()), gap=1e-6)
+        by_abs = sorted(clusters, key=lambda c: abs(c[0]))
+        assert [mult for _, mult in by_abs] == [1, 3, 5, 7, 9]
+        for l, (mean, _) in enumerate(by_abs):
+            assert abs(mean + l * (l + 1) / radius**2) <= 1e-12
+        for e in spec.entries:
+            # the quadrature weights and the eigen-solve round at about 1e-13 relative
+            l = round((-1 + math.sqrt(1 - 4 * e.value * radius**2)) / 2)
+            assert abs(e.value + l * (l + 1) / radius**2) <= 1e-12 * (1 + abs(e.value))
+
+    def test_degree_doubles_when_a_mode_runs_out_of_levels(self):
+        # 289 = 17^2 levels reach l = 16; at L = 24 the zonal mode offers
+        # only l <= 15, and every sphere level passes its estimate
+        spec = nc.galerkin_spectrum(nc.sphere(2.0), 289)
+        assert spec.metadata["degree"] == 48
+        clusters = nc.cluster_multiplicities(sorted(spec.expanded()), gap=1e-6)
+        by_abs = sorted(clusters, key=lambda c: abs(c[0]))
+        assert [mult for _, mult in by_abs] == [2 * l + 1 for l in range(17)]
+        for l, (mean, _) in enumerate(by_abs):
+            assert abs(mean + l * (l + 1) / 4) <= 1e-10
+
+    @pytest.mark.parametrize("c", [2.0, 0.5])
+    def test_agrees_with_richardson_finite_differences(self, c):
+        # at count 12 on (1, 0.5) the -14.08 pair differs by 1.2e-7, which is
+        # the finite differences' own error there: it moves by 3.4e-7 when the
+        # three grids are doubled, while the Galerkin value moves by < 1e-11
+        # from 24 to 96 Legendre functions
+        s = nc.spheroid(1, c)
+        count = 9
+        rich = nc.revolution_spectrum_richardson(s, count, (4000, 8000, 16000), count)
+        got = sorted(sorted(nc.galerkin_spectrum(s, count).expanded(), key=abs)[:count])
+        want = sorted(sorted(rich.expanded(), key=abs)[:count])
+        for g, w in zip(got, want, strict=True):
+            assert abs(g - w) <= 1e-7
+
+    @pytest.mark.parametrize("c, degree", [(0.3, 48), (10.0, 48)])
+    def test_degree_doubles_until_the_estimate_passes(self, c, degree):
+        spec = nc.galerkin_spectrum(nc.spheroid(1, c), 12)
+        assert spec.metadata["degree"] == degree
+        scale = 1.0 + max(abs(v) for v in spec.expanded())
+        assert spec.metadata["max_error_estimate"] <= 1e-9 * scale
+
+    def test_low_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(reference_oracle, "GALERKIN_MAX_DEGREE", 24)
+        with pytest.raises(ResolutionError, match="24 Legendre functions"):
+            nc.galerkin_spectrum(nc.spheroid(1, 10), 12)
+
+    @pytest.mark.parametrize("c", [0.3, 0.5, 1.5, 2.0, 2.5, 5.0, 10.0])
+    def test_reference_for_passes_its_gate(self, c):
+        spec = nc.reference_for(nc.spheroid(1, c), 12)
+        scale = 1.0 + max(abs(v) for v in spec.expanded())
+        assert spec.metadata["max_error_estimate"] <= 1e-9 * scale
+        assert sum(e.multiplicity for e in spec.entries) >= 12
+
+    def test_rejects_triaxial_and_empty_counts(self, triaxial_123):
+        with pytest.raises(nc.NotRevolutionSurfaceError):
+            nc.galerkin_spectrum(triaxial_123, 4)
+        with pytest.raises(ValueError, match="count"):
+            nc.galerkin_spectrum(nc.sphere(), 0)
+
+
+@pytest.mark.parametrize("c", [0.3, 1.5, 2.5])
+def test_galerkin_walk_matches_every_mode_solved(c):
+    s = nc.spheroid(1, c)
+    for count in (1, 4, 9, 12, 20, 40):
+        got = nc.galerkin_spectrum(s, count)
+        L = got.metadata["degree"]
+        k = min(count, L - 8)
+        x, w = roots_legendre(2 * L + count + 16)
+        levels = []
+        for m in range(count + 1):
+            mu, est = _galerkin_mode(1.0, c, m, L, k, x, w)
+            levels.extend((-v, 1 if m == 0 else 2, e) for v, e in zip(mu, est))
+        want = sorted(levels[i] for i in _keep_prefix(levels, count)[0])
+        assert [e.multiplicity for e in got.entries] == [mult for _, mult, _ in want]
+        for e, (value, _, _) in zip(got.entries, want):
+            assert abs(e.value - value) <= 1e-12 * (1.0 + abs(value))
+        assert got.metadata["max_error_estimate"] == max(est for *_, est in want)
+        assert got.metadata["modes_solved"] <= count + 1
