@@ -95,7 +95,11 @@ def _add_grid_args(p: argparse.ArgumentParser, size: bool = True) -> None:
     p.add_argument("--grid-offset", choices=qz.GRID_OFFSETS, default="paper")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.  Each subcommand stores
+    the name of its handler, which `main` looks up when it runs, so a
+    handler replaced after the first call is still the one called."""
     parser = argparse.ArgumentParser(
         prog="nclaplace",
         description="Spectra of the commutator Laplacian on axisymmetric surfaces",
@@ -116,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gap", type=float, default=None, help="cluster gap (default 10*hbar)")
     p.add_argument("--dump-coords", default=None, metavar="PATH",
                    help="also write the coordinate matrices under PATH")
-    p.set_defaults(func=cmd_spectrum)
+    p.set_defaults(func="cmd_spectrum")
 
     p = add_parser("converge", help="eigenvalue errors against a classical reference")
     _add_surface_args(p)
@@ -127,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy", choices=("auto", "dense", "blocks"), default="auto")
     p.add_argument("--count", type=int, default=9)
     p.add_argument("--K", type=int, default=None)
-    p.set_defaults(func=cmd_converge)
+    p.set_defaults(func="cmd_converge")
 
     p = add_parser("axioms", help="product/bracket defect table over coordinate pairs")
     _add_surface_args(p)
@@ -135,20 +139,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--N-list", dest="N_list", type=_size_list, default="50,100,200",
                    help="comma-separated matrix sizes")
-    p.set_defaults(func=cmd_axioms)
+    p.set_defaults(func="cmd_axioms")
 
     p = add_parser("trace", help="normalized trace of a built-in function vs quadrature")
     _add_surface_args(p)
     _add_grid_args(p)
     p.add_argument("--function", choices=TRACE_FUNCTIONS, default="1")
-    p.set_defaults(func=cmd_trace)
+    p.set_defaults(func="cmd_trace")
 
     p = add_parser("dump-coords", help="write the quantized coordinate matrices")
     _add_surface_args(p)
     _add_grid_args(p)
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--format", choices=("binary", "json", "both"), default="both")
-    p.set_defaults(func=cmd_dump_coords)
+    p.set_defaults(func="cmd_dump_coords")
     return parser
 
 
@@ -343,7 +347,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
-        return args.func(args)
+        return globals()[args.func](args)
     except SolverConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

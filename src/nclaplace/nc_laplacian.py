@@ -8,8 +8,9 @@ its inverse, and the operator
 acting on N x N matrices.  gamma is decomposed once and held as eigenpairs
 that gamma^{-1} shares.  gamma is positive definite, so gamma^{-1} is its
 exact inverse; a gamma with min/max below GAMMA_MIN_RATIO is refused when
-the operator set is built.  On a surface of revolution gamma is diagonal and
-no N x N array is formed.  Two spectrum strategies are provided:
+the operator set is built.  S = gamma^2 is summed on the stored diagonals
+of X, Y and Z; on a surface of revolution gamma is diagonal and no N x N
+array is formed.  Two spectrum strategies are provided:
 
 - dense (any surface, N <= DENSE_CAP): L = G K with G = gamma^{-1} and K
   self-adjoint, so H = G^{1/2} K G^{1/2} is symmetric and similar to L: one
@@ -23,12 +24,15 @@ no N x N array is formed.  Two spectrum strategies are provided:
   Eigenvalue Problem, ch. 7).  The blocks offer their levels nearest zero
   one at a time, each bisected alone by index, and a k-way merge keeps the
   `count` closest to zero; eigenvectors are solved for the kept levels
-  only.  O(dim) work per bisected level, and at most count + 2K + 2 levels
-  (range check included) whatever the block sizes.
+  only.  O(dim) work per bisected level, and at most count + 2K levels
+  whatever the block sizes.  The range check on blocks +-(K+1) bisects
+  nothing: it is one LDL^T factorization per block (a definiteness test,
+  Parlett ch. 3).
 
 Sparse arguments of `apply_laplacian` (the residual check of the blocks
 strategy) are evaluated on stored diagonals: every product of two banded
-matrices is a sum of shifted elementwise products of their diagonals.
+matrices is a sum of shifted elementwise products of their diagonals.  The
+residual of a block eigenmatrix is taken on the DIA rows that come back.
 """
 
 from __future__ import annotations
@@ -55,6 +59,7 @@ from .quantization import (
     QuantizationGrid,
     build_grid,
     coordinate_matrices,
+    stored_diagonals,
 )
 from .reference_oracle import cluster_multiplicities, reference_for
 from .surface import SurfaceDescriptor
@@ -84,28 +89,32 @@ def build_gamma(coords: CoordinateMatrices, hbar: float):
     """Eigenpairs (w, V) of gamma, the principal square root of
     S = -([X,Y]^2 + [Y,Z]^2 + [Z,X]^2)/hbar^2: gamma = V diag(w) V^H.
 
-    S must be hermitian positive semidefinite up to rounding; eigenvalues of S
-    below -1e-10*||S|| signal a wrong hbar or broken coordinates.  On a
-    surface of revolution S is diagonal: w is the entrywise root of its
-    diagonal and V is None (gamma = diag(w)); off-diagonal mass above
-    GAMMA_DIAGONAL_TOL raises NotRevolutionSurfaceError.  Otherwise S is
-    decomposed densely, which only the dense strategy can use: above
-    N = DENSE_CAP DenseSizeError is raised first.
+    S is summed on stored diagonals (``coords.diagonals``,
+    `_banded_commutator`, `_banded_product`), and made dense only for the
+    triaxial decomposition.  It must be hermitian positive semidefinite up
+    to rounding; eigenvalues of S below -1e-10*||S|| signal a wrong hbar or
+    broken coordinates.  On a surface of revolution S is diagonal: w is the
+    entrywise root of its diagonal and V is None (gamma = diag(w));
+    off-diagonal mass above GAMMA_DIAGONAL_TOL raises
+    NotRevolutionSurfaceError.  Otherwise S is decomposed densely, which only
+    the dense strategy can use: above N = DENSE_CAP DenseSizeError is raised
+    first.
     """
-    mats = coords.banded
-    S = None
-    for A, B in ((mats[0], mats[1]), (mats[1], mats[2]), (mats[2], mats[0])):
-        C = (A @ B - B @ A) / hbar
-        term = C @ C
-        S = term if S is None else S + term
-    S = -S
-    dev = abs(S - S.conj().T).max()
-    scale = max(abs(S).max(), 1e-300)
+    N = coords.grid.N
+    X = coords.diagonals
+    S = {}
+    for A, B in ((X[0], X[1]), (X[1], X[2]), (X[2], X[0])):
+        C = {k: d * (1 / hbar) for k, d in _banded_commutator(A, B, N).items()}
+        _accumulate(S, _banded_product(C, C, N))
+    S = {k: -d for k, d in S.items()}
+    scale = max(max(abs(d).max() for d in S.values()), 1e-300)
+    # diagonal k of S^H is the conjugate of diagonal -k, shifted by k
+    dev = max(abs(d - np.conj(_shift(S.get(-k, 0 * d), k))).max() for k, d in S.items())
     if dev > 1e-12 * scale:
         raise ConsistencyError(f"commutator square sum deviates from hermitian by {dev:.2e}")
     if coords.surface.revolution:
-        w = np.real(S.diagonal())
-        off_mass = abs(S - sp.diags(S.diagonal())).max()
+        w = np.real(S[0])
+        off_mass = max((abs(d).max() for k, d in S.items() if k != 0), default=0.0)
         if off_mass > GAMMA_DIAGONAL_TOL * scale:
             raise NotRevolutionSurfaceError(
                 f"commutator square sum carries off-diagonal mass {off_mass:.2e} "
@@ -114,8 +123,8 @@ def build_gamma(coords: CoordinateMatrices, hbar: float):
             )
         V = None
     else:
-        _check_dense_size(coords.grid.N)
-        S = S.toarray()
+        _check_dense_size(N)
+        S = sp.dia_array((np.array(list(S.values())), list(S)), shape=(N, N)).toarray()
         w, V = _eigh(0.5 * (S + S.conj().T))
     wmax = max(w.max(), 0.0)
     if w.min() < -1e-10 * max(wmax, 1e-300):
@@ -203,15 +212,14 @@ class QuantizedOperatorSet:
 
     @cached_property
     def diagonals(self) -> tuple:
-        """(X, G): the diagonals of X, Y and Z stacked, offset k -> 3 x N
-        array, and those of G = gamma^{-1} (`_diagonals`).  G is the single
-        offset 0 when diagonal, else every nonzero diagonal of its dense form."""
-        N, V = self.N, self.gamma_eigenvectors
-        per = [_diagonals(X, N) for X in self.coords.banded]
-        zero = np.zeros(N, dtype=complex)
-        X = {k: np.array([d.get(k, zero) for d in per]) for k in sorted(set().union(*per))}
-        G = {0: self.gamma_inv_eigenvalues.astype(complex)} if V is None else _diagonals(self.gamma_inv, N)
-        return X, G
+        """(X, G): the diagonals of X, Y and Z (``coords.diagonals``, a map
+        offset k -> N-vector for each), and those of G = gamma^{-1}
+        (`stored_diagonals`).  G is the single offset 0 when diagonal, else
+        every nonzero diagonal of its dense form."""
+        V = self.gamma_eigenvectors
+        if V is None:
+            return self.coords.diagonals, {0: self.gamma_inv_eigenvalues.astype(complex)}
+        return self.coords.diagonals, stored_diagonals(self.gamma_inv, self.N)
 
 
 def build_operator_set(surface: SurfaceDescriptor, grid: QuantizationGrid) -> QuantizedOperatorSet:
@@ -220,52 +228,51 @@ def build_operator_set(surface: SurfaceDescriptor, grid: QuantizationGrid) -> Qu
     return QuantizedOperatorSet(coords, *build_gamma(coords, grid.hbar))
 
 
-def _diagonals(A, N: int) -> dict:
-    """The stored diagonals of an N x N matrix A (dense or sparse) by offset
-    k = column - row, in scipy's DIA layout: d[c] = A[c - k, c], zero where
-    row c - k lies outside the matrix."""
-    A = A.todia() if sp.issparse(A) else sp.dia_array(A)
-    out = {}
-    for k, row in zip(A.offsets.tolist(), A.data):
-        lo, hi = max(0, k), min(N + min(0, k), len(row))
-        d = np.zeros(N, dtype=complex)
-        d[lo:hi] = row[lo:hi]
-        out[k] = out[k] + d if k in out else d
-    return out
-
-
 def _shift(a: np.ndarray, s: int) -> np.ndarray:
-    """b[..., c] = a[..., c - s], zero where c - s is out of range."""
+    """b[c] = a[c - s], zero where c - s is out of range."""
     if s == 0:
         return a
     b = np.zeros_like(a)
     if s > 0:
-        b[..., s:] = a[..., :-s]
+        b[s:] = a[:-s]
     else:
-        b[..., :s] = a[..., -s:]
+        b[:s] = a[-s:]
     return b
 
 
+def _accumulate(out: dict, terms: dict) -> None:
+    """Add the diagonals of `terms` into `out`, offset by offset."""
+    for k, d in terms.items():
+        out[k] = out[k] + d if k in out else d
+
+
 def _banded_product(A: dict, B: dict, N: int) -> dict:
-    """Diagonals of A @ B from those of A and B (`_diagonals` maps).
-    (AB)[r, c] sums A[r, c - l] B[c - l, c] over the offsets l of B, so
-    offset k + l of the product gains a_k shifted by l times b_l,
-    elementwise.  Diagonals may carry leading axes (a stack of matrices);
-    they broadcast."""
+    """Diagonals of A @ B from those of A and B (`stored_diagonals` maps),
+    by ascending offset.  (AB)[r, c] sums A[r, c - l] B[c - l, c] over the
+    offsets l of B, so offset k + l of the product gains a_k shifted by l
+    times b_l, elementwise, over the columns c with c - l in range.  Each
+    offset sums its terms in the order of B's offsets; a term of a diagonal
+    that A or B does not hold is exactly zero and is skipped."""
     out = {}
     for l, b in B.items():
+        lo, hi = max(0, l), N + min(0, l)
         for k, a in A.items():
-            if abs(k + l) < N:
-                term = _shift(a, l) * b
-                out[k + l] = out[k + l] + term if k + l in out else term
-    return out
+            if abs(k + l) >= N:
+                continue
+            if k + l in out:
+                out[k + l][lo:hi] += a[lo - l : hi - l] * b[lo:hi]
+            else:
+                out[k + l] = np.zeros(N, dtype=complex)
+                np.multiply(a[lo - l : hi - l], b[lo:hi], out=out[k + l][lo:hi])
+    return dict(sorted(out.items()))
 
 
 def _banded_commutator(A: dict, B: dict, N: int) -> dict:
-    """Diagonals of A @ B - B @ A."""
+    """Diagonals of A @ B - B @ A, by ascending offset (both products hold
+    the same offsets)."""
     out = _banded_product(A, B, N)
     for k, d in _banded_product(B, A, N).items():
-        out[k] = out[k] - d if k in out else -d
+        out[k] = out[k] - d
     return out
 
 
@@ -274,10 +281,10 @@ def apply_laplacian(ops: QuantizedOperatorSet, F):
 
     Accepts dense arrays or scipy sparse matrices and returns the same kind.
     A sparse F is read by offset and every product is taken on stored
-    diagonals (`_banded_product`), with X, Y, Z stacked and gamma^{-1}
-    from ``ops.diagonals``; the result is rebuilt in F's sparse format.  The
-    closed-form blocks of `_offset_block` are not used, so the check stays
-    independent of the solve it verifies.
+    diagonals (`_banded_product`), with the diagonals of X, Y, Z and
+    gamma^{-1} from ``ops.diagonals``; the result is rebuilt in F's sparse
+    format.  The closed-form blocks of `_offset_block` are not used, so the
+    check stays independent of the solve it verifies.
     """
     if sp.issparse(F):
         return _apply_banded(ops, F)
@@ -296,10 +303,13 @@ def _apply_banded(ops: QuantizedOperatorSet, F):
     """`apply_laplacian` of a sparse F, on stored diagonals."""
     N = ops.N
     X, G = ops.diagonals
-    inner = _banded_product(G, _banded_commutator(X, _diagonals(F, N), N), N)
-    out = _banded_product(G, _banded_commutator(X, inner, N), N)
+    D = stored_diagonals(F, N)
+    out = {}
+    for Xi in X:
+        inner = _banded_product(G, _banded_commutator(Xi, D, N), N)
+        _accumulate(out, _banded_product(G, _banded_commutator(Xi, inner, N), N))
     offsets = sorted(out)
-    data = np.array([out[k].sum(axis=0) for k in offsets]).reshape(len(offsets), N) / -ops.hbar**2
+    data = np.array([out[k] for k in offsets]).reshape(len(offsets), N) / -ops.hbar**2
     kind = sp.dia_array if isinstance(F, sp.sparray) else sp.dia_matrix
     return kind((data, offsets), shape=F.shape).asformat(F.format)
 
@@ -513,9 +523,10 @@ def _offset_block(ops: QuantizedOperatorSet, k: int) -> OffsetBlock:
     qp = np.zeros(N + 1)  # qp[j + 1] = q_j, zero outside
     upper = np.zeros(M - 1, dtype=complex)
     lower = np.zeros(M - 1, dtype=complex)
-    for X in ops.coords.banded:
-        c = np.real(X.diagonal())
-        up, lo = X.diagonal(1), X.diagonal(-1)
+    zero = np.zeros(N, dtype=complex)
+    for X in ops.coords.diagonals:  # entry c of diagonal k is X[c - k, c]
+        c = np.real(X.get(0, zero))
+        up, lo = X.get(1, zero)[1:], X.get(-1, zero)[:-1]
         diag_sum += (c[n] - c[m]) ** 2
         qp[1:-1] += np.real(up * lo)
         upper += up[n[:-1]] * lo[m[:-1]]
@@ -529,8 +540,11 @@ def _offset_block(ops: QuantizedOperatorSet, k: int) -> OffsetBlock:
 
 
 def _embed_offset(v: np.ndarray, k: int, N: int):
-    """Sparse N x N matrix (DIA format) with vector v along diagonal offset k."""
-    return sp.diags(np.asarray(v, dtype=complex), k, shape=(N, N), format="dia")
+    """Sparse N x N matrix (DIA format) with vector v along diagonal offset k;
+    its one data row is N long, zero where column c holds no entry."""
+    row = np.zeros((1, N), dtype=complex)
+    row[0, max(0, k) : N + min(0, k)] = v
+    return sp.dia_matrix((row, [k]), shape=(N, N))
 
 
 def block_decompose(ops: QuantizedOperatorSet, max_offset: int) -> list[OffsetBlock]:
@@ -634,9 +648,10 @@ def spectrum(
     eigenmatrix raises SolverConvergenceError.  Blocks +-(K+1) must lie
     beyond the kept eigenvalues by the default cluster gap, or ConfigError
     asks for a wider K (at K = N - 1 the blocks hold all N^2 eigenvalues,
-    and the error says so).  The blocks strategy reports
-    ``diagnostics = {"levels_solved": n}``, the levels bisected including the
-    range check, in the JSON report only.
+    and the error says so); that check factorizes and bisects nothing.  The
+    blocks strategy reports ``diagnostics = {"levels_solved": n,
+    "residual_margin": r}``, the levels bisected and the worst residual over
+    the tolerance, in the JSON report only.
     """
     strategy = resolve_strategy(strategy, revolution=ops.gamma_eigenvectors is None)
     N = ops.N
@@ -671,7 +686,6 @@ def spectrum(
     kept = candidates[:count]
     if strategy == "blocks" and K + 1 < N:
         _check_block_range(ops, K, max(abs(c["value"]) for c in kept))
-        levels_solved += 2
 
     values = [c["value"] for c in kept]
     residuals = [_full_residual(ops, c) for c in kept]
@@ -713,7 +727,11 @@ def spectrum(
         strategy=strategy,
         solver_tolerance=tol,
         config=config,
-        diagnostics={"levels_solved": levels_solved} if strategy == "blocks" else None,
+        diagnostics=(
+            {"levels_solved": levels_solved, "residual_margin": max(residuals) / tol}
+            if strategy == "blocks"
+            else None
+        ),
     )
 
 
@@ -786,11 +804,28 @@ def _closest_levels(blocks: list, count: int) -> tuple:
     return levels, solved
 
 
+def _negative_definite_below(block: OffsetBlock, tau: float) -> bool:
+    """Whether every eigenvalue of the block lies below -tau: whether
+    -T - tau I, T the symmetric form (`OffsetBlock.symmetric`), is positive
+    definite.  One LDL^T factorization (LAPACK ?pttrf), O(dim), with no
+    eigenvalue: by Sylvester's law of inertia it succeeds exactly when no
+    pivot is non-positive (Parlett, The Symmetric Eigenvalue Problem,
+    ch. 3)."""
+    off = block.symmetric[0]
+    d = -block.diag - tau
+    pttrf = sla.get_lapack_funcs("pttrf", (d, off))
+    return pttrf(d, -off if block.dim > 1 else np.zeros(1))[2] == 0  # the wrapper wants e non-empty
+
+
 def _check_block_range(ops: QuantizedOperatorSet, K: int, largest_kept: float) -> None:
-    """Blocks +-(K+1) must not reach the kept spectrum within the default cluster gap."""
+    """Blocks +-(K+1) must not reach the kept spectrum within the default
+    cluster gap: each must be negative definite below -(largest_kept + gap)
+    (`_negative_definite_below`).  Their top levels are bisected only to
+    word the ConfigError."""
     margin = 10.0 * ops.hbar
-    nearest = min(abs(_offset_block(ops, k).level(0)) for k in (K + 1, -K - 1))
-    if nearest < largest_kept + margin:
+    outer = [_offset_block(ops, k) for k in (K + 1, -K - 1)]
+    if not all(_negative_definite_below(b, largest_kept + margin) for b in outer):
+        nearest = min(abs(b.level(0)) for b in outer)
         raise ConfigError(
             f"blocks +-{K + 1} have an eigenvalue of magnitude {nearest:.6g}, within {margin:.3g} "
             f"of the largest kept {largest_kept:.6g}; widen the block range K"
@@ -798,15 +833,27 @@ def _check_block_range(ops: QuantizedOperatorSet, K: int, largest_kept: float) -
 
 
 def _full_residual(ops: QuantizedOperatorSet, cand: dict) -> float:
-    """||L(F) - lambda F||_F / ||F||_F through the full operator; inf when F = 0."""
+    """||L(F) - lambda F||_F / ||F||_F through the full operator; inf when F = 0.
+
+    A block eigenmatrix lies on one diagonal: L(F) comes back in DIA form
+    and lambda F is taken off its row at that offset.  The norm runs over
+    the nonzero entries in row-major order, as the CSR form of the residual
+    stores them, so it sums in the same order and gives the same value."""
     lam = cand["value"]
     norm = np.linalg.norm(cand["vec"])
     if not norm > 0:
         return math.inf
     if cand["kind"] == "block":
-        F = _embed_offset(cand["vec"], cand["block"], ops.N)
-        resid = apply_laplacian(ops, F) - lam * F
-        return float(np.linalg.norm(resid.tocsr().data) / norm)
+        N, k = ops.N, cand["block"]
+        F = _embed_offset(cand["vec"], k, N)
+        LF = apply_laplacian(ops, F)
+        offsets = LF.offsets.tolist()
+        LF.data[offsets.index(k)] -= lam * F.data[0]
+        entries = np.zeros((N, len(offsets)), dtype=complex)  # entries[r, j] = R[r, r + offsets[j]]
+        for j, off in enumerate(offsets):
+            lo, hi = max(0, -off), N - max(0, off)
+            entries[lo:hi, j] = LF.data[j, lo + off : hi + off]
+        return float(np.linalg.norm(entries[entries != 0]) / norm)
     F = np.asarray(cand["vec"]).reshape(ops.N, ops.N)
     resid = apply_laplacian(ops, F) - lam * F
     return float(np.linalg.norm(resid) / norm)

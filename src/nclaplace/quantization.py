@@ -160,13 +160,35 @@ def spectral_norm(M) -> float:
     return float(np.sqrt(max(lam, 0.0)))
 
 
+def stored_diagonals(A, N: int) -> dict:
+    """The stored diagonals of an N x N matrix A (dense or sparse) by offset
+    k = column - row, in scipy's DIA layout: d[c] = A[c - k, c], zero where
+    row c - k lies outside the matrix.  A DIA matrix is read row by row,
+    anything else through its CSR form (repeated entries add up), one
+    `diagonal(k)` per offset that holds a stored entry."""
+    if sp.issparse(A) and A.format == "dia":
+        rows = zip(A.offsets.tolist(), A.data)
+        pairs = [(k, row[max(0, k) : N + min(0, k)]) for k, row in rows if abs(k) < N]
+    else:
+        A = sp.csr_array(A)
+        rows = np.repeat(np.arange(N), np.diff(A.indptr))
+        offsets = np.flatnonzero(np.bincount(A.indices - rows + N - 1)) - (N - 1)
+        pairs = [(k, A.diagonal(k)) for k in offsets.tolist()]
+    out = {}
+    for k, diag in pairs:
+        out[k] = np.zeros(N, dtype=complex)
+        out[k][max(0, k) : max(0, k) + len(diag)] = diag
+    return out
+
+
 @dataclass(eq=False)
 class CoordinateMatrices:
     """Quantized embedding coordinates X, Y, Z on a common grid.
 
     ``banded`` holds (X, Y, Z) as the CSR matrices of `quantize_banded`; the
     attributes X, Y and Z are their dense forms, made on first use by the
-    dense operator paths.
+    dense operator paths, and ``diagonals`` their `stored_diagonals`, made
+    on first use by the banded ones.
     """
 
     banded: tuple
@@ -184,6 +206,10 @@ class CoordinateMatrices:
     @cached_property
     def Z(self) -> np.ndarray:
         return self.banded[2].toarray()
+
+    @cached_property
+    def diagonals(self) -> tuple:
+        return tuple(stored_diagonals(M, self.grid.N) for M in self.banded)
 
 
 def coordinate_matrices(s: SurfaceDescriptor, grid: QuantizationGrid) -> CoordinateMatrices:

@@ -8,7 +8,7 @@ import pytest
 import scipy.linalg as sla
 
 import nclaplace as nc
-from nclaplace import nc_laplacian
+from nclaplace import cli, nc_laplacian
 from nclaplace import quantization as qz
 from nclaplace.cli import main
 from nclaplace.quantization import norm_bound, read_matrix_binary, read_matrix_json
@@ -204,6 +204,42 @@ def test_zero_eigenmatrix_exits_two(tmp_path, capsys, monkeypatch):
             "--strategy", "dense", "--out", str(tmp_path)]
     assert main(args) == 2
     assert "residuals exceed the solver tolerance" in capsys.readouterr().err
+
+
+def test_block_eigenmatrix_failing_the_gate_exits_two(tmp_path, capsys, monkeypatch):
+    original = nc_laplacian.OffsetBlock.vectors
+
+    def zeroed(self, values):
+        return np.zeros_like(original(self, values))
+
+    monkeypatch.setattr(nc_laplacian.OffsetBlock, "vectors", zeroed)
+    args = ["spectrum", "--surface", "spheroid", "--axes", "1,2", "--N", "40", "--count", "4",
+            "--K", "2", "--out", str(tmp_path)]
+    assert main(args) == 2
+    assert "residuals exceed the solver tolerance" in capsys.readouterr().err
+    assert not list(tmp_path.glob("spectrum_*"))
+
+
+def test_one_process_runs_commands_in_turn(tmp_path, capsys, monkeypatch):
+    # the parser is built once per process: parsing leaves no state behind
+    spectrum = ["spectrum", "--surface", "spheroid", "--axes", "1,2", "--N", "40",
+                "--count", "4", "--K", "2", "--out", str(tmp_path / "a")]
+    assert main(spectrum) == 0
+    first = (tmp_path / "a" / "spectrum_spheroid_1-2_N40.csv").read_text()
+    assert "strategy=blocks" in capsys.readouterr().out
+    assert main(["axioms", "--N-list", "8,12", "--out", str(tmp_path / "b")]) == 0
+    rows = list(csv.reader(l for l in (tmp_path / "b" / "axioms_sphere.csv").open() if l[0] != "#"))
+    assert [r[0] for r in rows[1:]] == ["8"] * 5 + ["12"] * 5
+    assert "wrote" in capsys.readouterr().out
+    assert main(["spectrum", "--no-such-flag"]) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+    spectrum[-1] = str(tmp_path / "c")
+    assert main(spectrum) == 0
+    assert (tmp_path / "c" / "spectrum_spheroid_1-2_N40.csv").read_text() == first
+    assert "strategy=blocks" in capsys.readouterr().out
+    # a handler replaced after the parser was built is the one that runs
+    monkeypatch.setattr(cli, "cmd_spectrum", lambda args: 7)
+    assert main(spectrum) == 7
 
 
 def test_spectrum_csv_deterministic(tmp_path):

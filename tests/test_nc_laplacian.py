@@ -63,6 +63,25 @@ class TestGamma:
             want = metric_oracle(prolate_112, nodes[n], 0.0)[3]
             assert abs(diag[n] - want) < 10.0 / N
 
+    @pytest.mark.parametrize("N", [2, 3, 200])
+    @pytest.mark.parametrize("offset", ["paper", "symmetric"])
+    @pytest.mark.parametrize(
+        "surf", [nc.sphere(), nc.spheroid(1.0, 2.0)], ids=["sphere", "spheroid"]
+    )
+    def test_diagonal_route_matches_sparse_products(self, surf, offset, N):
+        # reference: S summed from sparse matrix products
+        grid = nc.build_grid(N, *surf.z_interval, 1.0, offset)
+        coords = nc.coordinate_matrices(surf, grid)
+        X, Y, Z = coords.banded
+        S = None
+        for A, B in ((X, Y), (Y, Z), (Z, X)):
+            C = (A @ B - B @ A) / grid.hbar
+            S = C @ C if S is None else S + C @ C
+        want = np.sqrt(np.clip(np.real(-S.diagonal()), 0.0, None))
+        w, V = nc.build_gamma(coords, grid.hbar)
+        assert V is None
+        assert np.abs(w - want).max() <= 1e-15 * want.max()
+
     def test_broken_coordinates_raise(self, unit_sphere):
         grid = nc.build_grid(12, -1, 1, 1)
         coords = nc.coordinate_matrices(unit_sphere, grid)
@@ -432,14 +451,41 @@ class TestSpectrum:
         back = nc.dequantize(F, ops.coords.grid, max_mode=3)
         assert set(back.modes) == {-1}
 
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", ["zero", "nan", "perturbed"])
+    def test_broken_block_eigenvector_fails_residual_gate(self, prolate_112, monkeypatch, bad):
+        original = nc_laplacian.OffsetBlock.vectors
+
+        def broken(self, values):
+            V = original(self, values)
+            if bad == "zero":
+                V[0] = 0.0
+            elif bad == "nan":
+                V[0] = np.nan
+            else:
+                V[0] += 1e-6 * np.abs(V[0]).max() * np.random.default_rng(0).standard_normal(self.dim)
+            return V
+
+        ops = _ops(prolate_112, 64)
+        nc.spectrum(ops, strategy="blocks", count=9, block_range=3)
+        monkeypatch.setattr(nc_laplacian.OffsetBlock, "vectors", broken)
+        with pytest.raises(SolverConvergenceError, match="residuals exceed"):
+            nc.spectrum(ops, strategy="blocks", count=9, block_range=3)
+
     def test_levels_solved_in_json_only(self, unit_sphere, tmp_path):
         ops = _ops(unit_sphere, 12)
         rep = nc.spectrum(ops, strategy="blocks", count=4, block_range=1)
-        # three blocks, four kept levels, one push saved, and blocks +-2
-        assert rep.to_json_dict()["diagnostics"] == {"levels_solved": 3 + 4 - 1 + 2}
+        # three blocks, four kept levels, one push saved; the range check on
+        # blocks +-2 factorizes and bisects nothing
+        assert rep.to_json_dict()["diagnostics"] == {
+            "levels_solved": 3 + 4 - 1,
+            "residual_margin": max(rep.residuals) / rep.solver_tolerance,
+        }
+        assert 0 < rep.to_json_dict()["diagnostics"]["residual_margin"] <= 1
         assert "diagnostics" not in rep.config
         (csv_path,) = cli.write_report(tmp_path, "rep", rep.config, rep.to_csv_rows())
         assert "levels_solved" not in csv_path.read_text()
+        assert "residual_margin" not in csv_path.read_text()
         assert "diagnostics" not in nc.spectrum(ops, strategy="dense", count=4).to_json_dict()
 
     def test_report_serialization(self, unit_sphere):
@@ -686,6 +732,32 @@ class TestBoundedSelection:
         rep = nc.spectrum(ops, strategy="blocks", count=count, block_range=K)
         assert sum(requested) <= 2 * count + 2 * K + 3
         assert rep.to_json_dict()["diagnostics"]["levels_solved"] == sum(requested)
+
+
+class TestBlockRangeCheck:
+    @pytest.mark.parametrize("offset", ["paper", "symmetric"])
+    @pytest.mark.parametrize("c", [None, 0.5, 2.0], ids=["sphere", "c0.5", "c2"])
+    def test_factorization_agrees_with_bisection(self, c, offset):
+        # -T - tau I is positive definite exactly when tau lies below |level(0)|
+        surf = nc.sphere() if c is None else nc.spheroid(1.0, c)
+        for N, K in ((8, 6), (64, 3), (200, 5)):
+            ops = _ops(surf, N, offset=offset)
+            for k in (K + 1, -K - 1):
+                block = nc_laplacian._offset_block(ops, k)
+                top = abs(block.level(0))
+                delta = 1e-9 * np.abs(block.diag).max()
+                assert nc_laplacian._negative_definite_below(block, top - delta)
+                assert not nc_laplacian._negative_definite_below(block, top + delta)
+
+    @pytest.mark.parametrize("offset", ["paper", "symmetric"])
+    def test_config_error_names_the_magnitude(self, prolate_112, offset):
+        ops = _ops(prolate_112, 64, offset=offset)
+        K, margin = 3, 10.0 * ops.hbar
+        nearest = min(abs(nc_laplacian._offset_block(ops, k).level(0)) for k in (K + 1, -K - 1))
+        nc_laplacian._check_block_range(ops, K, nearest - margin - 1e-9 * nearest)
+        with pytest.raises(ConfigError, match=f"magnitude {nearest:.6g}, within .*widen") as err:
+            nc_laplacian._check_block_range(ops, K, nearest - margin + 1e-9 * nearest)
+        assert f"blocks +-{K + 1}" in str(err.value)
 
 
 class TestGammaStorage:

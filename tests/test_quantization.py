@@ -145,6 +145,22 @@ class TestQuantize:
         offsets = T.tocoo().col - T.tocoo().row
         assert set(offsets) == {-2, -1, 0, 1, 2}
 
+    def test_stored_diagonals_of_every_format(self):
+        # DIA layout: entry c of diagonal k is A[c - k, c]; repeated entries add up
+        rng = np.random.default_rng(5)
+        A = np.diag(rng.standard_normal(5), 1) + np.diag(rng.standard_normal(4) * 1j, -2)
+        want = {1: np.r_[0, np.diag(A, 1)], -2: np.r_[np.diag(A, -2), 0, 0]}
+        coo = sp.coo_matrix(A)
+        twice = lambda a: np.r_[a, a]
+        doubled = sp.coo_matrix((twice(coo.data), (twice(coo.row), twice(coo.col))))
+        for M, scale in ((A, 1), (sp.csr_array(A), 1), (sp.csc_matrix(A), 1), (sp.dia_matrix(A), 1),
+                         (sp.dia_array(A), 1), (doubled, 2)):
+            got = quantization.stored_diagonals(M, 6)
+            assert sorted(got) == [-2, 1]
+            for k, d in want.items():
+                np.testing.assert_array_equal(got[k], scale * d)
+        assert quantization.stored_diagonals(sp.csr_matrix((6, 6)), 6) == {}
+
     def test_band_limit_must_stay_below_size(self):
         f = _random_real_blf(seed=12, max_mode=4)
         with pytest.raises(ValueError):
