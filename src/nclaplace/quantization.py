@@ -6,9 +6,11 @@ value.  Mode j fills one diagonal, so the matrix is stored banded (sparse)
 and made dense only where a caller needs it.  Real-valued functions map to
 hermitian matrices, products map to matrix products up to O(1/N), and the
 scaled commutator approaches the Poisson bracket.  The module also provides
-the normalized trace, the product/bracket defect norms (spectral norms from
-a banded eigenvalue solve), the inverse read-off of a matrix into mode
-samples, and matrix export in a small binary container and JSON.
+the normalized trace, the product/bracket defect norms (spectral norms
+bisected with banded Cholesky factorizations), the inverse read-off of a
+matrix into mode samples, and matrix export in a small binary container and
+JSON.  Both export formats store only the diagonals that hold an entry, so
+a dump costs what the band costs.
 """
 
 from __future__ import annotations
@@ -141,11 +143,17 @@ def quantize(f: BandLimitedFunction, grid: QuantizationGrid) -> np.ndarray:
 def spectral_norm(M) -> float:
     """Largest singular value of a banded sparse matrix, sqrt(lambda_max(M^H M)).
 
-    M^H M is hermitian with bandwidth at most the sum of the lower and upper
-    bandwidths of M, so its largest eigenvalue comes from one banded solve
-    through `eigvals_banded`, with no dense SVD: LAPACK ?sbevx when every
-    stored entry of M^H M is real (as for purely real or purely imaginary M),
-    ?hbevx otherwise.  An all-zero M gives exactly 0.0.
+    A = M^H M is hermitian with bandwidth kd at most the sum of the lower
+    and upper bandwidths of M.  tau lies above lambda_max(A) exactly when
+    tau I - A is positive definite, which one banded Cholesky factorization
+    (LAPACK ?pbtrf, O(N kd^2)) decides: by Sylvester's law of inertia it
+    succeeds exactly when no pivot is non-positive (Parlett, The Symmetric
+    Eigenvalue Problem, ch. 3).  tau is bisected on [max diagonal of A,
+    largest Gershgorin row sum of A] until the midpoint no longer splits the
+    bracket, and the upper end is returned; no band is reduced to
+    tridiagonal form and no dense SVD is formed.  The band is real when
+    every stored entry of A is real (as for purely real or purely imaginary
+    M), complex otherwise.  An all-zero M gives exactly 0.0.
     """
     if not np.any(M.data):
         return 0.0
@@ -154,10 +162,19 @@ def spectral_norm(M) -> float:
     n = A.shape[0]
     low = A.row >= A.col
     offset = A.row[low] - A.col[low]
-    band = np.zeros((offset.max() + 1, n), dtype=data.dtype)
+    band = np.zeros((offset.max() + 1, n), dtype=data.dtype, order="F")
     band[offset, A.col[low]] = data[low]  # lower storage: band[k, j] = A[j + k, j]
-    lam = sla.eigvals_banded(band, lower=True, select="i", select_range=(n - 1, n - 1))[0]
-    return float(np.sqrt(max(lam, 0.0)))
+    lo = float(band[0].real.max())
+    hi = float(np.bincount(A.row, weights=np.abs(A.data), minlength=n).max())
+    pbtrf = sla.get_lapack_funcs("pbtrf", (band,))
+    while lo < (tau := lo + 0.5 * (hi - lo)) < hi:
+        shifted = -band  # tau I - A, in the same Fortran-ordered storage
+        shifted[0] += tau
+        if pbtrf(shifted, lower=1, overwrite_ab=1)[1] == 0:
+            hi = tau
+        else:
+            lo = tau
+    return math.sqrt(hi)
 
 
 def stored_diagonals(A, N: int) -> dict:
@@ -309,12 +326,12 @@ def dequantize(F: np.ndarray, grid: QuantizationGrid, max_mode: int) -> BandLimi
 
 
 # ---------------------------------------------------------------------------
-# matrix export: binary container and JSON
+# matrix export: banded binary container and JSON
 
 NCLQ_MAGIC = b"NCLQ"
-NCLQ_VERSION = 1
+NCLQ_VERSION = 2
 NCLQ_FLAG_HERMITIAN = 1
-_HEADER = struct.Struct("<4sIII16x")  # magic, version, N, flags, reserved -> 32 bytes
+_HEADER = struct.Struct("<4sIIII12x")  # magic, version, N, flags, stored diagonals, reserved -> 32 bytes
 
 
 def _is_hermitian(M) -> bool:
@@ -322,74 +339,129 @@ def _is_hermitian(M) -> bool:
     return bool(abs(M - M.conj().T).max() <= 1e-12 * max(1.0, abs(M).max()))
 
 
-def write_matrix_binary(path, M: np.ndarray, flags: int | None = None) -> None:
-    """Dense binary dump: 32-byte header then row-major complex128 pairs."""
-    M = np.ascontiguousarray(np.asarray(M, dtype="<c16"))
-    n = M.shape[0]
-    if M.shape != (n, n):
+def _banded_layout(M) -> tuple[int, list, list]:
+    """(N, offsets, diagonals) of a square dense or sparse matrix M.
+
+    Offset k = column - row.  A diagonal is kept when the dense form of M
+    (``toarray()`` for sparse M) holds an entry on it with a part that is
+    not +0.0, so -0.0 and NaN count; its entries are returned in row order,
+    zeros included.  Sparse M is read through one `diagonal(k)` per offset
+    that holds a stored entry, which sums onto +0.0 as ``toarray()`` does,
+    so dense and sparse forms of one matrix give the same layout.
+    """
+    A = sp.csr_array(M, dtype=complex) if sp.issparse(M) else np.ascontiguousarray(M, dtype="<c16")
+    n = A.shape[0] if A.ndim == 2 else -1
+    if A.shape != (n, n):
         raise ValueError("matrix must be square")
+    if sp.issparse(A):
+        rows = np.repeat(np.arange(n), np.diff(A.indptr))
+        offsets = np.unique(A.indices - rows).tolist()
+        diagonals = [A.diagonal(k) for k in offsets]
+    else:
+        rows, cols = np.nonzero(A.view(np.uint64).reshape(n, n, 2).any(axis=2))
+        offsets = np.unique(cols - rows).tolist()
+        diagonals = [np.diagonal(A, k).copy() for k in offsets]
+    kept = [(k, d) for k, d in zip(offsets, diagonals) if d.view(np.uint64).any()]
+    return n, [k for k, _ in kept], [d for _, d in kept]
+
+
+def _dense_from_diagonals(n: int, offsets: list, values: np.ndarray) -> np.ndarray:
+    """The n x n complex matrix holding `values`, the stored diagonals in
+    ascending offset order and each in row order, and zero elsewhere.
+    Offsets must ascend strictly with |k| < n, and `values` must hold
+    exactly their entries."""
+    if any(abs(k) >= n for k in offsets) or any(a >= b for a, b in zip(offsets, offsets[1:])):
+        raise ValueError(f"offsets must ascend strictly within (-{n}, {n}), got {offsets}")
+    lengths = [n - abs(k) for k in offsets]
+    if len(values) != sum(lengths):
+        raise ValueError(f"expected {sum(lengths)} stored entries, got {len(values)}")
+    M = np.zeros((n, n), dtype=complex)
+    start = 0
+    for k, length in zip(offsets, lengths):
+        rows = np.arange(max(0, -k), max(0, -k) + length)
+        M[rows, rows + k] = values[start : start + length]
+        start += length
+    return M
+
+
+def write_matrix_binary(path, M, flags: int | None = None) -> None:
+    """Banded binary dump of a dense or sparse matrix: the 32-byte header
+    (magic, version 2, N, flags, D), the D int32 offsets of the stored
+    diagonals (`_banded_layout`) in ascending order, then each diagonal's
+    N - |k| complex128 entries in row order, all little-endian."""
+    n, offsets, diagonals = _banded_layout(M)
     if flags is None:
         flags = NCLQ_FLAG_HERMITIAN if _is_hermitian(M) else 0
     with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(NCLQ_MAGIC, NCLQ_VERSION, n, flags))
-        fh.write(M.tobytes())
+        fh.write(_HEADER.pack(NCLQ_MAGIC, NCLQ_VERSION, n, flags, len(offsets)))
+        fh.write(np.asarray(offsets, dtype="<i4").tobytes())
+        for d in diagonals:
+            fh.write(d.astype("<c16").tobytes())
 
 
 def read_matrix_binary(path) -> tuple[np.ndarray, int]:
-    """Read a binary dump back; returns (matrix, flags)."""
+    """Read a binary dump back as a dense matrix; returns (matrix, flags).
+
+    Reads version 2 (banded) and version 1 (32-byte header, then all N^2
+    entries row-major)."""
     raw = Path(path).read_bytes()
-    magic, version, n, flags = _HEADER.unpack_from(raw)
+    if len(raw) < _HEADER.size:
+        raise ValueError(f"file of {len(raw)} bytes has no NCLQ header")
+    magic, version, n, flags, count = _HEADER.unpack_from(raw)
     if magic != NCLQ_MAGIC:
         raise ValueError(f"bad magic {magic!r}")
+    payload = raw[_HEADER.size :]
+    if version == 1:
+        if len(payload) != 16 * n * n:
+            raise ValueError(f"version 1 payload of {len(payload)} bytes for N={n}")
+        return np.frombuffer(payload, dtype="<c16").reshape(n, n).astype(complex), flags
     if version != NCLQ_VERSION:
         raise ValueError(f"unsupported version {version}")
-    M = np.frombuffer(raw[_HEADER.size :], dtype="<c16", count=n * n).reshape(n, n)
-    return M.astype(complex), flags
-
-
-def _stored_entries(M):
-    """(rows, cols, values) of the entries of M that are not written "[0.0, 0.0]".
-
-    Sparse M: the stored entries, valued as in M.toarray() (duplicates summed
-    onto +0, so a stored -0.0 reads 0.0).  Dense M: every entry with a
-    non-zero, non-finite or negative-zero part.
-    """
-    if sp.issparse(M):
-        A = M.tocoo()
-        A.sum_duplicates()
-        return A.row, A.col, A.data + 0.0
-    pairs = M.view(np.float64).reshape(*M.shape, 2)
-    rows, cols = np.nonzero(((pairs != 0.0) | np.signbit(pairs)).any(axis=2))
-    return rows, cols, M[rows, cols]
+    if len(payload) < 4 * count or (len(payload) - 4 * count) % 16:
+        raise ValueError(f"payload of {len(payload)} bytes for {count} diagonals")
+    offsets = np.frombuffer(payload, dtype="<i4", count=count).tolist()
+    values = np.frombuffer(payload, dtype="<c16", offset=4 * count)
+    return _dense_from_diagonals(n, offsets, values), flags
 
 
 def write_matrix_json(path, M) -> None:
-    """Rows of [real, imag] pairs, for a dense or sparse matrix.
+    """Banded JSON dump of a dense or sparse matrix: the text of
+    json.dumps({"N": n, "offsets": [...], "diagonals": [[[re, im], ...], ...]})
+    over the stored diagonals of `_banded_layout`."""
+    n, offsets, diagonals = _banded_layout(M)
+    pairs = [np.column_stack([d.real, d.imag]).tolist() for d in diagonals]
+    Path(path).write_text(json.dumps({"N": n, "offsets": offsets, "diagonals": pairs}))
 
-    The text is that of json.dumps(pairs.tolist()) for the dense [real, imag]
-    array, but only the stored entries are formatted; every other cell is
-    the shared string "[0.0, 0.0]".
-    """
-    if not sp.issparse(M):
-        M = np.ascontiguousarray(M, dtype=complex)
-    rows, cols, vals = _stored_entries(M)
-    # one encode of all stored parts gives the encoder's own float text
-    # (repr, NaN, Infinity, -Infinity)
-    parts = json.dumps(np.column_stack([vals.real, vals.imag]).ravel().tolist())[1:-1].split(", ")
-    n_rows, n_cols = M.shape
-    cells = [["[0.0, 0.0]"] * n_cols for _ in range(n_rows)]
-    for i, j, re, im in zip(rows.tolist(), cols.tolist(), parts[::2], parts[1::2]):
-        cells[i][j] = f"[{re}, {im}]"
-    text = ", ".join("[" + ", ".join(row) + "]" for row in cells)
-    Path(path).write_text("[" + text + "]")
+
+def _json_floats(obj) -> np.ndarray:
+    """Parsed JSON as a float array; ValueError unless it holds only numbers."""
+    try:
+        return np.asarray(obj, dtype=float)
+    except TypeError as err:
+        raise ValueError(f"expected numbers: {err}") from err
 
 
 def read_matrix_json(path) -> np.ndarray:
-    """Read a JSON dump back as an n x n complex matrix."""
-    pairs = np.asarray(json.loads(Path(path).read_text()), dtype=float)
-    if pairs.ndim != 3 or pairs.shape[1:] != (len(pairs), 2):
-        raise ValueError(f"expected n x n [real, imag] pairs, got shape {pairs.shape}")
-    return pairs.view(complex)[..., 0]
+    """Read a JSON dump back as an n x n complex matrix: the banded object,
+    or the dense list of n rows of [real, imag] pairs written before it."""
+    payload = json.loads(Path(path).read_text())
+    if not isinstance(payload, dict):
+        pairs = _json_floats(payload)
+        if pairs.ndim != 3 or pairs.shape[1:] != (len(pairs), 2):
+            raise ValueError(f"expected n x n [real, imag] pairs, got shape {pairs.shape}")
+        return pairs.view(complex)[..., 0]
+    if set(payload) != {"N", "offsets", "diagonals"}:
+        raise ValueError(f"expected the keys N, offsets and diagonals, got {sorted(payload)}")
+    n, offsets, diagonals = payload["N"], payload["offsets"], payload["diagonals"]
+    if type(n) is not int or n < 0 or not isinstance(offsets, list) or any(type(k) is not int for k in offsets):
+        raise ValueError(f"N and the offsets must be integers, got N={n!r}, offsets={offsets!r}")
+    if not isinstance(diagonals, list) or len(diagonals) != len(offsets):
+        raise ValueError(f"expected {len(offsets)} diagonals")
+    parts = [_json_floats(d) for d in diagonals]
+    if any(p.shape != (n - abs(k), 2) for k, p in zip(offsets, parts)):
+        raise ValueError(f"diagonal k of N={n} must hold N - |k| [real, imag] pairs")
+    values = np.concatenate(parts).view(complex)[:, 0] if parts else np.zeros(0, complex)
+    return _dense_from_diagonals(n, offsets, values)
 
 
 def dump_coordinate_matrices(coords: CoordinateMatrices, out_dir, formats=("binary", "json")) -> list:
@@ -400,7 +472,7 @@ def dump_coordinate_matrices(coords: CoordinateMatrices, out_dir, formats=("bina
     for label, M in zip("XYZ", coords.banded):
         if "binary" in formats:
             p = out / f"coords_{label}.nclq"
-            write_matrix_binary(p, M.toarray(), NCLQ_FLAG_HERMITIAN if _is_hermitian(M) else 0)
+            write_matrix_binary(p, M)
             written.append(p)
         if "json" in formats:
             p = out / f"coords_{label}.json"

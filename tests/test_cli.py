@@ -11,7 +11,13 @@ import nclaplace as nc
 from nclaplace import cli, nc_laplacian
 from nclaplace import quantization as qz
 from nclaplace.cli import main
-from nclaplace.quantization import norm_bound, read_matrix_binary, read_matrix_json
+from nclaplace.quantization import (
+    norm_bound,
+    read_matrix_binary,
+    read_matrix_json,
+    write_matrix_binary,
+    write_matrix_json,
+)
 
 
 def test_spectrum_small_sphere_contains_kernel(tmp_path, capsys):
@@ -534,6 +540,33 @@ def test_spectrum_dump_coords_flag(tmp_path):
     )
     assert code == 0
     assert (tmp_path / "mats" / "coords_Y.nclq").exists()
+
+
+def test_coordinate_dumps_re_encode_byte_for_byte(tmp_path):
+    assert main(["dump-coords", "--surface", "ellipsoid", "--axes", "1,2,3", "--N", "9",
+                 "--out", str(tmp_path / "dump")]) == 0
+    assert main(["spectrum", "--surface", "sphere", "--N", "4", "--strategy", "dense", "--count", "2",
+                 "--out", str(tmp_path), "--dump-coords", str(tmp_path / "spectrum")]) == 0
+    files = sorted(tmp_path.glob("*/coords_*"))
+    assert len(files) == 12
+    for path in files:
+        again = tmp_path / f"again{path.suffix}"
+        if path.suffix == ".nclq":
+            write_matrix_binary(again, *read_matrix_binary(path))
+        else:
+            write_matrix_json(again, read_matrix_json(path))
+        assert again.read_bytes() == path.read_bytes(), path
+
+
+def test_dump_coords_stays_banded_at_large_N(tmp_path, unit_sphere):
+    # dense dumps would take 16 N^2 bytes per coordinate and format: 768 MB in binary alone
+    assert main(["dump-coords", "--surface", "sphere", "--N", "4000", "--out", str(tmp_path)]) == 0
+    assert sum(p.stat().st_size for p in tmp_path.iterdir()) < 1_000_000
+    grid = nc.build_grid(4000, -1, 1, 1)
+    for label, f in zip("XYZ", unit_sphere.coordinates):
+        want = nc.quantize(f, grid)
+        assert np.array_equal(read_matrix_binary(tmp_path / f"coords_{label}.nclq")[0], want)
+        assert np.array_equal(read_matrix_json(tmp_path / f"coords_{label}.json"), want)
 
 
 def test_surface_config_file(tmp_path):

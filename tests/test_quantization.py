@@ -1,5 +1,6 @@
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -344,16 +345,29 @@ def test_spectral_norm_of_zero_matrix_is_exactly_zero():
         assert spectral_norm(M) == 0.0
 
 
+def _spy_cholesky(monkeypatch):
+    """Record, for each `spectral_norm` call, the dtype of its Cholesky band,
+    and count the factorizations."""
+    dtypes, factorizations = [], []
+    lookup = sla.get_lapack_funcs
+
+    def spy(names, arrays):
+        dtypes.append(arrays[0].dtype)
+        pbtrf = lookup(names, arrays)
+
+        def counted(*args, **kwargs):
+            factorizations.append(1)
+            return pbtrf(*args, **kwargs)
+
+        return counted
+
+    monkeypatch.setattr(quantization.sla, "get_lapack_funcs", spy)
+    return dtypes, factorizations
+
+
 @pytest.mark.parametrize("kind", ["real", "imaginary", "mixed"])
 def test_spectral_norm_takes_a_real_band_when_mhm_is_real(kind, monkeypatch):
-    bands = []
-    solve = sla.eigvals_banded
-
-    def spy(band, *args, **kwargs):
-        bands.append(band)
-        return solve(band, *args, **kwargs)
-
-    monkeypatch.setattr(quantization.sla, "eigvals_banded", spy)
+    dtypes, _ = _spy_cholesky(monkeypatch)
     rng = np.random.default_rng(7)
     part = {"real": lambda x, y: x, "imaginary": lambda x, y: 1j * y, "mixed": lambda x, y: x + 1j * y}[kind]
     sizes = (1, 2, 3, 17, 60)
@@ -364,7 +378,51 @@ def test_spectral_norm_takes_a_real_band_when_mhm_is_real(kind, monkeypatch):
         want = np.linalg.norm(M.toarray(), 2)
         assert spectral_norm(M) == pytest.approx(want, rel=1e-13, abs=0)
     # a 1 x 1 M^H M is |m|^2, real for every kind
-    assert [b.dtype == np.float64 for b in bands] == [kind != "mixed" or N == 1 for N in sizes]
+    assert [d == np.float64 for d in dtypes] == [kind != "mixed" or N == 1 for N in sizes]
+
+
+def _sbevx_norm(M):
+    """sqrt(lambda_max(M^H M)) from one banded eigenvalue solve of the real
+    band of M^H M (LAPACK ?sbevx), the route `spectral_norm` took before it
+    bisected with Cholesky factorizations."""
+    A = (M.conj().T @ M).tocoo()
+    assert not np.any(A.data.imag)
+    n = A.shape[0]
+    low = A.row >= A.col
+    offset = A.row[low] - A.col[low]
+    band = np.zeros((offset.max() + 1, n))
+    band[offset, A.col[low]] = A.data.real[low]
+    lam = sla.eigvals_banded(band, lower=True, select="i", select_range=(n - 1, n - 1))[0]
+    return float(np.sqrt(max(lam, 0.0)))
+
+
+@pytest.mark.parametrize("N", [1600, 3200])
+def test_spectral_norm_agrees_with_the_banded_eigenvalue_solve(N):
+    s = nc.spheroid(1.0, 2.0)
+    x, y, _ = s.coordinates
+    grid = nc.build_grid(N, *s.z_interval, 1.0)
+    Tx, Ty = quantization.quantize_banded(x, grid), quantization.quantize_banded(y, grid)
+    P = Tx @ Ty - quantization.quantize_banded(nc.pointwise_product(x, y), grid)
+    B = (Tx @ Ty - Ty @ Tx) / (1j * grid.hbar) - quantization.quantize_banded(nc.bracket_function(x, y), grid)
+    for M in (P, B, Tx):
+        assert spectral_norm(M) == pytest.approx(_sbevx_norm(M), rel=1e-13, abs=0)
+
+
+def test_spectral_norm_bisection_terminates(monkeypatch):
+    _, factorizations = _spy_cholesky(monkeypatch)
+    d = np.array([0.5, -3.0, 2.0, 1e-3])
+    # a diagonal M brackets lambda_max exactly: no factorization at all
+    assert spectral_norm(sp.diags(d, format="csr")) == 3.0
+    assert spectral_norm(sp.csr_matrix([[-2.5j]])) == 2.5
+    assert not factorizations
+    rng = np.random.default_rng(3)
+    M = sp.diags([rng.standard_normal(39), rng.standard_normal(40), rng.standard_normal(38)], [-1, 0, 2], format="csr")
+    want = np.linalg.norm(M.toarray(), 2)
+    for scale in (1.0, 1e-150, 3e-151):
+        factorizations.clear()
+        assert spectral_norm(scale * M) == pytest.approx(scale * want, rel=1e-13, abs=0)
+        # hi / lo <= 2 kd + 1, so the bracket halves to one ulp in about 53 + log2(2 kd + 1) steps
+        assert 0 < len(factorizations) <= 60
 
 
 def test_uniform_boundedness_proxy(unit_sphere):
@@ -398,7 +456,7 @@ class TestDequantize:
             nc.dequantize(np.eye(4), g, max_mode=4)
 
 
-def _json_matrices(n):
+def _dump_matrices(n):
     """Dense n x n complex matrices whose parts are often 0.0, -0.0 or
     non-finite, or CSR matrices storing any subset of their entries."""
     parts = hnp.arrays(np.float64, (n, n, 2), elements=st.sampled_from([0.0, -0.0]) | st.floats())
@@ -414,13 +472,36 @@ def _json_matrices(n):
     return st.builds(build, parts, stored, st.booleans())
 
 
-def _assert_json_bytes(path, M):
+def _bits(M, canonical_nan=False):
+    """Bit patterns of the real and imaginary parts of M; with canonical_nan
+    every NaN reads as float("nan"), as a NaN does after a JSON round trip."""
+    parts = np.ascontiguousarray(M, dtype=complex).view(np.float64)
+    if canonical_nan:
+        parts = np.where(np.isnan(parts), np.nan, parts)
+    return parts.view(np.uint64)
+
+
+def _assert_dump_bytes(tmp_path, M):
+    """Both writers give, for M and for its dense form alike, the bytes of
+    the banded layout built here diagonal by diagonal: every offset whose
+    diagonal holds a part that is not +0.0, all of its entries in row order."""
     dense = M.toarray() if sp.issparse(M) else M
     n = dense.shape[0]
-    want = json.dumps(np.ascontiguousarray(dense).view(float).reshape(n, n, 2).tolist())
-    write_matrix_json(path, M)
-    assert path.read_text() == want
-    np.testing.assert_array_equal(read_matrix_json(path), dense)
+    stored = [(k, np.diagonal(dense, k)) for k in range(1 - n, n)]
+    stored = [(k, d) for k, d in stored if _bits(d).any()]
+    payload = {
+        "N": n,
+        "offsets": [k for k, _ in stored],
+        "diagonals": [[[z.real, z.imag] for z in d.tolist()] for _, d in stored],
+    }
+    header = struct.pack("<4sIIII12x", b"NCLQ", 2, n, 0, len(stored))
+    offsets = np.array([k for k, _ in stored], dtype="<i4").tobytes()
+    binary = header + offsets + b"".join(d.astype("<c16").tobytes() for _, d in stored)
+    for given in (M, dense):
+        write_matrix_json(tmp_path / "M.json", given)
+        assert (tmp_path / "M.json").read_text() == json.dumps(payload)
+        write_matrix_binary(tmp_path / "M.nclq", given, 0)
+        assert (tmp_path / "M.nclq").read_bytes() == binary
 
 
 class TestMatrixDumps:
@@ -430,11 +511,12 @@ class TestMatrixDumps:
         path = tmp_path / "X.nclq"
         write_matrix_binary(path, X)
         raw = path.read_bytes()
-        assert raw[:4] == b"NCLQ"
-        assert len(raw) == 32 + 16 * 25
+        assert struct.unpack_from("<4sIIII12x", raw) == (b"NCLQ", 2, 5, 1, 2)  # hermitian, D = 2
+        assert np.frombuffer(raw, dtype="<i4", count=2, offset=32).tolist() == [-1, 1]
+        assert len(raw) == 32 + 4 * 2 + 16 * (4 + 4)  # 32 + 4 D + 16 sum(N - |k|)
         M, flags = read_matrix_binary(path)
         np.testing.assert_array_equal(M, X)
-        assert flags == 1  # hermitian
+        assert flags == 1
 
     def test_json_roundtrip(self, tmp_path, unit_sphere):
         g = nc.build_grid(4, -1, 1, 1)
@@ -445,10 +527,70 @@ class TestMatrixDumps:
 
     def test_json_reader_refuses_a_non_square_payload(self, tmp_path):
         path = tmp_path / "M.json"
-        for payload in ([[[1.0, 0.0], [2.0, 0.0]]], [[1.0, 2.0]], [[[1.0, 0.0, 0.0]]], 3.0):
+        good = {"N": 3, "offsets": [-1, 1], "diagonals": [[[1.0, 0.0], [2.0, 0.0]], [[3.0, 0.0], [4.0, -1.0]]]}
+        path.write_text(json.dumps(good))
+        np.testing.assert_array_equal(read_matrix_json(path), [[0, 3, 0], [1, 0, 4 - 1j], [0, 2, 0]])
+        banded = [
+            {**good, "offsets": [1, -1]},
+            {**good, "offsets": [1, 1]},
+            {"N": 2, "offsets": [2], "diagonals": [[]]},
+            {"N": 2, "offsets": [-3], "diagonals": [[]]},
+            {**good, "diagonals": good["diagonals"][:1]},
+            {**good, "diagonals": [[[1.0, 0.0]], good["diagonals"][1]]},
+            {**good, "diagonals": [[[1.0, 0.0], [2.0, 0.0], [5.0, 0.0]], good["diagonals"][1]]},
+            {**good, "diagonals": [[[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]], good["diagonals"][1]]},
+            {**good, "diagonals": [{}, good["diagonals"][1]]},
+            {**good, "N": 3.0},
+            {**good, "N": True},
+            {**good, "N": -1},
+            {**good, "offsets": [-1.0, 1]},
+            {**good, "offsets": -1},
+            {**good, "version": 2},
+            {"offsets": good["offsets"], "diagonals": good["diagonals"]},
+        ]
+        for payload in ([[[1.0, 0.0], [2.0, 0.0]]], [[1.0, 2.0]], [[[1.0, 0.0, 0.0]]], 3.0, [[{}]], *banded):
             path.write_text(json.dumps(payload))
             with pytest.raises(ValueError):
                 read_matrix_json(path)
+
+    def test_binary_reader_refuses_malformed_files(self, tmp_path):
+        def header(version=2, n=3, count=2, magic=b"NCLQ"):
+            return struct.pack("<4sIIII12x", magic, version, n, 0, count)
+
+        offsets = np.array([-1, 1], dtype="<i4").tobytes()
+        entries = np.arange(4, dtype="<c16").tobytes()
+        path = tmp_path / "M.nclq"
+        path.write_bytes(header() + offsets + entries)
+        np.testing.assert_array_equal(read_matrix_binary(path)[0], [[0, 2, 0], [0, 0, 3], [0, 1, 0]])
+        for raw in (
+            header(magic=b"NCLX") + offsets + entries,
+            header(version=3) + offsets + entries,
+            header(version=0) + offsets + entries,
+            header()[:20],
+            header() + offsets + entries[:-16],
+            header() + offsets + entries + bytes(16),
+            header() + offsets + entries + bytes(1),
+            header(count=3) + offsets + entries,
+            header(count=0) + offsets + entries,
+            header() + np.array([1, -1], dtype="<i4").tobytes() + entries,
+            header() + np.array([1, 1], dtype="<i4").tobytes() + entries,
+            header(n=1) + offsets + entries[:32],
+            header(version=1) + np.zeros(8, dtype="<c16").tobytes(),
+        ):
+            path.write_bytes(raw)
+            with pytest.raises(ValueError):
+                read_matrix_binary(path)
+
+    def test_readers_accept_version_1_files(self, tmp_path):
+        D = np.array([[1 + 2j, -0.0], [complex(np.inf, -0.0), complex(np.nan, 1e-300)]])
+        path = tmp_path / "M.nclq"
+        path.write_bytes(struct.pack("<4sIII16x", b"NCLQ", 1, 2, 1) + D.astype("<c16").tobytes())
+        M, flags = read_matrix_binary(path)
+        np.testing.assert_array_equal(_bits(M), _bits(D))
+        assert flags == 1
+        path = tmp_path / "M.json"
+        path.write_text(json.dumps(D.view(float).reshape(2, 2, 2).tolist()))
+        np.testing.assert_array_equal(_bits(read_matrix_json(path)), _bits(D, canonical_nan=True))
 
     def test_json_writer_special_entries(self, tmp_path):
         # signed zeros, non-finite parts, a stored zero and an all-zero row
@@ -462,12 +604,22 @@ class TestMatrixDumps:
         stored_zero = sp.csr_matrix((signed, ([2, 0, 3, 3], [1, 0, 2, 3])), shape=(4, 4))
         assert stored_zero.nnz == 4
         for M in (D, sp.csr_matrix(D), stored_zero, np.zeros((1, 1), complex), np.full((1, 1), -0.0j)):
-            _assert_json_bytes(tmp_path / "M.json", M)
+            _assert_dump_bytes(tmp_path, M)
 
     @settings(max_examples=200, deadline=None)
-    @given(M=st.integers(1, 6).flatmap(_json_matrices))
+    @given(M=st.integers(1, 6).flatmap(_dump_matrices))
     def test_json_writer_bytes_match_the_encoder(self, tmp_path_factory, M):
-        _assert_json_bytes(tmp_path_factory.mktemp("json") / "M.json", M)
+        _assert_dump_bytes(tmp_path_factory.mktemp("dump"), M)
+
+    @settings(max_examples=200, deadline=None)
+    @given(M=st.integers(1, 6).flatmap(_dump_matrices))
+    def test_dumps_read_back_bit_for_bit(self, tmp_path_factory, M):
+        dense = M.toarray() if sp.issparse(M) else M
+        out = tmp_path_factory.mktemp("dump")
+        write_matrix_binary(out / "M.nclq", M, 0)
+        np.testing.assert_array_equal(_bits(read_matrix_binary(out / "M.nclq")[0]), _bits(dense))
+        write_matrix_json(out / "M.json", M)
+        np.testing.assert_array_equal(_bits(read_matrix_json(out / "M.json")), _bits(dense, canonical_nan=True))
 
     def test_dump_caches_no_dense_coordinates(self, tmp_path, prolate_112):
         a, b = prolate_112.z_interval
