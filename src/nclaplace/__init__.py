@@ -37,6 +37,7 @@ from .quantization import (
     dump_coordinate_matrices,
     quantize,
     quantize_banded,
+    quantize_diagonals,
     spectral_norm,
     trace_functional,
 )

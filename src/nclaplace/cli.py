@@ -285,15 +285,15 @@ def cmd_axioms(args) -> int:
     for N in args.N_list:
         grid = _grid(args, surf, N)
         # each coordinate quantized once; operator norm over the uniform bound
-        mats = {c: qz.quantize_banded(f, grid) for c, f in coords.items()}
-        ratio = {c: qz.spectral_norm(mats[c]) / qz.norm_bound(f, grid) for c, f in coords.items()}
+        mats = {c: qz.quantize_diagonals(f, grid) for c, f in coords.items()}
+        ratio = {c: qz.spectral_norm(mats[c], N) / qz.norm_bound(f, grid) for c, f in coords.items()}
         for label in ("x,y", "y,z", "z,x", "z,z"):
             names = label.split(",")
             f, g = (coords[c] for c in names)
             defects = qz.axiom_defects(f, g, grid, *(mats[c] for c in names))
             bound = max(ratio[c] for c in names)
             rows.append([N, label, defects.product_defect, defects.bracket_defect, bound])
-        trace_err = abs(qz.trace_functional(qz.quantize_banded(one, grid), grid) - area)
+        trace_err = abs(qz.trace_functional(qz.quantize_diagonals(one, grid), grid) - area)
         rows.append([N, "trace(1)", trace_err, None, None])
     for path in write_report(args.out, f"axioms_{_surface_tag(surf)}", config, rows):
         print(f"wrote {path}")
@@ -322,7 +322,7 @@ def cmd_trace(args) -> int:
     # the constant is defined past the surface interval (`_builtin_function`)
     grid = _grid(args, surf, args.N, fitted=args.function != "1")
     f = _builtin_function(surf, args.function)
-    t = qz.trace_functional(qz.quantize_banded(f, grid), grid)
+    t = qz.trace_functional(qz.quantize_diagonals(f, grid), grid)
     integral = srf.surface_integral(surf, f)
     print(f"function = {args.function}")
     print(f"quantized_trace = {_fmt(t)}")

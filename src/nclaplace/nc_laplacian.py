@@ -8,9 +8,12 @@ its inverse, and the operator
 acting on N x N matrices.  gamma is decomposed once and held as eigenpairs
 that gamma^{-1} shares.  gamma is positive definite, so gamma^{-1} is its
 exact inverse; a gamma with min/max below GAMMA_MIN_RATIO is refused when
-the operator set is built.  S = gamma^2 is summed on the stored diagonals
-of X, Y and Z; on a surface of revolution gamma is diagonal and no N x N
-array is formed.  Two spectrum strategies are provided:
+the operator set is built.  X, Y and Z arrive as offset -> diagonal maps
+(``coords.diagonals``, from `quantization.quantize_diagonals`), and
+S = gamma^2 is summed on them with the banded kernel of `quantization`
+(`_banded_product`, `_banded_commutator`); on a surface of revolution
+gamma is diagonal and no N x N array is formed.  Two spectrum strategies
+are provided:
 
 - dense (any surface, N <= DENSE_CAP): L = G K with G = gamma^{-1} and K
   self-adjoint, so H = G^{1/2} K G^{1/2} is symmetric and similar to L: one
@@ -30,9 +33,10 @@ array is formed.  Two spectrum strategies are provided:
   Parlett ch. 3).
 
 Sparse arguments of `apply_laplacian` (the residual check of the blocks
-strategy) are evaluated on stored diagonals: every product of two banded
-matrices is a sum of shifted elementwise products of their diagonals.  The
-residual of a block eigenmatrix is taken on the DIA rows that come back.
+strategy) are evaluated on stored diagonals with the same kernel: every
+product of two banded matrices is a sum of shifted elementwise products of
+their diagonals.  The residual of a block eigenmatrix is taken on the DIA
+rows that come back.
 """
 
 from __future__ import annotations
@@ -57,6 +61,10 @@ from .errors import (
 from .quantization import (
     CoordinateMatrices,
     QuantizationGrid,
+    _accumulate,
+    _banded_commutator,
+    _banded_product,
+    _shift,
     build_grid,
     coordinate_matrices,
     stored_diagonals,
@@ -226,54 +234,6 @@ def build_operator_set(surface: SurfaceDescriptor, grid: QuantizationGrid) -> Qu
     """Quantize the surface coordinates and decompose gamma and its inverse."""
     coords = coordinate_matrices(surface, grid)
     return QuantizedOperatorSet(coords, *build_gamma(coords, grid.hbar))
-
-
-def _shift(a: np.ndarray, s: int) -> np.ndarray:
-    """b[c] = a[c - s], zero where c - s is out of range."""
-    if s == 0:
-        return a
-    b = np.zeros_like(a)
-    if s > 0:
-        b[s:] = a[:-s]
-    else:
-        b[:s] = a[-s:]
-    return b
-
-
-def _accumulate(out: dict, terms: dict) -> None:
-    """Add the diagonals of `terms` into `out`, offset by offset."""
-    for k, d in terms.items():
-        out[k] = out[k] + d if k in out else d
-
-
-def _banded_product(A: dict, B: dict, N: int) -> dict:
-    """Diagonals of A @ B from those of A and B (`stored_diagonals` maps),
-    by ascending offset.  (AB)[r, c] sums A[r, c - l] B[c - l, c] over the
-    offsets l of B, so offset k + l of the product gains a_k shifted by l
-    times b_l, elementwise, over the columns c with c - l in range.  Each
-    offset sums its terms in the order of B's offsets; a term of a diagonal
-    that A or B does not hold is exactly zero and is skipped."""
-    out = {}
-    for l, b in B.items():
-        lo, hi = max(0, l), N + min(0, l)
-        for k, a in A.items():
-            if abs(k + l) >= N:
-                continue
-            if k + l in out:
-                out[k + l][lo:hi] += a[lo - l : hi - l] * b[lo:hi]
-            else:
-                out[k + l] = np.zeros(N, dtype=complex)
-                np.multiply(a[lo - l : hi - l], b[lo:hi], out=out[k + l][lo:hi])
-    return dict(sorted(out.items()))
-
-
-def _banded_commutator(A: dict, B: dict, N: int) -> dict:
-    """Diagonals of A @ B - B @ A, by ascending offset (both products hold
-    the same offsets)."""
-    out = _banded_product(A, B, N)
-    for k, d in _banded_product(B, A, N).items():
-        out[k] = out[k] - d
-    return out
 
 
 def apply_laplacian(ops: QuantizedOperatorSet, F):

@@ -2,15 +2,20 @@
 
 A band-limited function f becomes the N x N matrix with entry
 f_{n-m}(z(n, m)) at position (n, m), where z(n, m) is the midpoint grid
-value.  Mode j fills one diagonal, so the matrix is stored banded (sparse)
-and made dense only where a caller needs it.  Real-valued functions map to
-hermitian matrices, products map to matrix products up to O(1/N), and the
-scaled commutator approaches the Poisson bracket.  The module also provides
-the normalized trace, the product/bracket defect norms (spectral norms
-bisected with banded Cholesky factorizations), the inverse read-off of a
-matrix into mode samples, and matrix export in a small binary container and
-JSON.  Both export formats store only the diagonals that hold an entry, so
-a dump costs what the band costs.
+value.  Mode j fills one diagonal, so the matrix is held as a map from
+offset k = column - row to an N-vector in scipy's DIA layout (d[c] =
+A[c - k, c]), and made sparse or dense only where a caller needs it.
+Products and commutators of such maps are sums of shifted elementwise
+products of their diagonals (`_banded_product`, `_banded_commutator`), the
+one banded kernel that `nc_laplacian` also runs on.  Real-valued functions
+map to hermitian matrices, products map to matrix products up to O(1/N),
+and the scaled commutator approaches the Poisson bracket.  The module also
+provides the normalized trace, the product/bracket defect norms (spectral
+norms bisected with banded Cholesky factorizations, the next shift steered
+by inverse iteration), the inverse read-off of a matrix into mode samples,
+and matrix export in a small binary container and JSON.  Both export
+formats store only the diagonals that hold an entry, so a dump costs what
+the band costs.
 """
 
 from __future__ import annotations
@@ -105,75 +110,168 @@ def default_beta(s: SurfaceDescriptor) -> float:
     return surface_area(s) / (TWO_PI * (b - a))
 
 
-def quantize_banded(f: BandLimitedFunction, grid: QuantizationGrid):
-    """Sparse (CSR) matrix of f on the grid: entry (n, m) = f_{n-m}(z(n, m)).
+def _shift(a: np.ndarray, s: int) -> np.ndarray:
+    """b[c] = a[c - s], zero where c - s is out of range."""
+    if s == 0:
+        return a
+    b = np.zeros_like(a)
+    if s > 0:
+        b[s:] = a[:-s]
+    else:
+        b[:s] = a[-s:]
+    return b
 
-    Mode j fills the diagonal at numpy offset -j and nothing else, so the
-    matrix is banded with half-bandwidth max_mode.  Requires band limit < N;
-    evaluation outside the profile interval raises DomainError (possible when
-    beta > 1 pushes the grid past the interval).  Exact zeros are not stored.
+
+def _accumulate(out: dict, terms: dict) -> None:
+    """Add the diagonals of `terms` into `out`, offset by offset."""
+    for k, d in terms.items():
+        out[k] = out[k] + d if k in out else d
+
+
+def _banded_product(A: dict, B: dict, N: int) -> dict:
+    """Diagonals of A @ B from those of A and B (offset -> diagonal maps),
+    by ascending offset.  (AB)[r, c] sums A[r, c - l] B[c - l, c] over the
+    offsets l of B, so offset k + l of the product gains a_k shifted by l
+    times b_l, elementwise, over the columns c with c - l in range.  Each
+    offset sums its terms in the order of B's offsets; a term of a diagonal
+    that A or B does not hold is exactly zero and is skipped."""
+    out = {}
+    for l, b in B.items():
+        lo, hi = max(0, l), N + min(0, l)
+        for k, a in A.items():
+            if abs(k + l) >= N:
+                continue
+            if k + l in out:
+                out[k + l][lo:hi] += a[lo - l : hi - l] * b[lo:hi]
+            else:
+                out[k + l] = np.zeros(N, dtype=complex)
+                np.multiply(a[lo - l : hi - l], b[lo:hi], out=out[k + l][lo:hi])
+    return dict(sorted(out.items()))
+
+
+def _banded_commutator(A: dict, B: dict, N: int) -> dict:
+    """Diagonals of A @ B - B @ A, by ascending offset (both products hold
+    the same offsets)."""
+    out = _banded_product(A, B, N)
+    for k, d in _banded_product(B, A, N).items():
+        out[k] = out[k] - d
+    return out
+
+
+def _adjoint(M: dict) -> dict:
+    """Diagonals of M^H: offset -k holds the conjugate of diagonal k shifted by -k."""
+    return {-k: np.conj(_shift(d, -k)) for k, d in reversed(M.items())}
+
+
+def quantize_diagonals(f: BandLimitedFunction, grid: QuantizationGrid) -> dict:
+    """The matrix of f on the grid, entry (n, m) = f_{n-m}(z(n, m)), as a map
+    from offset k = column - row to an N-vector in the DIA layout of
+    `stored_diagonals` (d[c] = A[c - k, c]), by ascending offset.
+
+    Mode j fills offset -j and nothing else, so the matrix is banded with
+    half-bandwidth max_mode.  The values are added onto +0.0, as a sparse
+    matrix's `diagonal` reads them, so no part is a signed zero.  Requires
+    band limit < N; evaluation outside the profile interval raises
+    DomainError (possible when beta > 1 pushes the grid past the interval).
+    The matrix of a real-valued f must be hermitian to HERMITICITY_TOL
+    relative, checked diagonal against diagonal.
     """
     N = grid.N
     if f.max_mode >= N:
         raise ValueError(f"band limit {f.max_mode} must be below N={N}")
     diagonals = {}
-    for j in sorted(f.modes):
+    for j in sorted(f.modes, reverse=True):
         zvals = grid.offset_pair_values(-j)
-        diagonals[-j] = np.broadcast_to(f.profile_values(j, zvals), zvals.shape)
-    if not diagonals:
-        return sp.csr_matrix((N, N), dtype=complex)
-    if f.real_valued:
-        # diagonal d of T - T^H is diagonal d of T minus the conjugate of diagonal -d
-        dev = np.max(
-            [np.abs(v - np.conj(diagonals.get(-d, 0.0))).max() for d, v in diagonals.items()]
-        )
-        scale = max(1.0, np.max([np.abs(v).max() for v in diagonals.values()]))
+        d = np.zeros(N, dtype=complex)
+        d[max(0, -j) : max(0, -j) + len(zvals)] += f.profile_values(j, zvals)
+        diagonals[-j] = d
+    if f.real_valued and diagonals:
+        adjoint = _adjoint(diagonals)
+        dev = np.max([np.abs(d - adjoint.get(k, 0.0)).max() for k, d in diagonals.items()])
+        scale = max(1.0, np.max([np.abs(d).max() for d in diagonals.values()]))
         if dev > HERMITICITY_TOL * scale:
             raise ConsistencyError(
                 f"matrix of a real-valued function deviates from hermitian by {dev:.2e}"
             )
-    return sp.diags(list(diagonals.values()), list(diagonals), shape=(N, N), format="csr")
+    return diagonals
+
+
+def _sparse(diagonals: dict, N: int):
+    """CSR form of an offset -> diagonal map; exact zeros are not stored."""
+    if not diagonals:
+        return sp.csr_matrix((N, N), dtype=complex)
+    return sp.dia_matrix((np.array(list(diagonals.values())), list(diagonals)), shape=(N, N)).tocsr()
+
+
+def quantize_banded(f: BandLimitedFunction, grid: QuantizationGrid):
+    """Sparse (CSR) form of `quantize_diagonals`."""
+    return _sparse(quantize_diagonals(f, grid), grid.N)
 
 
 def quantize(f: BandLimitedFunction, grid: QuantizationGrid) -> np.ndarray:
-    """Dense form of `quantize_banded`: entry (n, m) = f_{n-m}(z(n, m))."""
+    """Dense form of `quantize_diagonals`: entry (n, m) = f_{n-m}(z(n, m))."""
     return quantize_banded(f, grid).toarray()
 
 
-def spectral_norm(M) -> float:
-    """Largest singular value of a banded sparse matrix, sqrt(lambda_max(M^H M)).
+def spectral_norm(M, N: int | None = None) -> float:
+    """Largest singular value sqrt(lambda_max(M^H M)) of a banded matrix M:
+    an offset -> diagonal map of an N x N matrix, or a dense or sparse
+    matrix, which is read through `stored_diagonals`.
 
     A = M^H M is hermitian with bandwidth kd at most the sum of the lower
-    and upper bandwidths of M.  tau lies above lambda_max(A) exactly when
-    tau I - A is positive definite, which one banded Cholesky factorization
-    (LAPACK ?pbtrf, O(N kd^2)) decides: by Sylvester's law of inertia it
-    succeeds exactly when no pivot is non-positive (Parlett, The Symmetric
-    Eigenvalue Problem, ch. 3).  tau is bisected on [max diagonal of A,
-    largest Gershgorin row sum of A] until the midpoint no longer splits the
-    bracket, and the upper end is returned; no band is reduced to
-    tridiagonal form and no dense SVD is formed.  The band is real when
-    every stored entry of A is real (as for purely real or purely imaginary
-    M), complex otherwise.  An all-zero M gives exactly 0.0.
+    and upper bandwidths of M; its diagonals come from `_banded_product`.
+    tau lies above lambda_max(A) exactly when tau I - A is positive
+    definite, which one banded Cholesky factorization (LAPACK ?pbtrf,
+    O(N kd^2)) decides: by Sylvester's law of inertia it succeeds exactly
+    when no pivot is non-positive (Parlett, The Symmetric Eigenvalue
+    Problem, ch. 3).  tau is bisected on [max diagonal of A, largest column
+    sum of |A|] until the midpoint no longer splits the bracket, and the
+    upper end is returned; no band is reduced to tridiagonal form and no
+    dense SVD is formed.
+
+    The factorizations decide every step, but inverse iteration picks the
+    shifts: after each one that succeeds at tau, one solve y = (tau I -
+    A)^{-1} x with the factor (?pbtrs) gives theta = x^H y / x^H x <= 1 /
+    (tau - lambda_max), so rho = tau - 1/theta <= lambda_max, and y is the
+    next x.  The next shifts tried are rho + delta, then rho - delta, with
+    delta = max(2 eps |rho|, 1e-4 (tau - rho)); a shift outside the open
+    bracket, NaN included, is passed over for the midpoint, so a poor
+    estimate costs steps, never the result.  The band is real when every
+    entry below its diagonal is real (as for purely real or purely
+    imaginary M), complex otherwise; the diagonal, a sum of |m|^2, is taken
+    as real, as ?pbtrf takes it.  An all-zero M gives exactly 0.0.
     """
-    if not np.any(M.data):
+    if not isinstance(M, dict):
+        N = M.shape[0]
+        M = stored_diagonals(M, N)
+    if not any(np.any(d) for d in M.values()):
         return 0.0
-    A = (M.conj().T @ M).tocoo()
-    data = A.data if np.any(A.data.imag) else A.data.real
-    n = A.shape[0]
-    low = A.row >= A.col
-    offset = A.row[low] - A.col[low]
-    band = np.zeros((offset.max() + 1, n), dtype=data.dtype, order="F")
-    band[offset, A.col[low]] = data[low]  # lower storage: band[k, j] = A[j + k, j]
+    A = _banded_product(_adjoint(M), M, N)
+    kd = -min(A)
+    # lower band storage: band[i, c] = A[c + i, c], offset -i of A
+    band = np.array([A.get(-i, np.zeros(N, dtype=complex)) for i in range(kd + 1)])
+    band = np.asfortranarray(band if np.any(band[1:].imag) else band.real)
     lo = float(band[0].real.max())
-    hi = float(np.bincount(A.row, weights=np.abs(A.data), minlength=n).max())
-    pbtrf = sla.get_lapack_funcs("pbtrf", (band,))
-    while lo < (tau := lo + 0.5 * (hi - lo)) < hi:
-        shifted = -band  # tau I - A, in the same Fortran-ordered storage
-        shifted[0] += tau
-        if pbtrf(shifted, lower=1, overwrite_ab=1)[1] == 0:
-            hi = tau
-        else:
+    hi = float(np.sum([np.abs(d) for d in A.values()], axis=0).max())
+    pbtrf, pbtrs = sla.get_lapack_funcs(("pbtrf", "pbtrs"), (band,))
+    x = np.random.default_rng(0).standard_normal(N).astype(band.dtype)
+    shifts = []
+    while lo < (mid := lo + 0.5 * (hi - lo)) < hi:
+        shifts = [t for t in shifts if lo < t < hi]
+        tau = shifts.pop(0) if shifts else mid
+        factor = -band  # tau I - A, in the same Fortran-ordered storage
+        factor[0] += tau
+        factor, info = pbtrf(factor, lower=1, overwrite_ab=1)
+        if info != 0:
             lo = tau
+            continue
+        hi = tau
+        y = pbtrs(factor, x, lower=1)[0]
+        with np.errstate(all="ignore"):
+            rho = tau - np.vdot(x, x).real / np.vdot(x, y).real
+            delta = max(2 * np.finfo(float).eps * abs(rho), 1e-4 * (tau - rho))
+            x = y / np.abs(y).max()
+        shifts = [rho + delta, rho - delta]
     return math.sqrt(hi)
 
 
@@ -202,15 +300,19 @@ def stored_diagonals(A, N: int) -> dict:
 class CoordinateMatrices:
     """Quantized embedding coordinates X, Y, Z on a common grid.
 
-    ``banded`` holds (X, Y, Z) as the CSR matrices of `quantize_banded`; the
-    attributes X, Y and Z are their dense forms, made on first use by the
-    dense operator paths, and ``diagonals`` their `stored_diagonals`, made
-    on first use by the banded ones.
+    ``diagonals`` holds (X, Y, Z) as the offset -> diagonal maps of
+    `quantize_diagonals`.  ``banded`` (their CSR forms) and the attributes
+    X, Y and Z (their dense forms) are made on first use, by the callers
+    that want scipy or dense matrices.
     """
 
-    banded: tuple
+    diagonals: tuple
     grid: QuantizationGrid
     surface: SurfaceDescriptor
+
+    @cached_property
+    def banded(self) -> tuple:
+        return tuple(_sparse(d, self.grid.N) for d in self.diagonals)
 
     @cached_property
     def X(self) -> np.ndarray:
@@ -224,10 +326,6 @@ class CoordinateMatrices:
     def Z(self) -> np.ndarray:
         return self.banded[2].toarray()
 
-    @cached_property
-    def diagonals(self) -> tuple:
-        return tuple(stored_diagonals(M, self.grid.N) for M in self.banded)
-
 
 def coordinate_matrices(s: SurfaceDescriptor, grid: QuantizationGrid) -> CoordinateMatrices:
     """Quantize the three embedding coordinates.
@@ -236,14 +334,18 @@ def coordinate_matrices(s: SurfaceDescriptor, grid: QuantizationGrid) -> Coordin
     (modes +-1 only) and Z is diagonal (axial semi-axis times the nodes).
     Surfaces with further modes simply quantize coordinate by coordinate.
     """
-    banded = tuple(quantize_banded(f, grid) for f in (s.coord_x, s.coord_y, s.coord_z))
-    return CoordinateMatrices(banded, grid, s)
+    diagonals = tuple(quantize_diagonals(f, grid) for f in (s.coord_x, s.coord_y, s.coord_z))
+    return CoordinateMatrices(diagonals, grid, s)
 
 
 def trace_functional(F, grid: QuantizationGrid) -> float:
-    """Normalized trace 2*pi*hbar*Tr(F) of a dense or sparse matrix; the
-    imaginary part must be rounding."""
-    tr = F.diagonal().sum() if sp.issparse(F) else np.trace(np.asarray(F))
+    """Normalized trace 2*pi*hbar*Tr(F) of an offset -> diagonal map (offset
+    0 summed), or of a dense or sparse matrix; the imaginary part must be
+    rounding."""
+    if isinstance(F, dict):
+        tr = F[0].sum() if 0 in F else 0.0
+    else:
+        tr = F.diagonal().sum() if sp.issparse(F) else np.trace(np.asarray(F))
     t = TWO_PI * grid.hbar * tr
     t = complex(t)
     if abs(t.imag) > 1e-12 * (1.0 + abs(t.real)):
@@ -259,7 +361,7 @@ class AxiomDefects:
     bracket_defect  = || [T(f), T(g)]/(i*hbar) - T({f,g}) ||
     The operator norm is the largest singular value, `spectral_norm` of the
     banded defect matrix; the *_fro fields carry the Frobenius norms of the
-    same matrices.
+    same matrices, taken over their stored diagonals.
     """
 
     product_defect: float
@@ -274,16 +376,20 @@ def axiom_defects(
     """Measure both defect norms at the given N.
 
     fg and {f, g} are formed by exact mode convolution before quantization so
-    the defects isolate the discretization error.  Tf and Tg are
-    `quantize_banded` of f and g, computed here unless the caller has them.
+    the defects isolate the discretization error.  Tf and Tg are the
+    `quantize_diagonals` maps of f and g, computed here unless the caller
+    has them; P and B are formed on diagonals (`_banded_product`).
     """
-    Tf = quantize_banded(f, grid) if Tf is None else Tf
-    Tg = quantize_banded(g, grid) if Tg is None else Tg
-    TfTg = Tf @ Tg
-    P = TfTg - quantize_banded(pointwise_product(f, g), grid)
-    B = (TfTg - Tg @ Tf) / (1j * grid.hbar) - quantize_banded(bracket_function(f, g), grid)
-    fro = lambda M: float(np.linalg.norm(M.data))
-    return AxiomDefects(spectral_norm(P), spectral_norm(B), fro(P), fro(B))
+    N = grid.N
+    Tf = quantize_diagonals(f, grid) if Tf is None else Tf
+    Tg = quantize_diagonals(g, grid) if Tg is None else Tg
+    TfTg, TgTf = _banded_product(Tf, Tg, N), _banded_product(Tg, Tf, N)
+    P = dict(TfTg)
+    _accumulate(P, {k: -d for k, d in quantize_diagonals(pointwise_product(f, g), grid).items()})
+    B = {k: (d - TgTf[k]) * (1 / (1j * grid.hbar)) for k, d in TfTg.items()}
+    _accumulate(B, {k: -d for k, d in quantize_diagonals(bracket_function(f, g), grid).items()})
+    fro = lambda M: float(np.linalg.norm(np.array(list(M.values()))))
+    return AxiomDefects(spectral_norm(P, N), spectral_norm(B, N), fro(P), fro(B))
 
 
 def norm_bound(f: BandLimitedFunction, grid: QuantizationGrid) -> float:
@@ -334,9 +440,37 @@ NCLQ_FLAG_HERMITIAN = 1
 _HEADER = struct.Struct("<4sIIII12x")  # magic, version, N, flags, stored diagonals, reserved -> 32 bytes
 
 
-def _is_hermitian(M) -> bool:
-    """Entrywise hermiticity to 1e-12 relative; M dense or sparse."""
-    return bool(abs(M - M.conj().T).max() <= 1e-12 * max(1.0, abs(M).max()))
+def _is_hermitian(offsets: list, diagonals: list) -> bool:
+    """Entrywise hermiticity to 1e-12 relative of the layout of
+    `_banded_layout`: entry i of diagonal k against the conjugate of entry i
+    of diagonal -k (the transposed entry), a diagonal not stored counting as
+    zeros.  Equal entries count as equal, so an infinite entry matched by
+    its conjugate passes and NaN fails; the scale is the largest finite
+    entry, at least 1."""
+    stored = dict(zip(offsets, diagonals))
+    values = np.concatenate(diagonals) if diagonals else np.zeros(0, dtype=complex)
+    tol = 1e-12 * max(1.0, np.abs(values[np.isfinite(values)]).max(initial=0.0))
+    for k, d in stored.items():
+        t = np.conj(stored.get(-k, np.zeros_like(d)))
+        differ = d != t
+        with np.errstate(invalid="ignore"):  # unequal infinite parts
+            dev = np.abs(d[differ] - t[differ])
+        if not np.all(dev <= tol):
+            return False
+    return True
+
+
+def _diagonal_layout(diagonals: dict, N: int) -> tuple[int, list, list]:
+    """(N, offsets, diagonals) of an offset -> diagonal map (DIA layout) of
+    an N x N matrix, read as a sparse matrix is: each diagonal's N - |k|
+    entries in row order, added onto +0.0 (so no part is a signed zero),
+    and kept when one of them has a part that is not +0.0, NaN included."""
+    kept = []
+    for k in sorted(diagonals):
+        d = np.asarray(diagonals[k], dtype=complex)[max(0, k) : N + min(0, k)] + 0.0
+        if d.view(np.uint64).any():
+            kept.append((k, d))
+    return N, [k for k, _ in kept], [d for _, d in kept]
 
 
 def _banded_layout(M) -> tuple[int, list, list]:
@@ -345,22 +479,19 @@ def _banded_layout(M) -> tuple[int, list, list]:
     Offset k = column - row.  A diagonal is kept when the dense form of M
     (``toarray()`` for sparse M) holds an entry on it with a part that is
     not +0.0, so -0.0 and NaN count; its entries are returned in row order,
-    zeros included.  Sparse M is read through one `diagonal(k)` per offset
-    that holds a stored entry, which sums onto +0.0 as ``toarray()`` does,
-    so dense and sparse forms of one matrix give the same layout.
+    zeros included.  Sparse M is read through `stored_diagonals` of its CSR
+    form, which sums onto +0.0 as ``toarray()`` does, so dense and sparse
+    forms of one matrix give the same layout.
     """
     A = sp.csr_array(M, dtype=complex) if sp.issparse(M) else np.ascontiguousarray(M, dtype="<c16")
     n = A.shape[0] if A.ndim == 2 else -1
     if A.shape != (n, n):
         raise ValueError("matrix must be square")
     if sp.issparse(A):
-        rows = np.repeat(np.arange(n), np.diff(A.indptr))
-        offsets = np.unique(A.indices - rows).tolist()
-        diagonals = [A.diagonal(k) for k in offsets]
-    else:
-        rows, cols = np.nonzero(A.view(np.uint64).reshape(n, n, 2).any(axis=2))
-        offsets = np.unique(cols - rows).tolist()
-        diagonals = [np.diagonal(A, k).copy() for k in offsets]
+        return _diagonal_layout(stored_diagonals(A, n), n)
+    rows, cols = np.nonzero(A.view(np.uint64).reshape(n, n, 2).any(axis=2))
+    offsets = np.unique(cols - rows).tolist()
+    diagonals = [np.diagonal(A, k).copy() for k in offsets]
     kept = [(k, d) for k, d in zip(offsets, diagonals) if d.view(np.uint64).any()]
     return n, [k for k, _ in kept], [d for _, d in kept]
 
@@ -388,10 +519,15 @@ def write_matrix_binary(path, M, flags: int | None = None) -> None:
     """Banded binary dump of a dense or sparse matrix: the 32-byte header
     (magic, version 2, N, flags, D), the D int32 offsets of the stored
     diagonals (`_banded_layout`) in ascending order, then each diagonal's
-    N - |k| complex128 entries in row order, all little-endian."""
-    n, offsets, diagonals = _banded_layout(M)
+    N - |k| complex128 entries in row order, all little-endian.  Without
+    `flags`, the hermitian flag is set when `_is_hermitian` holds."""
+    _write_binary(path, _banded_layout(M), flags)
+
+
+def _write_binary(path, layout: tuple, flags: int | None = None) -> None:
+    n, offsets, diagonals = layout
     if flags is None:
-        flags = NCLQ_FLAG_HERMITIAN if _is_hermitian(M) else 0
+        flags = NCLQ_FLAG_HERMITIAN if _is_hermitian(offsets, diagonals) else 0
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(NCLQ_MAGIC, NCLQ_VERSION, n, flags, len(offsets)))
         fh.write(np.asarray(offsets, dtype="<i4").tobytes())
@@ -428,7 +564,11 @@ def write_matrix_json(path, M) -> None:
     """Banded JSON dump of a dense or sparse matrix: the text of
     json.dumps({"N": n, "offsets": [...], "diagonals": [[[re, im], ...], ...]})
     over the stored diagonals of `_banded_layout`."""
-    n, offsets, diagonals = _banded_layout(M)
+    _write_json(path, _banded_layout(M))
+
+
+def _write_json(path, layout: tuple) -> None:
+    n, offsets, diagonals = layout
     pairs = [np.column_stack([d.real, d.imag]).tolist() for d in diagonals]
     Path(path).write_text(json.dumps({"N": n, "offsets": offsets, "diagonals": pairs}))
 
@@ -465,17 +605,20 @@ def read_matrix_json(path) -> np.ndarray:
 
 
 def dump_coordinate_matrices(coords: CoordinateMatrices, out_dir, formats=("binary", "json")) -> list:
-    """Write X, Y, Z under out_dir from their banded form; returns the created paths."""
+    """Write X, Y, Z under out_dir from their diagonals (`_diagonal_layout`),
+    the bytes `write_matrix_binary` and `write_matrix_json` write for their
+    sparse forms; returns the created paths."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
-    for label, M in zip("XYZ", coords.banded):
+    for label, diagonals in zip("XYZ", coords.diagonals):
+        layout = _diagonal_layout(diagonals, coords.grid.N)
         if "binary" in formats:
             p = out / f"coords_{label}.nclq"
-            write_matrix_binary(p, M)
+            _write_binary(p, layout)
             written.append(p)
         if "json" in formats:
             p = out / f"coords_{label}.json"
-            write_matrix_json(p, M)
+            _write_json(p, layout)
             written.append(p)
     return written

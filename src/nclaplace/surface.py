@@ -28,6 +28,7 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
+from scipy.special import roots_legendre
 
 from .errors import ConsistencyError, DomainError, SingularPointError
 
@@ -473,9 +474,9 @@ def laplace_beltrami_apply(s: SurfaceDescriptor, f: BandLimitedFunction, p) -> f
 def surface_integral(s: SurfaceDescriptor, f: BandLimitedFunction, rel_tol: float = 1e-10) -> float:
     """Integral of Re(f) sqrt|g| over [a, b] x [0, 2*pi).
 
-    Tensor rule: n Gauss-Legendre nodes in z times n trapezoid nodes in
-    theta, or one theta node when the integrand cannot depend on theta (a
-    revolution surface and a mode-0 f).  n doubles from INTEGRAL_NODES[0]
+    Tensor rule: n Gauss-Legendre nodes in z (`roots_legendre`) times n
+    trapezoid nodes in theta, or one theta node when the integrand cannot
+    depend on theta (a revolution surface and a mode-0 f).  n doubles from INTEGRAL_NODES[0]
     until two successive values agree to rel_tol relative or
     INTEGRAL_ABS_TOL absolute; at INTEGRAL_NODES[1] the last value is
     returned with a warning.
@@ -484,7 +485,7 @@ def surface_integral(s: SurfaceDescriptor, f: BandLimitedFunction, rel_tol: floa
     theta_dependent = not (s.revolution and f.max_mode == 0)
     n, previous = INTEGRAL_NODES[0], None
     while True:
-        x, w = np.polynomial.legendre.leggauss(n)
+        x, w = roots_legendre(n)
         m = n if theta_dependent else 1
         z = (0.5 * (b - a) * x + 0.5 * (a + b))[:, None]
         theta = (TWO_PI / m * np.arange(m))[None, :]

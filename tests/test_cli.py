@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 
 import nclaplace as nc
 from nclaplace import cli, nc_laplacian
@@ -376,13 +377,13 @@ def test_axioms_table(tmp_path):
 def test_axioms_quantizes_each_matrix_once(tmp_path, monkeypatch):
     # per N: x, y, z, and fg and {f, g} for each of the 4 pairs, and the constant 1
     calls = []
-    original = qz.quantize_banded
+    original = qz.quantize_diagonals
 
     def counting(f, grid):
         calls.append(grid.N)
         return original(f, grid)
 
-    monkeypatch.setattr(qz, "quantize_banded", counting)
+    monkeypatch.setattr(qz, "quantize_diagonals", counting)
     argv = ["axioms", "--surface", "ellipsoid", "--axes", "1,2,3", "--N-list", "200,400,800"]
     assert main([*argv, "--out", str(tmp_path)]) == 0
     assert sorted(calls) == [200] * 12 + [400] * 12 + [800] * 12
@@ -433,8 +434,11 @@ def test_axioms_table_matches_dense_svd(tmp_path, flags, surf, offset):
                 assert v == pytest.approx(w, rel=1e-12, abs=1e-14), (N, label)
 
 
-def _complex_band_norm(M):
-    """sqrt(lambda_max(M^H M)) from a complex hermitian band (LAPACK ?hbevx)."""
+def _complex_band_norm(M, N):
+    """sqrt(lambda_max(M^H M)) from a complex hermitian band (LAPACK ?hbevx),
+    for M an offset -> diagonal map of an N x N matrix."""
+    offsets = sorted(M)
+    M = sp.dia_matrix((np.array([M[k] for k in offsets]), offsets), shape=(N, N)).tocsr()
     A = (M.conj().T @ M).tocoo()
     n = A.shape[0]
     low = A.row >= A.col
@@ -455,9 +459,17 @@ def test_axioms_real_band_matches_complex_band(tmp_path, monkeypatch, flags):
         return table.read_text().splitlines()
 
     real = rows(tmp_path / "real")
-    complex_norm = lambda M: _complex_band_norm(M) if np.any(M.data) else 0.0
+    calls = []
+
+    def complex_norm(M, N):
+        calls.append(N)
+        return _complex_band_norm(M, N) if any(np.any(d) for d in M.values()) else 0.0
+
     monkeypatch.setattr(qz, "spectral_norm", complex_norm)
     hermitian = rows(tmp_path / "complex")
+    # every norm of the table went through the substitute: per N, the three
+    # coordinates and the two defects of each of the four pairs
+    assert sorted(calls) == [200] * 11 + [400] * 11 + [800] * 11
     real, hermitian = ([l for l in t if not l.startswith("#")] for t in (real, hermitian))
     assert len(real) == len(hermitian) == 1 + 3 * 5
     assert real[0] == hermitian[0]

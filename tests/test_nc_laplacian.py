@@ -85,9 +85,10 @@ class TestGamma:
     def test_broken_coordinates_raise(self, unit_sphere):
         grid = nc.build_grid(12, -1, 1, 1)
         coords = nc.coordinate_matrices(unit_sphere, grid)
-        X = coords.banded[0].tolil()
-        X[0, 11] += 0.5  # not hermitian any more
-        broken = dataclasses.replace(coords, banded=(X.tocsr(), *coords.banded[1:]))
+        X = dict(coords.diagonals[0])
+        X[11] = np.zeros(12, dtype=complex)
+        X[11][11] = 0.5  # entry (0, 11): not hermitian any more
+        broken = dataclasses.replace(coords, diagonals=(X, *coords.diagonals[1:]))
         with pytest.raises(ConsistencyError):
             nc.build_gamma(broken, hbar=grid.hbar)
 

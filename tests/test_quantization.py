@@ -162,6 +162,47 @@ class TestQuantize:
                 np.testing.assert_array_equal(got[k], scale * d)
         assert quantization.stored_diagonals(sp.csr_matrix((6, 6)), 6) == {}
 
+    @pytest.mark.parametrize("offset", ["paper", "symmetric"])
+    @pytest.mark.parametrize("N", [9, 16, 401])
+    @pytest.mark.parametrize(
+        "surf",
+        [nc.sphere(), nc.spheroid(1.0, 2.0), nc.spheroid(1.0, 0.1), nc.ellipsoid(1.0, 2.0, 3.0)],
+        ids=["sphere", "spheroid-1-2", "spheroid-1-0.1", "ellipsoid-1-2-3"],
+    )
+    def test_diagonals_equal_the_csr_route_bit_for_bit(self, surf, N, offset):
+        # reference: each mode's values on its diagonal of a CSR matrix
+        # (sp.diags), read back by stored_diagonals; CSR drops a diagonal
+        # that is all zeros, the map keeps it
+        grid = nc.build_grid(N, *surf.z_interval, 1.0, offset)
+
+        def through_csr(f):
+            modes = sorted(f.modes)
+            values = [
+                np.broadcast_to(f.profile_values(j, grid.offset_pair_values(-j)), (N - abs(j),))
+                for j in modes
+            ]
+            M = sp.diags(values, [-j for j in modes], shape=(N, N), format="csr")
+            return quantization.stored_diagonals(M, N)
+
+        def assert_same(got, want):
+            assert list(got) == sorted(got)
+            assert set(want) <= set(got)
+            for k, d in got.items():
+                want_k = want.get(k, np.zeros(N, dtype=complex))
+                np.testing.assert_array_equal(d.view(np.uint64), want_k.view(np.uint64))
+
+        fun = dict(zip("xyz", surf.coordinates))
+        cases = list(fun.values())
+        for a, b in ("xy", "yz", "zx", "zz"):
+            cases.append(nc.pointwise_product(fun[a], fun[b]))
+            if a != b:
+                cases.append(nc.bracket_function(fun[a], fun[b]))
+        for f in cases:
+            assert_same(quantization.quantize_diagonals(f, grid), through_csr(f))
+        coords = nc.coordinate_matrices(surf, grid)
+        for got, f in zip(coords.diagonals, surf.coordinates):
+            assert_same(got, through_csr(f))
+
     def test_band_limit_must_stay_below_size(self):
         f = _random_real_blf(seed=12, max_mode=4)
         with pytest.raises(ValueError):
@@ -248,6 +289,13 @@ class TestTrace:
             assert err == pytest.approx(8 * math.pi / (3 * N * N), rel=1e-6)
         assert errs[0] / errs[1] == pytest.approx(4.0, abs=0.1)
 
+    def test_trace_of_a_map_sums_offset_zero(self, unit_sphere):
+        g = nc.build_grid(37, -1, 1, 1)
+        for f in unit_sphere.coordinates:
+            want = nc.trace_functional(nc.quantize(f, g), g)
+            assert nc.trace_functional(nc.quantize_diagonals(f, g), g) == pytest.approx(want, rel=1e-15, abs=1e-15)
+        assert nc.trace_functional({}, g) == 0.0
+
     def test_trace_rejects_large_imaginary_part(self, unit_sphere):
         g = nc.build_grid(4, -1, 1, 1)
         with pytest.raises(ConsistencyError):
@@ -309,6 +357,28 @@ class TestAxiomDefects:
             ]
             assert all(a > b for a, b in zip(vals, vals[1:]))
 
+    @pytest.mark.parametrize("offset", ["paper", "symmetric"])
+    @pytest.mark.parametrize(
+        "surf", [nc.sphere(), nc.spheroid(1.0, 2.0), nc.ellipsoid(1.0, 2.0, 3.0)],
+        ids=["sphere", "spheroid-1-2", "ellipsoid-1-2-3"],
+    )
+    def test_defects_match_csr_products_and_dense_svd(self, surf, offset):
+        grid = nc.build_grid(60, *surf.z_interval, 1.0, offset)
+        fun = dict(zip("xyz", surf.coordinates))
+        T = {c: nc.quantize_banded(f, grid) for c, f in fun.items()}
+        sigma = lambda M: np.linalg.svd(M, compute_uv=False)[0]
+        for a, b in ("xy", "yz", "zx", "zz"):
+            f, g = fun[a], fun[b]
+            P = (T[a] @ T[b] - nc.quantize_banded(nc.pointwise_product(f, g), grid)).toarray()
+            B = ((T[a] @ T[b] - T[b] @ T[a]) / (1j * grid.hbar)
+                 - nc.quantize_banded(nc.bracket_function(f, g), grid)).toarray()
+            got = nc.axiom_defects(f, g, grid)
+            want = (sigma(P), sigma(B), np.linalg.norm(P), np.linalg.norm(B))
+            for v, w in zip(
+                (got.product_defect, got.bracket_defect, got.product_defect_fro, got.bracket_defect_fro), want
+            ):
+                assert v == pytest.approx(w, rel=1e-13, abs=1e-13), (a, b)
+
     def test_frobenius_reported_alongside(self, unit_sphere):
         g = nc.build_grid(60, -1, 1, 1)
         d = nc.axiom_defects(unit_sphere.coord_x, unit_sphere.coord_y, g)
@@ -345,21 +415,26 @@ def test_spectral_norm_of_zero_matrix_is_exactly_zero():
         assert spectral_norm(M) == 0.0
 
 
-def _spy_cholesky(monkeypatch):
+def _spy_cholesky(monkeypatch, solve=None):
     """Record, for each `spectral_norm` call, the dtype of its Cholesky band,
-    and count the factorizations."""
+    and count the factorizations (?pbtrf calls); with `solve`, the
+    inverse-iteration solve (?pbtrs) is replaced by it."""
     dtypes, factorizations = [], []
     lookup = sla.get_lapack_funcs
 
     def spy(names, arrays):
         dtypes.append(arrays[0].dtype)
-        pbtrf = lookup(names, arrays)
+        funcs = dict(zip(names, lookup(names, arrays)))
+        pbtrf = funcs["pbtrf"]
 
         def counted(*args, **kwargs):
             factorizations.append(1)
             return pbtrf(*args, **kwargs)
 
-        return counted
+        funcs["pbtrf"] = counted
+        if solve is not None:
+            funcs["pbtrs"] = solve
+        return [funcs[name] for name in names]
 
     monkeypatch.setattr(quantization.sla, "get_lapack_funcs", spy)
     return dtypes, factorizations
@@ -423,6 +498,84 @@ def test_spectral_norm_bisection_terminates(monkeypatch):
         assert spectral_norm(scale * M) == pytest.approx(scale * want, rel=1e-13, abs=0)
         # hi / lo <= 2 kd + 1, so the bracket halves to one ulp in about 53 + log2(2 kd + 1) steps
         assert 0 < len(factorizations) <= 60
+
+
+def _plain_bisection_norm(M, N):
+    """sqrt(lambda_max(M^H M)) by plain bisection: A = M^H M from CSR
+    products, the bracket [max diagonal, largest row sum of |A|] halved at
+    its midpoint, each step decided by one ?pbtrf, until the midpoint no
+    longer splits it.  Returns (norm, factorizations)."""
+    offsets = sorted(M)
+    M = sp.dia_matrix((np.array([M[k] for k in offsets]), offsets), shape=(N, N)).tocsr()
+    A = (M.conj().T @ M).tocoo()
+    data = A.data if np.any(A.data.imag) else A.data.real
+    low = A.row >= A.col
+    offset = A.row[low] - A.col[low]
+    band = np.zeros((offset.max() + 1, N), dtype=data.dtype, order="F")
+    band[offset, A.col[low]] = data[low]
+    lo = float(band[0].real.max())
+    hi = float(np.bincount(A.row, weights=np.abs(A.data), minlength=N).max())
+    pbtrf = sla.lapack.zpbtrf if np.iscomplexobj(band) else sla.lapack.dpbtrf
+    steps = 0
+    while lo < (tau := lo + 0.5 * (hi - lo)) < hi:
+        shifted = -band
+        shifted[0] += tau
+        steps += 1
+        if pbtrf(shifted, lower=1, overwrite_ab=1)[1] == 0:
+            hi = tau
+        else:
+            lo = tau
+    return math.sqrt(hi), steps
+
+
+def _axioms_norm_arguments(monkeypatch, argv):
+    """The (M, N) of every `spectral_norm` call the axioms command makes."""
+    from nclaplace.cli import main
+
+    calls = []
+    original = quantization.spectral_norm
+
+    def record(M, N):
+        calls.append((M, N))
+        return original(M, N)
+
+    with monkeypatch.context() as m:
+        m.setattr(quantization, "spectral_norm", record)
+        assert main(argv) == 0
+    return calls
+
+
+@pytest.mark.parametrize(
+    "flags", [["spheroid", "--axes", "1,2"], ["ellipsoid", "--axes", "1,2,3"]], ids=["spheroid", "ellipsoid"]
+)
+def test_steered_bisection_equals_plain_bisection(tmp_path, monkeypatch, flags):
+    argv = ["axioms", "--surface", *flags, "--N-list", "800", "--out", str(tmp_path)]
+    calls = _axioms_norm_arguments(monkeypatch, argv)
+    assert len(calls) == 11
+    _, factorizations = _spy_cholesky(monkeypatch)
+    steered = plain = 0
+    for M, N in calls:
+        factorizations.clear()
+        got = spectral_norm(M, N)
+        want, steps = _plain_bisection_norm(M, N) if any(np.any(d) for d in M.values()) else (0.0, 0)
+        assert got == pytest.approx(want, rel=1e-15, abs=0)
+        assert len(factorizations) <= 30
+        steered, plain = steered + len(factorizations), plain + steps
+    assert steered < plain / 2
+
+
+def test_failed_inverse_iteration_falls_back_to_bisection(tmp_path, monkeypatch):
+    argv = ["axioms", "--surface", "spheroid", "--axes", "1,2", "--N-list", "400", "--out", str(tmp_path)]
+    calls = _axioms_norm_arguments(monkeypatch, argv)
+    nan_solve = lambda ab, b, lower=0: (np.full_like(b, np.nan), 0)
+    _, factorizations = _spy_cholesky(monkeypatch, solve=nan_solve)
+    for M, N in calls:
+        if not any(np.any(d) for d in M.values()):
+            continue
+        factorizations.clear()
+        want, steps = _plain_bisection_norm(M, N)
+        assert spectral_norm(M, N) == pytest.approx(want, rel=1e-15, abs=0)
+        assert abs(len(factorizations) - steps) <= 2
 
 
 def test_uniform_boundedness_proxy(unit_sphere):
@@ -620,6 +773,35 @@ class TestMatrixDumps:
         np.testing.assert_array_equal(_bits(read_matrix_binary(out / "M.nclq")[0]), _bits(dense))
         write_matrix_json(out / "M.json", M)
         np.testing.assert_array_equal(_bits(read_matrix_json(out / "M.json")), _bits(dense, canonical_nan=True))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_hermitian_flag_with_infinite_entries(self, tmp_path):
+        M = np.array([[np.inf, 1 - 2j, 0], [1 + 2j, 0.5, 0], [0, 0, -np.inf]])
+        N = np.array(M)
+        N[0, 1] = complex(np.inf, 1.0)  # its transposed entry is finite
+        for matrix, flag in ((M, 1), (sp.csr_matrix(M), 1), (N, 0), (sp.csr_matrix(N), 0)):
+            write_matrix_binary(tmp_path / "M.nclq", matrix)
+            assert read_matrix_binary(tmp_path / "M.nclq")[1] == flag
+
+    @pytest.mark.parametrize(
+        "surf, N, offset",
+        [
+            (nc.ellipsoid(0.7, 1.4, 2.1), 400, "paper"),
+            (nc.spheroid(1.0, 2.0), 57, "paper"),
+            (nc.spheroid(1.0, 2.0), 57, "symmetric"),
+        ],
+        ids=["ellipsoid", "spheroid-paper", "spheroid-symmetric"],
+    )
+    def test_dump_bytes_equal_the_dense_writers(self, tmp_path, surf, N, offset):
+        coords = nc.coordinate_matrices(surf, nc.build_grid(N, *surf.z_interval, 1.0, offset))
+        nc.dump_coordinate_matrices(coords, tmp_path / "maps")
+        for label in "XYZ":
+            dense = getattr(coords, label)
+            write_matrix_binary(tmp_path / "dense.nclq", dense)
+            write_matrix_json(tmp_path / "dense.json", dense)
+            for suffix in ("nclq", "json"):
+                got = (tmp_path / "maps" / f"coords_{label}.{suffix}").read_bytes()
+                assert got == (tmp_path / f"dense.{suffix}").read_bytes(), (label, suffix)
 
     def test_dump_caches_no_dense_coordinates(self, tmp_path, prolate_112):
         a, b = prolate_112.z_interval
