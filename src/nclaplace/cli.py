@@ -323,7 +323,8 @@ def cmd_trace(args) -> int:
     grid = _grid(args, surf, args.N, fitted=args.function != "1")
     f = _builtin_function(surf, args.function)
     t = qz.trace_functional(qz.quantize_diagonals(f, grid), grid)
-    integral = srf.surface_integral(surf, f)
+    # the integral of 1 is the area, cached on the surface (`--beta auto` needs it too)
+    integral = srf.surface_area(surf) if args.function == "1" else srf.surface_integral(surf, f)
     print(f"function = {args.function}")
     print(f"quantized_trace = {_fmt(t)}")
     print(f"quadrature_integral = {_fmt(integral)}")

@@ -24,13 +24,14 @@ are provided:
 - blocks (revolution surfaces, large N): gamma is diagonal, so L maps each
   matrix diagonal (Fourier offset) to itself by a closed-form tridiagonal
   matrix that a diagonal similarity makes symmetric (Parlett, The Symmetric
-  Eigenvalue Problem, ch. 7).  The blocks offer their levels nearest zero
-  one at a time, each bisected alone by index, and a k-way merge keeps the
-  `count` closest to zero; eigenvectors are solved for the kept levels
-  only.  O(dim) work per bisected level, and at most count + 2K levels
-  whatever the block sizes.  The range check on blocks +-(K+1) bisects
-  nothing: it is one LDL^T factorization per block (a definiteness test,
-  Parlett ch. 3).
+  Eigenvalue Problem, ch. 7).  A cutoff tau is found from Sturm counts
+  alone (LAPACK ?stebz by value range, stopped before it bisects), so that
+  the blocks hold little more than `count` levels with |lambda| < tau; one
+  ?stebz call per block then bisects exactly those, and the `count`
+  closest to zero are kept.  Eigenvectors are solved for the kept levels
+  only.  O(dim) work per count and per bisected level.  The range check on
+  blocks +-(K+1) bisects nothing: it is one LDL^T factorization per block
+  (a definiteness test, Parlett ch. 3).
 
 Sparse arguments of `apply_laplacian` (the residual check of the blocks
 strategy) are evaluated on stored diagonals with the same kernel: every
@@ -41,7 +42,6 @@ rows that come back.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -83,6 +83,14 @@ GAMMA_DIAGONAL_TOL = 1e-10
 #: smallest eigenvalue of gamma, relative to its largest, that is inverted;
 #: the grids tested (aspect ratios 0.2 to 20, N up to 32000) stay above 1.2e-5
 GAMMA_MIN_RATIO = 1e-12
+
+#: narrowing steps of the level cutoff in `_closest_levels`: each recounts at
+#: most the 2K+1 blocks, about 35 us per block at dim 1000, against about
+#: 0.3 ms for every level bisected beyond count + 1
+CUTOFF_STEPS = 6
+
+#: a ?stebz tolerance so coarse that the bisection stops at the Sturm count
+STURM_COUNT_ABSTOL = np.finfo(float).max
 
 
 def _check_dense_size(N: int) -> None:
@@ -412,7 +420,9 @@ class OffsetBlock:
 
     def level(self, j: int) -> float:
         """The j-th eigenvalue counted from 0 downwards (j = 0 is the closest
-        to 0), bisected alone by index with no eigenvector: O(dim) work."""
+        to 0), bisected alone by index with no eigenvector: O(dim) work.
+        Only the ConfigError of `_check_block_range` uses it; the spectrum
+        bisects by value range (`_closest_levels`)."""
         i = self.dim - 1 - j
         return float(
             sla.eigh_tridiagonal(
@@ -421,10 +431,10 @@ class OffsetBlock:
         )
 
     def vectors(self, values) -> np.ndarray:
-        """Eigenvectors (rows) for eigenvalues already bisected by `level`,
-        by inverse iteration (LAPACK ?stein), with no second bisection.  The
-        symmetric form is one unreduced block: `symmetric` refuses a zero
-        off-diagonal product."""
+        """Eigenvectors (rows) for eigenvalues already bisected
+        (`_levels_within`), by inverse iteration (LAPACK ?stein), with no
+        second bisection.  The symmetric form is one unreduced block:
+        `symmetric` refuses a zero off-diagonal product."""
         off, scale = self.symmetric
         order = np.argsort(values)
         n = self.dim
@@ -599,9 +609,10 @@ def spectrum(
 
     Strategies: dense (any surface, N <= DENSE_CAP, else DenseSizeError; one
     real symmetric solve per parity sector) and blocks (revolution surfaces,
-    offsets k in [-K, K]; a k-way merge over the blocks bisects their levels
-    nearest zero one at a time until `count` are kept, `_closest_levels`,
-    and inverse iteration gives the kept levels' eigenvectors); auto picks
+    offsets k in [-K, K]; Sturm counts find a cutoff tau below which the
+    blocks hold about `count` levels, one bisection per block over
+    (-tau, tau) solves those, `_closest_levels`, and inverse iteration gives
+    the kept levels' eigenvectors); auto picks
     blocks on a surface of revolution, else dense.  Eigenvalues are real.
     Residuals go through the full operator; one over the tolerance
     1e-8*(1 + max |lambda| over the kept values), non-finite or of a zero
@@ -610,8 +621,10 @@ def spectrum(
     asks for a wider K (at K = N - 1 the blocks hold all N^2 eigenvalues,
     and the error says so); that check factorizes and bisects nothing.  The
     blocks strategy reports ``diagnostics = {"levels_solved": n,
-    "residual_margin": r}``, the levels bisected and the worst residual over
-    the tolerance, in the JSON report only.
+    "sturm_counts": c, "level_bound": tau, "residual_margin": r}``: the
+    levels bisected to full precision, the ?stebz calls that only counted,
+    the cutoff, and the worst residual over the tolerance, in the JSON
+    report only.
     """
     strategy = resolve_strategy(strategy, revolution=ops.gamma_eigenvectors is None)
     N = ops.N
@@ -619,20 +632,14 @@ def spectrum(
         raise ConfigError("count must be positive")
     if strategy == "dense":
         candidates = _dense_candidates(ops, count)
+        available = len(candidates)
     elif strategy == "blocks":
         K = block_range if block_range is not None else min(N - 1, max(3, int(math.isqrt(count)) + 1))
         blocks = block_decompose(ops, K)
-        levels, levels_solved = _closest_levels(blocks, count)
-        candidates = [
-            {"value": lam, "block": b.offset, "vec": v, "kind": "block"}
-            for b, values in zip(blocks, levels)
-            if values
-            for lam, v in zip(values, b.vectors(values))
-        ]
+        available = sum(b.dim for b in blocks)
     else:
         raise ConfigError(f"unknown strategy {strategy!r}")
 
-    available = len(candidates)
     if count > available:
         hint = ""
         if strategy == "blocks":
@@ -642,6 +649,14 @@ def spectrum(
                 else "; widen the block range K"
             )
         raise ConfigError(f"requested {count} eigenvalues, only {available} available{hint}")
+    if strategy == "blocks":
+        levels, diagnostics = _closest_levels(blocks, count)
+        candidates = [
+            {"value": lam, "block": b.offset, "vec": v, "kind": "block"}
+            for b, values in zip(blocks, levels)
+            if values
+            for lam, v in zip(values, b.vectors(values))
+        ]
     candidates.sort(key=lambda c: (abs(c["value"]), c["value"], c.get("block") or 0))
     kept = candidates[:count]
     if strategy == "blocks" and K + 1 < N:
@@ -688,7 +703,7 @@ def spectrum(
         solver_tolerance=tol,
         config=config,
         diagnostics=(
-            {"levels_solved": levels_solved, "residual_margin": max(residuals) / tol}
+            {**diagnostics, "residual_margin": max(residuals) / tol}
             if strategy == "blocks"
             else None
         ),
@@ -734,34 +749,90 @@ def _dense_candidates(ops: QuantizedOperatorSet, count: int) -> list:
     ]
 
 
+def _levels_within(block: OffsetBlock, tau: float, stebz, abstol: float):
+    """(m, values): the m levels of the block with |lambda| < tau, ascending.
+
+    One LAPACK ?stebz call over the value range (-tau, tau^-], tau^- the
+    largest double below tau: it counts the range by Sturm sequences, then
+    bisects every level in it until its bracket is narrower than ``abstol``
+    (0: ulp * ||T||, as `level` bisects).  With ``abstol`` = STURM_COUNT_ABSTOL
+    the bisection stops at once, so m is the exact count and the values mean
+    nothing (Barth, Martin & Wilkinson, Numer. Math. 9 (1967); Parlett, The
+    Symmetric Eigenvalue Problem, ch. 3).  A dim-1 block is read off."""
+    if block.dim == 1:
+        d = block.diag
+        return (1, d) if abs(d[0]) < tau else (0, d[:0])
+    m, w, _, _, info = stebz(
+        block.diag, block.symmetric[0], 1, -tau, np.nextafter(tau, -np.inf), 0, 0, abstol, "E"
+    )
+    if info != 0:
+        raise SolverConvergenceError(
+            f"bisection on the offset-{block.offset} block failed (info={info})"
+        )
+    return m, w[:m]
+
+
 def _closest_levels(blocks: list, count: int) -> tuple:
     """Each block's share of the `count` eigenvalues closest to 0 over all
-    blocks (a list of values per block, descending), and the number of
-    levels bisected.
+    blocks (a list of values per block, descending), and the diagnostics
+    ``levels_solved`` (levels bisected to full precision), ``sturm_counts``
+    (?stebz calls that only count) and ``level_bound`` (the cutoff tau).
 
-    A k-way merge: every block offers its next level (`OffsetBlock.level`)
-    to a heap ordered like the kept spectrum, by (|lambda|, lambda, offset),
-    and a popped level is replaced by the next one of its block.  Each
-    block's levels descend from about 0, so the merge is exact and bisects
-    at most count + len(blocks) - 1 levels.  With fewer levels in all
-    blocks than `count`, every level is taken.
+    Count first, then bisect what is kept (`_levels_within`).  A cutoff tau
+    is searched with Sturm counts only: it grows from a first guess until
+    the blocks hold at least `count` levels with |lambda| < tau (the caller
+    asks for no more than they hold), then narrows on the counts until they
+    sum to at most count + 1, or CUTOFF_STEPS steps have run.  Counts are
+    monotone in tau, so a block whose count is equal at both ends of the
+    bracket is not counted again.  Each block with a level below tau is
+    then bisected once over (-tau, tau^-], and the `count` levels first in
+    the kept spectrum's order (|lambda|, lambda, offset) are kept.  This is
+    the exhaustive selection: every level outside the range has |lambda| >=
+    tau, and every level inside |lambda| < tau.  The bisection starts from
+    the range, so a value's last bits depend on tau: two block ranges K that
+    end at different cutoffs agree to about ulp * ||T||, not bit for bit.
     """
-    tops = [b.level(0) for b in blocks]
-    heap = [(abs(lam), lam, b.offset, i) for i, (b, lam) in enumerate(zip(blocks, tops))]
-    heapq.heapify(heap)
+    stebz = sla.get_lapack_funcs("stebz", (blocks[0].diag,))
+    # every level lies within the Gershgorin bound, so all are below the cap
+    bound = max(
+        np.abs(b.diag).max() + 2.0 * np.abs(b.symmetric[0]).max(initial=0.0) for b in blocks
+    )
+    cap = 2.0 * float(bound) + np.finfo(float).tiny
+    lo, hi, c_lo, c_hi = 0.0, cap, [0] * len(blocks), [b.dim for b in blocks]
+    # first guess: 1.5 times the tau at which the one-dimensional Weyl law,
+    # #{|lambda| < tau} ~ sum_j sqrt(tau / |e_j|) / pi for a tridiagonal
+    # block with off-diagonal e, puts sqrt(count) levels in block 0 (the
+    # sphere holds L + 1 of its (L + 1)^2 lowest levels there)
+    e = np.abs(blocks[0].symmetric[0])
+    tau = min(1.5 * (math.pi * math.sqrt(count) / np.sum(e**-0.5)) ** 2, cap) if len(e) else cap
+    counted = steps = 0
+    while sum(c_hi) > count + 1 and steps < CUTOFF_STEPS:
+        c = []
+        for b, low, high in zip(blocks, c_lo, c_hi):
+            if low != high:
+                low = _levels_within(b, tau, stebz, STURM_COUNT_ABSTOL)[0]
+                counted += b.dim > 1
+            c.append(low)
+        if sum(c) >= count:
+            hi, c_hi = tau, c
+        else:
+            lo, c_lo = tau, c
+        if hi == cap and 0.0 < 4.0 * tau < cap:
+            tau *= 4.0
+        else:
+            # the next tau interpolates the summed count to `count`
+            steps += 1
+            f = (count - sum(c_lo)) / (sum(c_hi) - sum(c_lo))
+            tau = lo + min(max(f, 0.1), 0.9) * (hi - lo)
+    found = []
+    for i, (b, c) in enumerate(zip(blocks, c_hi)):
+        if c:
+            values = _levels_within(b, hi, stebz, 0.0)[1].tolist()
+            found += [(abs(lam), lam, b.offset, i) for lam in values]
     levels = [[] for _ in blocks]
-    solved = len(blocks)
-    for kept in range(1, count + 1):
-        if not heap:
-            break
-        _, lam, _, i = heapq.heappop(heap)
+    for _, lam, _, i in sorted(found)[:count]:
         levels[i].append(lam)
-        j = len(levels[i])
-        if kept < count and j < blocks[i].dim:
-            lam = blocks[i].level(j)
-            heapq.heappush(heap, (abs(lam), lam, blocks[i].offset, i))
-            solved += 1
-    return levels, solved
+    return levels, {"levels_solved": len(found), "sturm_counts": counted, "level_bound": float(hi)}
 
 
 def _negative_definite_below(block: OffsetBlock, tau: float) -> bool:

@@ -227,6 +227,23 @@ def test_block_eigenmatrix_failing_the_gate_exits_two(tmp_path, capsys, monkeypa
     assert not list(tmp_path.glob("spectrum_*"))
 
 
+def test_failed_bisection_exits_two(tmp_path, capsys, monkeypatch):
+    get_lapack_funcs = sla.get_lapack_funcs
+
+    def failing(names, *args, **kwargs):
+        func = get_lapack_funcs(names, *args, **kwargs)
+        if names != "stebz":
+            return func
+        return lambda *a: (*func(*a)[:4], 2)
+
+    monkeypatch.setattr(sla, "get_lapack_funcs", failing)
+    args = ["spectrum", "--surface", "spheroid", "--axes", "1,2", "--N", "40", "--count", "4",
+            "--K", "2", "--out", str(tmp_path)]
+    assert main(args) == 2
+    assert "bisection on the offset-0 block failed (info=2)" in capsys.readouterr().err
+    assert not list(tmp_path.glob("spectrum_*"))
+
+
 def test_one_process_runs_commands_in_turn(tmp_path, capsys, monkeypatch):
     # the parser is built once per process: parsing leaves no state behind
     spectrum = ["spectrum", "--surface", "spheroid", "--axes", "1,2", "--N", "40",
@@ -487,6 +504,24 @@ def test_trace_identity_function(capsys):
     out = capsys.readouterr().out
     err = float([l for l in out.splitlines() if l.startswith("abs_error")][0].split("=")[1])
     assert err < 1e-10
+
+
+def test_trace_of_one_integrates_once(capsys, monkeypatch):
+    # --beta auto needs the area, and the integral of 1 is that same area
+    calls = []
+    surface_integral = nc.surface.surface_integral
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return surface_integral(*args, **kwargs)
+
+    monkeypatch.setattr(nc.surface, "surface_integral", counting)
+    argv = ["trace", "--surface", "ellipsoid", "--axes", "1.1,2.2,3.3", "--N", "40",
+            "--beta", "auto", "--function", "1"]
+    assert main(argv) == 0
+    assert len(calls) == 1
+    lines = dict(l.split(" = ") for l in capsys.readouterr().out.splitlines())
+    assert lines["quadrature_integral"] == cli._fmt(surface_integral(*calls[0]))
 
 
 def test_trace_odd_function_reports_finite_sum(capsys):

@@ -476,17 +476,25 @@ class TestSpectrum:
     def test_levels_solved_in_json_only(self, unit_sphere, tmp_path):
         ops = _ops(unit_sphere, 12)
         rep = nc.spectrum(ops, strategy="blocks", count=4, block_range=1)
-        # three blocks, four kept levels, one push saved; the range check on
-        # blocks +-2 factorizes and bisects nothing
-        assert rep.to_json_dict()["diagnostics"] == {
-            "levels_solved": 3 + 4 - 1,
+        # the first cutoff holds eight levels of the three blocks; one
+        # narrowing step counts the three again and holds the four kept
+        # levels, the only ones bisected; the range check on blocks +-2
+        # factorizes and bisects nothing
+        diagnostics = rep.to_json_dict()["diagnostics"]
+        assert diagnostics == {
+            "levels_solved": 4,
+            "sturm_counts": 3 + 3,
+            "level_bound": diagnostics["level_bound"],
             "residual_margin": max(rep.residuals) / rep.solver_tolerance,
         }
+        fifth = _exhaustive_selection(ops, 5, 1)[4][0]
+        assert max(abs(v) for v in rep.eigenvalues) < diagnostics["level_bound"] <= abs(fifth)
         assert 0 < rep.to_json_dict()["diagnostics"]["residual_margin"] <= 1
         assert "diagnostics" not in rep.config
+        assert not set(diagnostics) & set(rep.config)
         (csv_path,) = cli.write_report(tmp_path, "rep", rep.config, rep.to_csv_rows())
-        assert "levels_solved" not in csv_path.read_text()
-        assert "residual_margin" not in csv_path.read_text()
+        for key in diagnostics:
+            assert key not in csv_path.read_text()
         assert "diagnostics" not in nc.spectrum(ops, strategy="dense", count=4).to_json_dict()
 
     def test_report_serialization(self, unit_sphere):
@@ -718,21 +726,110 @@ class TestBoundedSelection:
                     assert rep.cluster_index == nc_laplacian._assign_clusters(values, order, clusters)
 
     def test_pinned_levels_requested(self, monkeypatch):
-        # the per-block selection requested count levels from each of the
-        # 2K + 1 blocks plus 2 for the range check: 86 here
-        requested = []
-        eigh_tridiagonal = sla.eigh_tridiagonal
+        # the k-way merge bisected count + 2K levels, 18 here, each twice
+        # over; the count-first selection bisects only the levels below its
+        # cutoff, and every other ?stebz call only counts
+        bisected, counts = [], []
+        get_lapack_funcs = sla.get_lapack_funcs
 
-        def counting(d, e, *args, select="a", select_range=None, **kwargs):
-            requested.append(len(d) if select == "a" else select_range[1] - select_range[0] + 1)
-            return eigh_tridiagonal(d, e, *args, select=select, select_range=select_range, **kwargs)
+        def spying(names, arrays=(), *args, **kwargs):
+            func = get_lapack_funcs(names, arrays, *args, **kwargs)
+            if names != "stebz":
+                return func
+
+            def stebz(d, e, rng, vl, vu, il, iu, abstol, order):
+                out = func(d, e, rng, vl, vu, il, iu, abstol, order)
+                (bisected if abstol == 0.0 else counts).append(out[0])
+                return out
+
+            return stebz
 
         ops = _ops(nc.spheroid(1.0, 2.0), 1000)
-        monkeypatch.setattr(sla, "eigh_tridiagonal", counting)
+        monkeypatch.setattr(sla, "get_lapack_funcs", spying)
         count, K = 12, 3
         rep = nc.spectrum(ops, strategy="blocks", count=count, block_range=K)
-        assert sum(requested) <= 2 * count + 2 * K + 3
-        assert rep.to_json_dict()["diagnostics"]["levels_solved"] == sum(requested)
+        diagnostics = rep.to_json_dict()["diagnostics"]
+        assert count <= sum(bisected) <= count + 2
+        assert diagnostics["levels_solved"] == sum(bisected)
+        assert diagnostics["sturm_counts"] == len(counts)
+
+
+def _all_levels(blocks):
+    """(value, offset) of every level of every block (`eigh_tridiagonal`
+    of the symmetric form), sorted like the kept spectrum."""
+    found = [
+        (float(lam), b.offset)
+        for b in blocks
+        for lam in sla.eigh_tridiagonal(b.diag, b.symmetric[0], eigvals_only=True)
+    ]
+    return sorted(found, key=lambda f: (abs(f[0]), f[0], f[1]))
+
+
+class TestCountFirstSelection:
+    @staticmethod
+    def _assert_selects(blocks, count, offset, gap):
+        found = _all_levels(blocks)
+        levels, diagnostics = nc_laplacian._closest_levels(blocks, count)
+        got = sorted(
+            ((lam, b.offset) for b, values in zip(blocks, levels) for lam in values),
+            key=lambda f: (abs(f[0]), f[0], f[1]),
+        )
+        want = found[:count]
+        assert len(got) == len(want)
+        # both sides hold a level only to about ulp * ||T||: 9e-10 on
+        # sphere(0.1) at N = 200, where they put the kernel level 1.2e-10 apart
+        norm = max(
+            np.abs(b.diag).max() + 2.0 * np.abs(b.symmetric[0]).max(initial=0.0) for b in blocks
+        )
+        for (value, block), (expected, expected_block) in zip(got, want):
+            tol = 1e-10 * (1.0 + abs(expected)) + np.finfo(float).eps * norm
+            assert abs(value - expected) <= tol
+            if block != expected_block:
+                # blocks +-k mirror each other on the symmetric grid
+                assert offset == "symmetric"
+                assert any(b == block and abs(v - value) <= tol for v, b in found)
+        assert all(values == sorted(values, reverse=True) for values in levels)
+        bound = diagnostics["level_bound"]
+        assert max(abs(v) for v, _ in got) < bound
+        # every level below the cutoff is bisected, and no other
+        assert diagnostics["levels_solved"] == sum(abs(v) < bound for v, _ in found)
+        multiplicities = [
+            [m for _, m in nc.cluster_multiplicities(sorted(v for v, _ in pairs), gap)]
+            for pairs in (got, want)
+        ]
+        assert multiplicities[0] == multiplicities[1]
+
+    @pytest.mark.parametrize("offset", ["paper", "symmetric"])
+    @pytest.mark.parametrize(
+        "surf",
+        [nc.sphere(), nc.sphere(0.1), nc.sphere(10.0), nc.spheroid(1.0, 0.5), nc.spheroid(1.0, 2.0)],
+        ids=["sphere", "sphere0.1", "sphere10", "c0.5", "c2"],
+    )
+    def test_agrees_with_all_levels(self, surf, offset):
+        for N, K in ((16, 3), (200, 1), (200, 3), (200, 5)):
+            ops = _ops(surf, N, offset=offset)
+            blocks = nc.block_decompose(ops, K)
+            for count in (1, 4, 9, 12, 20, 40):
+                self._assert_selects(blocks, count, offset, 10.0 * ops.hbar)
+
+    @pytest.mark.parametrize("offset", ["paper", "symmetric"])
+    @pytest.mark.parametrize("N", [2, 3])
+    def test_one_by_one_blocks(self, unit_sphere, N, offset):
+        # at K = N - 1 the blocks +-(N - 1) have dim 1 and are read off
+        ops = _ops(unit_sphere, N, offset=offset)
+        blocks = nc.block_decompose(ops, N - 1)
+        assert [b.dim for b in blocks][-2:] == [1, 1]
+        for count in range(1, N * N + 1):
+            self._assert_selects(blocks, count, offset, 10.0 * ops.hbar)
+        rep = nc.spectrum(ops, strategy="blocks", count=N * N, block_range=N - 1)
+        dense = nc.spectrum(ops, strategy="dense", count=N * N)
+        np.testing.assert_allclose(sorted(rep.eigenvalues), sorted(dense.eigenvalues), atol=1e-9)
+        with pytest.raises(ConfigError) as err:
+            nc.spectrum(ops, strategy="blocks", count=N * N + 1, block_range=N - 1)
+        assert str(err.value) == (
+            f"requested {N * N + 1} eigenvalues, only {N * N} available; "
+            f"the blocks at K = N - 1 hold all N^2 = {N * N} eigenvalues"
+        )
 
 
 class TestBlockRangeCheck:
