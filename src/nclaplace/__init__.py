@@ -36,7 +36,6 @@ from .quantization import (
     dequantize,
     dump_coordinate_matrices,
     quantize,
-    quantize_banded,
     quantize_diagonals,
     spectral_norm,
     trace_functional,

@@ -33,11 +33,10 @@ are provided:
   blocks +-(K+1) bisects nothing: it is one LDL^T factorization per block
   (a definiteness test, Parlett ch. 3).
 
-Sparse arguments of `apply_laplacian` (the residual check of the blocks
-strategy) are evaluated on stored diagonals with the same kernel: every
-product of two banded matrices is a sum of shifted elementwise products of
-their diagonals.  The residual of a block eigenmatrix is taken on the DIA
-rows that come back.
+`apply_laplacian` of an offset -> diagonal map (the residual check of the
+blocks strategy) runs on the same kernel: every product of two banded
+matrices is a sum of shifted elementwise products of their diagonals.  The
+residual of a block eigenmatrix is taken over the diagonals that come back.
 """
 
 from __future__ import annotations
@@ -48,7 +47,6 @@ from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
 
 from .errors import (
     ConfigError,
@@ -64,6 +62,7 @@ from .quantization import (
     _accumulate,
     _banded_commutator,
     _banded_product,
+    _dense,
     _shift,
     build_grid,
     coordinate_matrices,
@@ -140,7 +139,7 @@ def build_gamma(coords: CoordinateMatrices, hbar: float):
         V = None
     else:
         _check_dense_size(N)
-        S = sp.dia_array((np.array(list(S.values())), list(S)), shape=(N, N)).toarray()
+        S = _dense(S, N)
         w, V = _eigh(0.5 * (S + S.conj().T))
     wmax = max(w.max(), 0.0)
     if w.min() < -1e-10 * max(wmax, 1e-300):
@@ -228,14 +227,14 @@ class QuantizedOperatorSet:
 
     @cached_property
     def diagonals(self) -> tuple:
-        """(X, G): the diagonals of X, Y and Z (``coords.diagonals``, a map
-        offset k -> N-vector for each), and those of G = gamma^{-1}
-        (`stored_diagonals`).  G is the single offset 0 when diagonal, else
-        every nonzero diagonal of its dense form."""
+        """(X, G): the offset -> diagonal maps of X, Y and Z
+        (``coords.diagonals``) and of G = gamma^{-1}.  G is the single
+        offset 0 when diagonal, else every nonzero diagonal of its dense
+        form (`stored_diagonals`)."""
         V = self.gamma_eigenvectors
         if V is None:
             return self.coords.diagonals, {0: self.gamma_inv_eigenvalues.astype(complex)}
-        return self.coords.diagonals, stored_diagonals(self.gamma_inv, self.N)
+        return self.coords.diagonals, stored_diagonals(self.gamma_inv)
 
 
 def build_operator_set(surface: SurfaceDescriptor, grid: QuantizationGrid) -> QuantizedOperatorSet:
@@ -247,15 +246,21 @@ def build_operator_set(surface: SurfaceDescriptor, grid: QuantizationGrid) -> Qu
 def apply_laplacian(ops: QuantizedOperatorSet, F):
     """Apply L(F) = -(1/hbar^2) sum_i gamma^{-1}[X_i, gamma^{-1}[X_i, F]].
 
-    Accepts dense arrays or scipy sparse matrices and returns the same kind.
-    A sparse F is read by offset and every product is taken on stored
-    diagonals (`_banded_product`), with the diagonals of X, Y, Z and
-    gamma^{-1} from ``ops.diagonals``; the result is rebuilt in F's sparse
-    format.  The closed-form blocks of `_offset_block` are not used, so the
-    check stays independent of the solve it verifies.
+    Accepts a dense array or an offset -> diagonal map (DIA layout, N-vectors
+    zero outside the matrix) and returns the same kind.  On a map every
+    product is taken on diagonals (`_banded_product`), with the diagonals of
+    X, Y, Z and gamma^{-1} from ``ops.diagonals``; the result holds its
+    offsets in ascending order.  The closed-form blocks of `_offset_block`
+    are not used, so the check stays independent of the solve it verifies.
     """
-    if sp.issparse(F):
-        return _apply_banded(ops, F)
+    if isinstance(F, dict):
+        N = ops.N
+        X, G = ops.diagonals
+        out = {}
+        for Xi in X:
+            inner = _banded_product(G, _banded_commutator(Xi, F, N), N)
+            _accumulate(out, _banded_product(G, _banded_commutator(Xi, inner, N), N))
+        return {k: out[k] / -ops.hbar**2 for k in sorted(out)}
     F = np.asarray(F, dtype=complex)
     mats = (ops.coords.X, ops.coords.Y, ops.coords.Z)
     G = ops.gamma_inv
@@ -265,21 +270,6 @@ def apply_laplacian(ops: QuantizedOperatorSet, F):
         term = G @ (Xi @ inner - inner @ Xi)
         out = term if out is None else out + term
     return -out / ops.hbar**2
-
-
-def _apply_banded(ops: QuantizedOperatorSet, F):
-    """`apply_laplacian` of a sparse F, on stored diagonals."""
-    N = ops.N
-    X, G = ops.diagonals
-    D = stored_diagonals(F, N)
-    out = {}
-    for Xi in X:
-        inner = _banded_product(G, _banded_commutator(Xi, D, N), N)
-        _accumulate(out, _banded_product(G, _banded_commutator(Xi, inner, N), N))
-    offsets = sorted(out)
-    data = np.array([out[k] for k in offsets]).reshape(len(offsets), N) / -ops.hbar**2
-    kind = sp.dia_array if isinstance(F, sp.sparray) else sp.dia_matrix
-    return kind((data, offsets), shape=F.shape).asformat(F.format)
 
 
 def _kron_terms(ops: QuantizedOperatorSet, root=None) -> list:
@@ -507,14 +497,6 @@ def _offset_block(ops: QuantizedOperatorSet, k: int) -> OffsetBlock:
     return OffsetBlock(
         k, -gn * diag / h2, gn[:-1] * pair * upper.real / h2, gn[1:] * pair * lower.real / h2
     )
-
-
-def _embed_offset(v: np.ndarray, k: int, N: int):
-    """Sparse N x N matrix (DIA format) with vector v along diagonal offset k;
-    its one data row is N long, zero where column c holds no entry."""
-    row = np.zeros((1, N), dtype=complex)
-    row[0, max(0, k) : N + min(0, k)] = v
-    return sp.dia_matrix((row, [k]), shape=(N, N))
 
 
 def block_decompose(ops: QuantizedOperatorSet, max_offset: int) -> list[OffsetBlock]:
@@ -866,25 +848,21 @@ def _check_block_range(ops: QuantizedOperatorSet, K: int, largest_kept: float) -
 def _full_residual(ops: QuantizedOperatorSet, cand: dict) -> float:
     """||L(F) - lambda F||_F / ||F||_F through the full operator; inf when F = 0.
 
-    A block eigenmatrix lies on one diagonal: L(F) comes back in DIA form
-    and lambda F is taken off its row at that offset.  The norm runs over
-    the nonzero entries in row-major order, as the CSR form of the residual
-    stores them, so it sums in the same order and gives the same value."""
+    A block eigenmatrix lies on one diagonal: F is passed as the map
+    {k: its padded diagonal}, lambda F is taken off diagonal k of L(F), and
+    the norm runs over the diagonals that come back (zero outside the
+    matrix)."""
     lam = cand["value"]
     norm = np.linalg.norm(cand["vec"])
     if not norm > 0:
         return math.inf
     if cand["kind"] == "block":
         N, k = ops.N, cand["block"]
-        F = _embed_offset(cand["vec"], k, N)
-        LF = apply_laplacian(ops, F)
-        offsets = LF.offsets.tolist()
-        LF.data[offsets.index(k)] -= lam * F.data[0]
-        entries = np.zeros((N, len(offsets)), dtype=complex)  # entries[r, j] = R[r, r + offsets[j]]
-        for j, off in enumerate(offsets):
-            lo, hi = max(0, -off), N - max(0, off)
-            entries[lo:hi, j] = LF.data[j, lo + off : hi + off]
-        return float(np.linalg.norm(entries[entries != 0]) / norm)
+        v = np.zeros(N, dtype=complex)
+        v[max(0, k) : N + min(0, k)] = cand["vec"]
+        R = apply_laplacian(ops, {k: v})
+        R[k] = R[k] - lam * v
+        return float(np.linalg.norm(np.array(list(R.values()))) / norm)
     F = np.asarray(cand["vec"]).reshape(ops.N, ops.N)
     resid = apply_laplacian(ops, F) - lam * F
     return float(np.linalg.norm(resid) / norm)

@@ -4,7 +4,8 @@ A band-limited function f becomes the N x N matrix with entry
 f_{n-m}(z(n, m)) at position (n, m), where z(n, m) is the midpoint grid
 value.  Mode j fills one diagonal, so the matrix is held as a map from
 offset k = column - row to an N-vector in scipy's DIA layout (d[c] =
-A[c - k, c]), and made sparse or dense only where a caller needs it.
+A[c - k, c]), the one banded format of the package, and made dense
+(`_dense`) only where a caller needs an N x N array.
 Products and commutators of such maps are sums of shifted elementwise
 products of their diagonals (`_banded_product`, `_banded_commutator`), the
 one banded kernel that `nc_laplacian` also runs on.  Real-valued functions
@@ -29,7 +30,6 @@ from pathlib import Path
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
 
 from .errors import ConsistencyError
 from .surface import (
@@ -169,10 +169,10 @@ def quantize_diagonals(f: BandLimitedFunction, grid: QuantizationGrid) -> dict:
     `stored_diagonals` (d[c] = A[c - k, c]), by ascending offset.
 
     Mode j fills offset -j and nothing else, so the matrix is banded with
-    half-bandwidth max_mode.  The values are added onto +0.0, as a sparse
-    matrix's `diagonal` reads them, so no part is a signed zero.  Requires
-    band limit < N; evaluation outside the profile interval raises
-    DomainError (possible when beta > 1 pushes the grid past the interval).
+    half-bandwidth max_mode.  The values are added onto +0.0, so no part is
+    a signed zero.  Requires band limit < N; evaluation outside the profile
+    interval raises DomainError (possible when beta > 1 pushes the grid past
+    the interval).
     The matrix of a real-valued f must be hermitian to HERMITICITY_TOL
     relative, checked diagonal against diagonal.
     """
@@ -196,27 +196,26 @@ def quantize_diagonals(f: BandLimitedFunction, grid: QuantizationGrid) -> dict:
     return diagonals
 
 
-def _sparse(diagonals: dict, N: int):
-    """CSR form of an offset -> diagonal map; exact zeros are not stored."""
-    if not diagonals:
-        return sp.csr_matrix((N, N), dtype=complex)
-    return sp.dia_matrix((np.array(list(diagonals.values())), list(diagonals)), shape=(N, N)).tocsr()
-
-
-def quantize_banded(f: BandLimitedFunction, grid: QuantizationGrid):
-    """Sparse (CSR) form of `quantize_diagonals`."""
-    return _sparse(quantize_diagonals(f, grid), grid.N)
+def _dense(diagonals: dict, N: int) -> np.ndarray:
+    """The N x N array of an offset -> diagonal map: entry c of diagonal k
+    is added onto +0.0 at (c - k, c) for the columns c with c - k in range,
+    so no part is a signed zero, and every other entry is zero."""
+    M = np.zeros((N, N), dtype=complex)
+    flat = M.reshape(-1)  # entry (r, r + k) sits at r (N + 1) + k
+    for k, d in diagonals.items():
+        start = k if k >= 0 else -k * N
+        flat[start : start + (N - abs(k)) * (N + 1) : N + 1] += d[max(0, k) : N + min(0, k)]
+    return M
 
 
 def quantize(f: BandLimitedFunction, grid: QuantizationGrid) -> np.ndarray:
     """Dense form of `quantize_diagonals`: entry (n, m) = f_{n-m}(z(n, m))."""
-    return quantize_banded(f, grid).toarray()
+    return _dense(quantize_diagonals(f, grid), grid.N)
 
 
-def spectral_norm(M, N: int | None = None) -> float:
-    """Largest singular value sqrt(lambda_max(M^H M)) of a banded matrix M:
-    an offset -> diagonal map of an N x N matrix, or a dense or sparse
-    matrix, which is read through `stored_diagonals`.
+def spectral_norm(M: dict, N: int) -> float:
+    """Largest singular value sqrt(lambda_max(M^H M)) of a banded N x N
+    matrix M, given as an offset -> diagonal map.
 
     A = M^H M is hermitian with bandwidth kd at most the sum of the lower
     and upper bandwidths of M; its diagonals come from `_banded_product`.
@@ -241,9 +240,6 @@ def spectral_norm(M, N: int | None = None) -> float:
     imaginary M), complex otherwise; the diagonal, a sum of |m|^2, is taken
     as real, as ?pbtrf takes it.  An all-zero M gives exactly 0.0.
     """
-    if not isinstance(M, dict):
-        N = M.shape[0]
-        M = stored_diagonals(M, N)
     if not any(np.any(d) for d in M.values()):
         return 0.0
     A = _banded_product(_adjoint(M), M, N)
@@ -275,24 +271,18 @@ def spectral_norm(M, N: int | None = None) -> float:
     return math.sqrt(hi)
 
 
-def stored_diagonals(A, N: int) -> dict:
-    """The stored diagonals of an N x N matrix A (dense or sparse) by offset
-    k = column - row, in scipy's DIA layout: d[c] = A[c - k, c], zero where
-    row c - k lies outside the matrix.  A DIA matrix is read row by row,
-    anything else through its CSR form (repeated entries add up), one
-    `diagonal(k)` per offset that holds a stored entry."""
-    if sp.issparse(A) and A.format == "dia":
-        rows = zip(A.offsets.tolist(), A.data)
-        pairs = [(k, row[max(0, k) : N + min(0, k)]) for k, row in rows if abs(k) < N]
-    else:
-        A = sp.csr_array(A)
-        rows = np.repeat(np.arange(N), np.diff(A.indptr))
-        offsets = np.flatnonzero(np.bincount(A.indices - rows + N - 1)) - (N - 1)
-        pairs = [(k, A.diagonal(k)) for k in offsets.tolist()]
+def stored_diagonals(A: np.ndarray) -> dict:
+    """The offset -> diagonal map of a dense square matrix A, by ascending
+    offset k = column - row, in scipy's DIA layout: d[c] = A[c - k, c], zero
+    where row c - k lies outside the matrix.  An offset is kept when one of
+    its entries is nonzero (NaN included); entries are added onto +0.0, so
+    no part is a signed zero."""
+    N = A.shape[0]
+    rows, cols = np.nonzero(A)
     out = {}
-    for k, diag in pairs:
+    for k in np.unique(cols - rows).tolist():
         out[k] = np.zeros(N, dtype=complex)
-        out[k][max(0, k) : max(0, k) + len(diag)] = diag
+        out[k][max(0, k) : N + min(0, k)] += np.diagonal(A, k)
     return out
 
 
@@ -301,9 +291,8 @@ class CoordinateMatrices:
     """Quantized embedding coordinates X, Y, Z on a common grid.
 
     ``diagonals`` holds (X, Y, Z) as the offset -> diagonal maps of
-    `quantize_diagonals`.  ``banded`` (their CSR forms) and the attributes
-    X, Y and Z (their dense forms) are made on first use, by the callers
-    that want scipy or dense matrices.
+    `quantize_diagonals`.  The attributes X, Y and Z (their dense forms,
+    `_dense`) are made on first use, by the dense paths.
     """
 
     diagonals: tuple
@@ -311,20 +300,16 @@ class CoordinateMatrices:
     surface: SurfaceDescriptor
 
     @cached_property
-    def banded(self) -> tuple:
-        return tuple(_sparse(d, self.grid.N) for d in self.diagonals)
-
-    @cached_property
     def X(self) -> np.ndarray:
-        return self.banded[0].toarray()
+        return _dense(self.diagonals[0], self.grid.N)
 
     @cached_property
     def Y(self) -> np.ndarray:
-        return self.banded[1].toarray()
+        return _dense(self.diagonals[1], self.grid.N)
 
     @cached_property
     def Z(self) -> np.ndarray:
-        return self.banded[2].toarray()
+        return _dense(self.diagonals[2], self.grid.N)
 
 
 def coordinate_matrices(s: SurfaceDescriptor, grid: QuantizationGrid) -> CoordinateMatrices:
@@ -340,14 +325,12 @@ def coordinate_matrices(s: SurfaceDescriptor, grid: QuantizationGrid) -> Coordin
 
 def trace_functional(F, grid: QuantizationGrid) -> float:
     """Normalized trace 2*pi*hbar*Tr(F) of an offset -> diagonal map (offset
-    0 summed), or of a dense or sparse matrix; the imaginary part must be
-    rounding."""
+    0 summed), or of a dense matrix; the imaginary part must be rounding."""
     if isinstance(F, dict):
         tr = F[0].sum() if 0 in F else 0.0
     else:
-        tr = F.diagonal().sum() if sp.issparse(F) else np.trace(np.asarray(F))
-    t = TWO_PI * grid.hbar * tr
-    t = complex(t)
+        tr = np.trace(np.asarray(F))
+    t = complex(TWO_PI * grid.hbar * tr)
     if abs(t.imag) > 1e-12 * (1.0 + abs(t.real)):
         raise ConsistencyError(f"trace has non-negligible imaginary part {t.imag:.2e}")
     return float(t.real)
@@ -462,9 +445,10 @@ def _is_hermitian(offsets: list, diagonals: list) -> bool:
 
 def _diagonal_layout(diagonals: dict, N: int) -> tuple[int, list, list]:
     """(N, offsets, diagonals) of an offset -> diagonal map (DIA layout) of
-    an N x N matrix, read as a sparse matrix is: each diagonal's N - |k|
-    entries in row order, added onto +0.0 (so no part is a signed zero),
-    and kept when one of them has a part that is not +0.0, NaN included."""
+    an N x N matrix, as `_banded_layout` reads its dense form (`_dense`):
+    each diagonal's N - |k| entries in row order, added onto +0.0 (so no
+    part is a signed zero), and kept when one of them has a part that is not
+    +0.0, NaN included."""
     kept = []
     for k in sorted(diagonals):
         d = np.asarray(diagonals[k], dtype=complex)[max(0, k) : N + min(0, k)] + 0.0
@@ -474,21 +458,16 @@ def _diagonal_layout(diagonals: dict, N: int) -> tuple[int, list, list]:
 
 
 def _banded_layout(M) -> tuple[int, list, list]:
-    """(N, offsets, diagonals) of a square dense or sparse matrix M.
+    """(N, offsets, diagonals) of a square dense matrix M.
 
-    Offset k = column - row.  A diagonal is kept when the dense form of M
-    (``toarray()`` for sparse M) holds an entry on it with a part that is
-    not +0.0, so -0.0 and NaN count; its entries are returned in row order,
-    zeros included.  Sparse M is read through `stored_diagonals` of its CSR
-    form, which sums onto +0.0 as ``toarray()`` does, so dense and sparse
-    forms of one matrix give the same layout.
+    Offset k = column - row.  A diagonal is kept when M holds an entry on it
+    with a part that is not +0.0, so -0.0 and NaN count; its entries are
+    returned in row order, zeros included.
     """
-    A = sp.csr_array(M, dtype=complex) if sp.issparse(M) else np.ascontiguousarray(M, dtype="<c16")
+    A = np.ascontiguousarray(M, dtype="<c16")
     n = A.shape[0] if A.ndim == 2 else -1
     if A.shape != (n, n):
         raise ValueError("matrix must be square")
-    if sp.issparse(A):
-        return _diagonal_layout(stored_diagonals(A, n), n)
     rows, cols = np.nonzero(A.view(np.uint64).reshape(n, n, 2).any(axis=2))
     offsets = np.unique(cols - rows).tolist()
     diagonals = [np.diagonal(A, k).copy() for k in offsets]
@@ -516,7 +495,7 @@ def _dense_from_diagonals(n: int, offsets: list, values: np.ndarray) -> np.ndarr
 
 
 def write_matrix_binary(path, M, flags: int | None = None) -> None:
-    """Banded binary dump of a dense or sparse matrix: the 32-byte header
+    """Banded binary dump of a dense matrix: the 32-byte header
     (magic, version 2, N, flags, D), the D int32 offsets of the stored
     diagonals (`_banded_layout`) in ascending order, then each diagonal's
     N - |k| complex128 entries in row order, all little-endian.  Without
@@ -561,7 +540,7 @@ def read_matrix_binary(path) -> tuple[np.ndarray, int]:
 
 
 def write_matrix_json(path, M) -> None:
-    """Banded JSON dump of a dense or sparse matrix: the text of
+    """Banded JSON dump of a dense matrix: the text of
     json.dumps({"N": n, "offsets": [...], "diagonals": [[[re, im], ...], ...]})
     over the stored diagonals of `_banded_layout`."""
     _write_json(path, _banded_layout(M))
@@ -607,7 +586,7 @@ def read_matrix_json(path) -> np.ndarray:
 def dump_coordinate_matrices(coords: CoordinateMatrices, out_dir, formats=("binary", "json")) -> list:
     """Write X, Y, Z under out_dir from their diagonals (`_diagonal_layout`),
     the bytes `write_matrix_binary` and `write_matrix_json` write for their
-    sparse forms; returns the created paths."""
+    dense forms; returns the created paths."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []

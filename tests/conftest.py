@@ -91,3 +91,43 @@ def prolate_112():
 @pytest.fixture(scope="session")
 def triaxial_123():
     return nc.ellipsoid(1.0, 2.0, 3.0)
+
+
+def csr_from_diagonals(diagonals, N):
+    """scipy CSR form of an offset -> diagonal map (DIA layout, d[c] =
+    A[c - k, c]) of an N x N matrix: an independent reference for the
+    package's banded kernel."""
+    import scipy.sparse as sp
+
+    if not diagonals:
+        return sp.csr_matrix((N, N), dtype=complex)
+    offsets = sorted(diagonals)
+    return sp.dia_matrix((np.array([diagonals[k] for k in offsets]), offsets), shape=(N, N)).tocsr()
+
+
+def diagonals_from_csr(M):
+    """The offset -> diagonal map of a scipy CSR matrix, read by scipy: one
+    `diagonal(k)` per offset that holds a stored entry, padded to the DIA
+    layout with zeros where row c - k lies outside the matrix."""
+    N = M.shape[0]
+    coo = M.tocoo()
+    out = {}
+    for k in np.unique(coo.col - coo.row).tolist():
+        out[k] = np.zeros(N, dtype=complex)
+        out[k][max(0, k) : N + min(0, k)] = M.diagonal(k)
+    return out
+
+
+def offset_map(v, k, N):
+    """The offset -> diagonal map of the N x N matrix with v along offset k."""
+    d = np.zeros(N, dtype=complex)
+    d[max(0, k) : N + min(0, k)] = v
+    return {k: d}
+
+
+def dense_from_map(diagonals, N):
+    """The dense N x N form of an offset -> diagonal map, by np.diag."""
+    A = np.zeros((N, N), dtype=complex)
+    for k, d in diagonals.items():
+        A += np.diag(d[max(0, k) : N + min(0, k)], k)
+    return A

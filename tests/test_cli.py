@@ -730,3 +730,33 @@ def test_flags_a_subcommand_does_not_read_are_rejected(argv, tmp_path, capsys):
     assert main([*argv, *out]) == 1
     assert "unrecognized arguments" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+def test_commands_import_no_scipy_sparse(tmp_path):
+    # every matrix is an offset -> diagonal map or a dense array, so no
+    # command loads scipy.sparse
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(nc.__file__).resolve().parent.parent
+    script = f"""
+import sys
+from nclaplace.cli import main
+out = {str(tmp_path)!r}
+for argv in (
+    ["spectrum", "--surface", "spheroid", "--axes", "1,2", "--N", "60", "--strategy", "blocks", "--out", out],
+    ["spectrum", "--surface", "ellipsoid", "--axes", "1,2,3", "--N", "12", "--strategy", "dense", "--out", out],
+    ["axioms", "--surface", "ellipsoid", "--axes", "1,2,3", "--N-list", "20,40", "--out", out],
+    ["trace", "--surface", "spheroid", "--axes", "1,2", "--function", "z2", "--N", "40"],
+    ["dump-coords", "--N", "16", "--out", out],
+):
+    assert main(argv) == 0, argv
+assert "scipy.sparse" not in sys.modules, sorted(m for m in sys.modules if m.startswith("scipy.sparse"))
+"""
+    done = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr

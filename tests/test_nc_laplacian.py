@@ -18,9 +18,9 @@ from nclaplace.errors import (
     SolverConvergenceError,
 )
 from nclaplace import cli, nc_laplacian
-from nclaplace.nc_laplacian import _dense_candidates, _embed_offset, assemble_dense_superoperator
+from nclaplace.nc_laplacian import _dense_candidates, assemble_dense_superoperator
 
-from conftest import metric_oracle
+from conftest import csr_from_diagonals, dense_from_map, metric_oracle, offset_map
 
 
 def _ops(surf, N, beta=1.0, offset="paper"):
@@ -72,7 +72,7 @@ class TestGamma:
         # reference: S summed from sparse matrix products
         grid = nc.build_grid(N, *surf.z_interval, 1.0, offset)
         coords = nc.coordinate_matrices(surf, grid)
-        X, Y, Z = coords.banded
+        X, Y, Z = (csr_from_diagonals(d, N) for d in coords.diagonals)
         S = None
         for A, B in ((X, Y), (Y, Z), (Z, X)):
             C = (A @ B - B @ A) / grid.hbar
@@ -162,14 +162,16 @@ class TestApply:
         out = nc.apply_laplacian(ops, np.eye(40))
         assert np.abs(out).max() == 0.0
 
-    def test_sparse_and_dense_paths_agree(self, prolate_112):
-        ops = _ops(prolate_112, 24)
+    @pytest.mark.parametrize("N", [2, 3, 24])
+    @pytest.mark.parametrize("offset", ["paper", "symmetric"])
+    def test_sparse_and_dense_paths_agree(self, prolate_112, offset, N):
+        ops = _ops(prolate_112, N, offset=offset)
         rng = np.random.default_rng(7)
-        v = rng.standard_normal(22)
-        F = _embed_offset(v, 2, 24)
-        dense = nc.apply_laplacian(ops, np.asarray(F.todense()))
-        sparse_out = nc.apply_laplacian(ops, F)
-        np.testing.assert_allclose(np.asarray(sparse_out.todense()), dense, atol=1e-10)
+        k = min(2, N - 1)
+        F = offset_map(rng.standard_normal(N - k), k, N)
+        dense = nc.apply_laplacian(ops, dense_from_map(F, N))
+        got = nc.apply_laplacian(ops, F)
+        np.testing.assert_allclose(dense_from_map(got, N), dense, atol=1e-10)
 
     @pytest.mark.parametrize("N", [2, 3, 24])
     @pytest.mark.parametrize("offset", ["paper", "symmetric"])
@@ -179,24 +181,27 @@ class TestApply:
     def test_banded_path_matches_dense(self, surf, offset, N):
         ops = _ops(surf, N, offset=offset)
         rng = np.random.default_rng(N)
-        dense = np.zeros((N, N), dtype=complex)
+        F = {}
         for k in sorted({0, 1, -1, N - 1, 1 - N, N // 2}):
-            dense += np.diag(rng.standard_normal(N - abs(k)) + 1j * rng.standard_normal(N - abs(k)), k)
-        want = nc.apply_laplacian(ops, dense)
-        for kind in (sp.csr_matrix, sp.csc_array, sp.coo_matrix, sp.dia_matrix):
-            F = kind(dense)
-            got = nc.apply_laplacian(ops, F)
-            assert type(got) is type(F)
-            assert np.abs(got.toarray() - want).max() <= 1e-12 * np.abs(want).max()
-
-    def test_banded_path_with_full_gamma(self, triaxial_123):
-        # gamma^{-1} of an ellipsoid fills every even offset
-        ops = _ops(triaxial_123, 12)
-        rng = np.random.default_rng(3)
-        F = _embed_offset(rng.standard_normal(10), 2, 12) + _embed_offset(rng.standard_normal(11), -1, 12)
-        want = nc.apply_laplacian(ops, F.toarray())
+            v = rng.standard_normal(N - abs(k)) + 1j * rng.standard_normal(N - abs(k))
+            F.update(offset_map(v, k, N))
+        want = nc.apply_laplacian(ops, dense_from_map(F, N))
         got = nc.apply_laplacian(ops, F)
-        assert np.abs(got.toarray() - want).max() <= 1e-12 * np.abs(want).max()
+        assert isinstance(got, dict) and list(got) == sorted(got)
+        assert all(abs(k) < N for k in got)
+        assert np.abs(dense_from_map(got, N) - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("N", [2, 3, 24])
+    @pytest.mark.parametrize("offset", ["paper", "symmetric"])
+    def test_banded_path_with_full_gamma(self, triaxial_123, offset, N):
+        # gamma^{-1} of an ellipsoid fills every even offset
+        ops = _ops(triaxial_123, N, offset=offset)
+        rng = np.random.default_rng(3)
+        k = min(2, N - 1)
+        F = {**offset_map(rng.standard_normal(N - k), k, N), **offset_map(rng.standard_normal(N - 1), -1, N)}
+        want = nc.apply_laplacian(ops, dense_from_map(F, N))
+        got = nc.apply_laplacian(ops, F)
+        assert np.abs(dense_from_map(got, N) - want).max() <= 1e-12 * np.abs(want).max()
 
     @pytest.mark.parametrize(
         "surf", [nc.sphere(), nc.spheroid(1.0, 2.0)], ids=["sphere", "spheroid"]
@@ -210,7 +215,7 @@ class TestApply:
             for lam, v in zip(values, vectors):
                 F = sp.diags(v.astype(complex), block.offset, shape=(N, N), format="csr")
                 LF = 0
-                for X in ops.coords.banded:
+                for X in (csr_from_diagonals(d, N) for d in ops.coords.diagonals):
                     inner = G @ (X @ F - F @ X)
                     LF = LF + G @ (X @ inner - inner @ X)
                 LF = -LF / ops.hbar**2
@@ -327,20 +332,18 @@ class TestBlocks:
         block0 = [b for b in nc.block_decompose(ops, 2) if b.offset == 0][0]
         assert np.abs(block0.operator @ np.ones(10)).max() < 1e-10
 
-    def test_block_action_matches_full_operator(self, prolate_112):
+    @pytest.mark.parametrize("N", [2, 3, 24])
+    @pytest.mark.parametrize("offset", ["paper", "symmetric"])
+    def test_block_action_matches_full_operator(self, prolate_112, offset, N):
         rng = np.random.default_rng(11)
-        for surf, offset in (
-            (prolate_112, "paper"),
-            (prolate_112, "symmetric"),
-            (nc.spheroid(1.0, 0.5), "paper"),
-        ):
-            ops = _ops(surf, 16, offset=offset)
-            for block in nc.block_decompose(ops, 3):
+        for surf in (prolate_112, nc.spheroid(1.0, 0.5)):
+            ops = _ops(surf, N, offset=offset)
+            for block in nc.block_decompose(ops, min(3, N - 1)):
                 v = rng.standard_normal(block.dim)
-                F = _embed_offset(v, block.offset, 16)
-                resp = nc.apply_laplacian(ops, F)
+                k = block.offset
+                resp = nc.apply_laplacian(ops, offset_map(v, k, N))
                 np.testing.assert_allclose(
-                    resp.diagonal(block.offset).real, block.operator @ v, atol=1e-10
+                    resp[k][max(0, k) : N + min(0, k)].real, block.operator @ v, atol=1e-10
                 )
 
     def test_lowest_names_a_bad_take(self, unit_sphere):
@@ -366,7 +369,7 @@ class TestBlocks:
         rng = np.random.default_rng(5)
         for k in (0, 1, 3):
             v = rng.standard_normal(16 - k)
-            F = np.asarray(_embed_offset(v, k, 16).todense())
+            F = np.diag(v, k)
             R = np.asarray(nc.apply_laplacian(ops, F))
             mask = np.ones_like(R, dtype=bool)
             idx = np.arange(16 - k)
@@ -448,7 +451,7 @@ class TestSpectrum:
         block1 = [b for b in blocks if b.offset == 1][0]
         w, V = np.linalg.eig(block1.operator)
         i = np.argmin(np.abs(w + 2.0))
-        F = np.asarray(_embed_offset(V[:, i], 1, 16).todense())
+        F = np.diag(V[:, i], 1)
         back = nc.dequantize(F, ops.coords.grid, max_mode=3)
         assert set(back.modes) == {-1}
 

@@ -23,6 +23,8 @@ from nclaplace.quantization import (
 )
 from nclaplace.surface import Profile
 
+from conftest import csr_from_diagonals, dense_from_map, diagonals_from_csr
+
 
 TWO_PI = 2.0 * math.pi
 
@@ -136,31 +138,30 @@ class TestQuantize:
         # T - T^H is the mode-(-1) diagonal itself
         f = nc.BandLimitedFunction({1: nc.constant_profile(0.5)}, (-1.0, 1.0), real_valued=True)
         with pytest.raises(ConsistencyError, match="deviates from hermitian by 5.00e-01"):
-            nc.quantize_banded(f, nc.build_grid(6, -1, 1, 1))
+            nc.quantize_diagonals(f, nc.build_grid(6, -1, 1, 1))
 
     def test_banded_holds_only_the_mode_diagonals(self):
         f = _random_real_blf(seed=14, max_mode=2)
         g = nc.build_grid(9, -1, 1, 1)
-        T = nc.quantize_banded(f, g)
-        assert sp.issparse(T)
-        offsets = T.tocoo().col - T.tocoo().row
-        assert set(offsets) == {-2, -1, 0, 1, 2}
+        T = nc.quantize_diagonals(f, g)
+        assert list(T) == [-2, -1, 0, 1, 2]
+        np.testing.assert_array_equal(dense_from_map(T, 9), nc.quantize(f, g))
 
-    def test_stored_diagonals_of_every_format(self):
-        # DIA layout: entry c of diagonal k is A[c - k, c]; repeated entries add up
+    def test_stored_diagonals_of_a_dense_matrix(self):
+        # DIA layout: entry c of diagonal k is A[c - k, c]; a diagonal that
+        # holds only signed zeros is not kept, one with a NaN is, and every
+        # zero part reads as +0.0
         rng = np.random.default_rng(5)
         A = np.diag(rng.standard_normal(5), 1) + np.diag(rng.standard_normal(4) * 1j, -2)
-        want = {1: np.r_[0, np.diag(A, 1)], -2: np.r_[np.diag(A, -2), 0, 0]}
-        coo = sp.coo_matrix(A)
-        twice = lambda a: np.r_[a, a]
-        doubled = sp.coo_matrix((twice(coo.data), (twice(coo.row), twice(coo.col))))
-        for M, scale in ((A, 1), (sp.csr_array(A), 1), (sp.csc_matrix(A), 1), (sp.dia_matrix(A), 1),
-                         (sp.dia_array(A), 1), (doubled, 2)):
-            got = quantization.stored_diagonals(M, 6)
-            assert sorted(got) == [-2, 1]
-            for k, d in want.items():
-                np.testing.assert_array_equal(got[k], scale * d)
-        assert quantization.stored_diagonals(sp.csr_matrix((6, 6)), 6) == {}
+        A[3, 0], A[0, 2] = complex(-0.0, -0.0), complex(np.nan, -0.0)
+        want = {-2: np.r_[np.diag(A, -2), 0, 0], 1: np.r_[0, np.diag(A, 1)], 2: np.r_[0, 0, A[0, 2], 0, 0, 0]}
+        got = quantization.stored_diagonals(A)
+        assert list(got) == [-2, 1, 2]
+        for k, d in got.items():
+            np.testing.assert_array_equal(d, want[k])
+            parts = d.view(float)
+            assert not np.signbit(parts[parts == 0]).any()
+        assert quantization.stored_diagonals(np.zeros((6, 6), complex)) == {}
 
     @pytest.mark.parametrize("offset", ["paper", "symmetric"])
     @pytest.mark.parametrize("N", [9, 16, 401])
@@ -171,8 +172,8 @@ class TestQuantize:
     )
     def test_diagonals_equal_the_csr_route_bit_for_bit(self, surf, N, offset):
         # reference: each mode's values on its diagonal of a CSR matrix
-        # (sp.diags), read back by stored_diagonals; CSR drops a diagonal
-        # that is all zeros, the map keeps it
+        # (sp.diags), read back by scipy; CSR drops a diagonal that is all
+        # zeros, the map keeps it
         grid = nc.build_grid(N, *surf.z_interval, 1.0, offset)
 
         def through_csr(f):
@@ -181,8 +182,7 @@ class TestQuantize:
                 np.broadcast_to(f.profile_values(j, grid.offset_pair_values(-j)), (N - abs(j),))
                 for j in modes
             ]
-            M = sp.diags(values, [-j for j in modes], shape=(N, N), format="csr")
-            return quantization.stored_diagonals(M, N)
+            return diagonals_from_csr(sp.diags(values, [-j for j in modes], shape=(N, N), format="csr"))
 
         def assert_same(got, want):
             assert list(got) == sorted(got)
@@ -365,13 +365,13 @@ class TestAxiomDefects:
     def test_defects_match_csr_products_and_dense_svd(self, surf, offset):
         grid = nc.build_grid(60, *surf.z_interval, 1.0, offset)
         fun = dict(zip("xyz", surf.coordinates))
-        T = {c: nc.quantize_banded(f, grid) for c, f in fun.items()}
+        csr = lambda f: csr_from_diagonals(nc.quantize_diagonals(f, grid), grid.N)
+        T = {c: csr(f) for c, f in fun.items()}
         sigma = lambda M: np.linalg.svd(M, compute_uv=False)[0]
         for a, b in ("xy", "yz", "zx", "zz"):
             f, g = fun[a], fun[b]
-            P = (T[a] @ T[b] - nc.quantize_banded(nc.pointwise_product(f, g), grid)).toarray()
-            B = ((T[a] @ T[b] - T[b] @ T[a]) / (1j * grid.hbar)
-                 - nc.quantize_banded(nc.bracket_function(f, g), grid)).toarray()
+            P = (T[a] @ T[b] - csr(nc.pointwise_product(f, g))).toarray()
+            B = ((T[a] @ T[b] - T[b] @ T[a]) / (1j * grid.hbar) - csr(nc.bracket_function(f, g))).toarray()
             got = nc.axiom_defects(f, g, grid)
             want = (sigma(P), sigma(B), np.linalg.norm(P), np.linalg.norm(B))
             for v, w in zip(
@@ -400,19 +400,34 @@ def test_spectral_norm_matches_dense_2_norm(N, lower, upper, hermitian, seed):
     diagonals = [
         rng.standard_normal(N - abs(k)) + 1j * rng.standard_normal(N - abs(k)) for k in offsets
     ]
-    M = sp.diags(diagonals, offsets, shape=(N, N), format="csr")
+    A = sum(np.diag(d, k) for k, d in zip(offsets, diagonals))
     if hermitian:
-        M = (M + M.conj().T) / 2
-    want = np.linalg.norm(M.toarray(), 2)
-    assert spectral_norm(M) == pytest.approx(want, rel=1e-13, abs=0)
+        A = (A + A.conj().T) / 2
+    want = np.linalg.norm(A, 2)
+    assert spectral_norm(_diagonal_map(A), N) == pytest.approx(want, rel=1e-13, abs=0)
+
+
+def _diagonal_map(A):
+    """The offset -> diagonal map of a dense matrix, every diagonal that
+    holds a nonzero entry padded to the DIA layout."""
+    N = len(A)
+    out = {}
+    for k in range(1 - N, N):
+        if np.diagonal(A, k).any():
+            out[k] = np.zeros(N, dtype=complex)
+            out[k][max(0, k) : N + min(0, k)] = np.diagonal(A, k)
+    return out
 
 
 def test_spectral_norm_of_zero_matrix_is_exactly_zero():
-    empty = sp.csr_matrix((5, 5), dtype=complex)
-    explicit = sp.csr_matrix((np.zeros(5, complex), (np.arange(5), np.arange(5))), shape=(5, 5))
-    assert explicit.nnz == 5
-    for M in (empty, explicit):
-        assert spectral_norm(M) == 0.0
+    explicit = {k: np.zeros(5, complex) for k in (-1, 0, 2)}
+    for M in ({}, explicit):
+        assert spectral_norm(M, 5) == 0.0
+
+
+def test_spectral_norm_needs_the_matrix_size():
+    with pytest.raises(TypeError, match="'N'"):
+        spectral_norm({0: np.ones(3, complex)})
 
 
 def _spy_cholesky(monkeypatch, solve=None):
@@ -449,9 +464,9 @@ def test_spectral_norm_takes_a_real_band_when_mhm_is_real(kind, monkeypatch):
     for N in sizes:
         offsets = [k for k in (-2, -1, 0, 1, 3) if abs(k) < N]
         diagonals = [part(*rng.standard_normal((2, N - abs(k)))) for k in offsets]
-        M = sp.diags(diagonals, offsets, shape=(N, N), format="csr")
-        want = np.linalg.norm(M.toarray(), 2)
-        assert spectral_norm(M) == pytest.approx(want, rel=1e-13, abs=0)
+        A = sum(np.diag(d, k) for k, d in zip(offsets, diagonals))
+        want = np.linalg.norm(A, 2)
+        assert spectral_norm(_diagonal_map(A), N) == pytest.approx(want, rel=1e-13, abs=0)
     # a 1 x 1 M^H M is |m|^2, real for every kind
     assert [d == np.float64 for d in dtypes] == [kind != "mixed" or N == 1 for N in sizes]
 
@@ -459,7 +474,7 @@ def test_spectral_norm_takes_a_real_band_when_mhm_is_real(kind, monkeypatch):
 def _sbevx_norm(M):
     """sqrt(lambda_max(M^H M)) from one banded eigenvalue solve of the real
     band of M^H M (LAPACK ?sbevx), the route `spectral_norm` took before it
-    bisected with Cholesky factorizations."""
+    bisected with Cholesky factorizations; M is a scipy sparse matrix."""
     A = (M.conj().T @ M).tocoo()
     assert not np.any(A.data.imag)
     n = A.shape[0]
@@ -476,26 +491,29 @@ def test_spectral_norm_agrees_with_the_banded_eigenvalue_solve(N):
     s = nc.spheroid(1.0, 2.0)
     x, y, _ = s.coordinates
     grid = nc.build_grid(N, *s.z_interval, 1.0)
-    Tx, Ty = quantization.quantize_banded(x, grid), quantization.quantize_banded(y, grid)
-    P = Tx @ Ty - quantization.quantize_banded(nc.pointwise_product(x, y), grid)
-    B = (Tx @ Ty - Ty @ Tx) / (1j * grid.hbar) - quantization.quantize_banded(nc.bracket_function(x, y), grid)
+    csr = lambda f: csr_from_diagonals(nc.quantize_diagonals(f, grid), N)
+    Tx, Ty = csr(x), csr(y)
+    P = Tx @ Ty - csr(nc.pointwise_product(x, y))
+    B = (Tx @ Ty - Ty @ Tx) / (1j * grid.hbar) - csr(nc.bracket_function(x, y))
     for M in (P, B, Tx):
-        assert spectral_norm(M) == pytest.approx(_sbevx_norm(M), rel=1e-13, abs=0)
+        assert spectral_norm(diagonals_from_csr(M), N) == pytest.approx(_sbevx_norm(M), rel=1e-13, abs=0)
 
 
 def test_spectral_norm_bisection_terminates(monkeypatch):
     _, factorizations = _spy_cholesky(monkeypatch)
     d = np.array([0.5, -3.0, 2.0, 1e-3])
     # a diagonal M brackets lambda_max exactly: no factorization at all
-    assert spectral_norm(sp.diags(d, format="csr")) == 3.0
-    assert spectral_norm(sp.csr_matrix([[-2.5j]])) == 2.5
+    assert spectral_norm({0: d.astype(complex)}, 4) == 3.0
+    assert spectral_norm({0: np.array([-2.5j])}, 1) == 2.5
     assert not factorizations
     rng = np.random.default_rng(3)
-    M = sp.diags([rng.standard_normal(39), rng.standard_normal(40), rng.standard_normal(38)], [-1, 0, 2], format="csr")
-    want = np.linalg.norm(M.toarray(), 2)
+    A = sum(np.diag(rng.standard_normal(40 - abs(k)), k) for k in (-1, 0, 2))
+    M = _diagonal_map(A)
+    want = np.linalg.norm(A, 2)
     for scale in (1.0, 1e-150, 3e-151):
         factorizations.clear()
-        assert spectral_norm(scale * M) == pytest.approx(scale * want, rel=1e-13, abs=0)
+        scaled = {k: scale * d for k, d in M.items()}
+        assert spectral_norm(scaled, 40) == pytest.approx(scale * want, rel=1e-13, abs=0)
         # hi / lo <= 2 kd + 1, so the bracket halves to one ulp in about 53 + log2(2 kd + 1) steps
         assert 0 < len(factorizations) <= 60
 
@@ -505,8 +523,7 @@ def _plain_bisection_norm(M, N):
     products, the bracket [max diagonal, largest row sum of |A|] halved at
     its midpoint, each step decided by one ?pbtrf, until the midpoint no
     longer splits it.  Returns (norm, factorizations)."""
-    offsets = sorted(M)
-    M = sp.dia_matrix((np.array([M[k] for k in offsets]), offsets), shape=(N, N)).tocsr()
+    M = csr_from_diagonals(M, N)
     A = (M.conj().T @ M).tocoo()
     data = A.data if np.any(A.data.imag) else A.data.real
     low = A.row >= A.col
@@ -611,18 +628,9 @@ class TestDequantize:
 
 def _dump_matrices(n):
     """Dense n x n complex matrices whose parts are often 0.0, -0.0 or
-    non-finite, or CSR matrices storing any subset of their entries."""
+    non-finite."""
     parts = hnp.arrays(np.float64, (n, n, 2), elements=st.sampled_from([0.0, -0.0]) | st.floats())
-    stored = hnp.arrays(bool, (n, n))
-
-    def build(parts, stored, sparse):
-        D = parts.view(complex)[..., 0]
-        if not sparse:
-            return D
-        r, c = np.nonzero(stored)
-        return sp.csr_matrix((D[r, c], (r, c)), shape=(n, n))
-
-    return st.builds(build, parts, stored, st.booleans())
+    return parts.map(lambda p: p.view(complex)[..., 0])
 
 
 def _bits(M, canonical_nan=False):
@@ -635,12 +643,11 @@ def _bits(M, canonical_nan=False):
 
 
 def _assert_dump_bytes(tmp_path, M):
-    """Both writers give, for M and for its dense form alike, the bytes of
-    the banded layout built here diagonal by diagonal: every offset whose
-    diagonal holds a part that is not +0.0, all of its entries in row order."""
-    dense = M.toarray() if sp.issparse(M) else M
-    n = dense.shape[0]
-    stored = [(k, np.diagonal(dense, k)) for k in range(1 - n, n)]
+    """Both writers give, for the dense matrix M, the bytes of the banded
+    layout built here diagonal by diagonal: every offset whose diagonal
+    holds a part that is not +0.0, all of its entries in row order."""
+    n = M.shape[0]
+    stored = [(k, np.diagonal(M, k)) for k in range(1 - n, n)]
     stored = [(k, d) for k, d in stored if _bits(d).any()]
     payload = {
         "N": n,
@@ -650,11 +657,10 @@ def _assert_dump_bytes(tmp_path, M):
     header = struct.pack("<4sIIII12x", b"NCLQ", 2, n, 0, len(stored))
     offsets = np.array([k for k, _ in stored], dtype="<i4").tobytes()
     binary = header + offsets + b"".join(d.astype("<c16").tobytes() for _, d in stored)
-    for given in (M, dense):
-        write_matrix_json(tmp_path / "M.json", given)
-        assert (tmp_path / "M.json").read_text() == json.dumps(payload)
-        write_matrix_binary(tmp_path / "M.nclq", given, 0)
-        assert (tmp_path / "M.nclq").read_bytes() == binary
+    write_matrix_json(tmp_path / "M.json", M)
+    assert (tmp_path / "M.json").read_text() == json.dumps(payload)
+    write_matrix_binary(tmp_path / "M.nclq", M, 0)
+    assert (tmp_path / "M.nclq").read_bytes() == binary
 
 
 class TestMatrixDumps:
@@ -746,17 +752,14 @@ class TestMatrixDumps:
         np.testing.assert_array_equal(_bits(read_matrix_json(path)), _bits(D, canonical_nan=True))
 
     def test_json_writer_special_entries(self, tmp_path):
-        # signed zeros, non-finite parts, a stored zero and an all-zero row
+        # signed zeros, non-finite parts and an all-zero row
         D = np.zeros((4, 4), dtype=complex)
         D[0, 1] = complex(-0.0, 0.0)
         D[0, 2] = complex(0.0, -0.0)
         D[1, 0] = complex(np.nan, 1.0)
         D[1, 3] = complex(np.inf, -np.inf)
         D[3, 3] = complex(1e-300, -2.5)
-        signed = [0.0, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)]
-        stored_zero = sp.csr_matrix((signed, ([2, 0, 3, 3], [1, 0, 2, 3])), shape=(4, 4))
-        assert stored_zero.nnz == 4
-        for M in (D, sp.csr_matrix(D), stored_zero, np.zeros((1, 1), complex), np.full((1, 1), -0.0j)):
+        for M in (D, np.zeros((1, 1), complex), np.full((1, 1), -0.0j)):
             _assert_dump_bytes(tmp_path, M)
 
     @settings(max_examples=200, deadline=None)
@@ -767,19 +770,18 @@ class TestMatrixDumps:
     @settings(max_examples=200, deadline=None)
     @given(M=st.integers(1, 6).flatmap(_dump_matrices))
     def test_dumps_read_back_bit_for_bit(self, tmp_path_factory, M):
-        dense = M.toarray() if sp.issparse(M) else M
         out = tmp_path_factory.mktemp("dump")
         write_matrix_binary(out / "M.nclq", M, 0)
-        np.testing.assert_array_equal(_bits(read_matrix_binary(out / "M.nclq")[0]), _bits(dense))
+        np.testing.assert_array_equal(_bits(read_matrix_binary(out / "M.nclq")[0]), _bits(M))
         write_matrix_json(out / "M.json", M)
-        np.testing.assert_array_equal(_bits(read_matrix_json(out / "M.json")), _bits(dense, canonical_nan=True))
+        np.testing.assert_array_equal(_bits(read_matrix_json(out / "M.json")), _bits(M, canonical_nan=True))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_hermitian_flag_with_infinite_entries(self, tmp_path):
         M = np.array([[np.inf, 1 - 2j, 0], [1 + 2j, 0.5, 0], [0, 0, -np.inf]])
         N = np.array(M)
         N[0, 1] = complex(np.inf, 1.0)  # its transposed entry is finite
-        for matrix, flag in ((M, 1), (sp.csr_matrix(M), 1), (N, 0), (sp.csr_matrix(N), 0)):
+        for matrix, flag in ((M, 1), (N, 0)):
             write_matrix_binary(tmp_path / "M.nclq", matrix)
             assert read_matrix_binary(tmp_path / "M.nclq")[1] == flag
 
@@ -805,12 +807,13 @@ class TestMatrixDumps:
 
     def test_dump_caches_no_dense_coordinates(self, tmp_path, prolate_112):
         a, b = prolate_112.z_interval
-        coords = nc.coordinate_matrices(prolate_112, nc.build_grid(9, a, b, 1))
+        grid = nc.build_grid(9, a, b, 1)
+        coords = nc.coordinate_matrices(prolate_112, grid)
         nc.dump_coordinate_matrices(coords, tmp_path)
         assert not {"X", "Y", "Z"} & set(coords.__dict__)
-        for label, M in zip("XYZ", coords.banded):
+        for label, f in zip("XYZ", prolate_112.coordinates):
             back, flags = read_matrix_binary(tmp_path / f"coords_{label}.nclq")
-            np.testing.assert_array_equal(back, M.toarray())
+            np.testing.assert_array_equal(back, csr_from_diagonals(nc.quantize_diagonals(f, grid), 9).toarray())
             assert flags == 1
             np.testing.assert_array_equal(read_matrix_json(tmp_path / f"coords_{label}.json"), back)
 
