@@ -9,7 +9,6 @@ from .errors import (
     NCLaplaceError,
     NotRevolutionSurfaceError,
     ResolutionError,
-    SingularPointError,
     SolverConvergenceError,
 )
 from .nc_laplacian import (
@@ -33,7 +32,6 @@ from .quantization import (
     build_grid,
     coordinate_matrices,
     default_beta,
-    dequantize,
     dump_coordinate_matrices,
     quantize,
     quantize_diagonals,
@@ -54,15 +52,12 @@ from .surface import (
     BandLimitedFunction,
     Profile,
     SurfaceDescriptor,
-    SurfacePoint,
     bracket_function,
     constant_profile,
     ellipsoid,
-    laplace_beltrami_apply,
     load_surface_config,
     metric_sqrt_det,
     pointwise_product,
-    poisson_bracket,
     sphere,
     spheroid,
     surface_area,

@@ -117,7 +117,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy", choices=("auto", "dense", "blocks"), default="auto")
     p.add_argument("--count", type=int, default=9)
     p.add_argument("--K", type=int, default=None, help="block offset range (blocks strategy)")
-    p.add_argument("--gap", type=float, default=None, help="cluster gap (default 10*hbar)")
+    p.add_argument("--gap", type=float, default=None,
+                   help="cluster gap, finite and >= 0 (default 10*hbar*(2/(b-a))/L^2, "
+                        "L the largest semi-axis)")
     p.add_argument("--dump-coords", default=None, metavar="PATH",
                    help="also write the coordinate matrices under PATH")
     p.set_defaults(func="cmd_spectrum")

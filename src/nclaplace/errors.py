@@ -9,10 +9,6 @@ class DomainError(NCLaplaceError):
     """Evaluation requested outside the surface's parameter interval."""
 
 
-class SingularPointError(NCLaplaceError):
-    """Classical operator evaluated at a point where the area density vanishes."""
-
-
 class ConsistencyError(NCLaplaceError):
     """An internal identity that should hold to rounding was violated."""
 

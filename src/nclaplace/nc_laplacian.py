@@ -572,6 +572,18 @@ class SpectrumReport:
         return [("value", "residual", "block", "cluster"), *rows]
 
 
+def default_cluster_gap(ops: QuantizedOperatorSet) -> float:
+    """10*hbar*(2/(b - a))/L^2, with [a, b] the grid's z interval and L the
+    largest semi-axis (1 when the surface has none).  The low levels of an
+    ellipsoid are set by its longest axis, so this is 10 hbar in the units
+    where that axis is 1; it scales as 1/size^2 under a uniform scaling,
+    and where 2/(b - a) and L are 1 it is 10*hbar bit for bit."""
+    grid = ops.coords.grid
+    axes = ops.coords.surface.semi_axes
+    L = max(axes) if axes else 1.0
+    return 10.0 * grid.hbar * (2.0 / (grid.b - grid.a)) / L**2
+
+
 def resolve_strategy(strategy: str, revolution: bool) -> str:
     """The strategy `auto` stands for: blocks on a surface of revolution, else
     dense; any other name is returned as it is."""
@@ -599,19 +611,23 @@ def spectrum(
     Residuals go through the full operator; one over the tolerance
     1e-8*(1 + max |lambda| over the kept values), non-finite or of a zero
     eigenmatrix raises SolverConvergenceError.  Blocks +-(K+1) must lie
-    beyond the kept eigenvalues by the default cluster gap, or ConfigError
+    beyond the kept eigenvalues by `default_cluster_gap`, or ConfigError
     asks for a wider K (at K = N - 1 the blocks hold all N^2 eigenvalues,
     and the error says so); that check factorizes and bisects nothing.  The
     blocks strategy reports ``diagnostics = {"levels_solved": n,
     "sturm_counts": c, "level_bound": tau, "residual_margin": r}``: the
     levels bisected to full precision, the ?stebz calls that only counted,
     the cutoff, and the worst residual over the tolerance, in the JSON
-    report only.
+    report only.  `cluster_gap` (default `default_cluster_gap`) groups the
+    kept values into clusters; one that is not finite and >= 0 raises
+    ConfigError.
     """
     strategy = resolve_strategy(strategy, revolution=ops.gamma_eigenvectors is None)
     N = ops.N
     if count < 1:
         raise ConfigError("count must be positive")
+    if cluster_gap is not None and not (math.isfinite(cluster_gap) and cluster_gap >= 0):
+        raise ConfigError(f"cluster gap must be finite and nonnegative, got {cluster_gap!r}")
     if strategy == "dense":
         candidates = _dense_candidates(ops, count)
         available = len(candidates)
@@ -647,7 +663,7 @@ def spectrum(
     values = [c["value"] for c in kept]
     residuals = [_full_residual(ops, c) for c in kept]
 
-    gap = cluster_gap if cluster_gap is not None else 10.0 * ops.hbar
+    gap = cluster_gap if cluster_gap is not None else default_cluster_gap(ops)
     order = sorted(range(len(values)), key=lambda i: values[i])
     clusters = cluster_multiplicities([values[i] for i in order], gap)
     cluster_of = _assign_clusters(values, order, clusters)
@@ -673,7 +689,6 @@ def spectrum(
         "count": count,
         "block_range": block_range,
         "cluster_gap": gap,
-        "analytic_derivatives": surf.has_analytic_derivatives,
     }
     return SpectrumReport(
         eigenvalues=values,
@@ -835,13 +850,14 @@ def _check_block_range(ops: QuantizedOperatorSet, K: int, largest_kept: float) -
     cluster gap: each must be negative definite below -(largest_kept + gap)
     (`_negative_definite_below`).  Their top levels are bisected only to
     word the ConfigError."""
-    margin = 10.0 * ops.hbar
+    margin = default_cluster_gap(ops)
     outer = [_offset_block(ops, k) for k in (K + 1, -K - 1)]
     if not all(_negative_definite_below(b, largest_kept + margin) for b in outer):
         nearest = min(abs(b.level(0)) for b in outer)
         raise ConfigError(
-            f"blocks +-{K + 1} have an eigenvalue of magnitude {nearest:.6g}, within {margin:.3g} "
-            f"of the largest kept {largest_kept:.6g}; widen the block range K"
+            f"blocks +-{K + 1} have an eigenvalue of magnitude {nearest:.6g}, below the largest "
+            f"kept magnitude {largest_kept:.6g} plus the cluster gap {margin:.3g}; "
+            "widen the block range K"
         )
 
 
@@ -908,7 +924,7 @@ def convergence_study(
         runs.append((N, grid.hbar, rep))
 
     # cluster the reference with the finest run's gap so levels line up
-    ref_values = reference.cluster_means(count, 10.0 * runs[-1][1])
+    ref_values = reference.cluster_means(count, runs[-1][2].config["cluster_gap"])
 
     rows = []
     n_clusters = min(len(ref_values), min(len(r[2].clusters) for r in runs))

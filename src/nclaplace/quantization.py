@@ -13,10 +13,9 @@ map to hermitian matrices, products map to matrix products up to O(1/N),
 and the scaled commutator approaches the Poisson bracket.  The module also
 provides the normalized trace, the product/bracket defect norms (spectral
 norms bisected with banded Cholesky factorizations, the next shift steered
-by inverse iteration), the inverse read-off of a matrix into mode samples,
-and matrix export in a small binary container and JSON.  Both export
-formats store only the diagonals that hold an entry, so a dump costs what
-the band costs.
+by inverse iteration), and matrix export in a small binary container and
+JSON.  Both export formats store only the diagonals that hold an entry, so
+a dump costs what the band costs.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ import scipy.linalg as sla
 from .errors import ConsistencyError
 from .surface import (
     BandLimitedFunction,
-    Profile,
     SurfaceDescriptor,
     bracket_function,
     pointwise_product,
@@ -382,36 +380,6 @@ def norm_bound(f: BandLimitedFunction, grid: QuantizationGrid) -> float:
         zvals = grid.offset_pair_values(-j)
         total += float(np.abs(np.asarray(f.modes[j](zvals))).max())
     return total
-
-
-def dequantize(F: np.ndarray, grid: QuantizationGrid, max_mode: int) -> BandLimitedFunction:
-    """Read mode samples back off a matrix (left inverse of quantize).
-
-    Mode j is sampled at the points z(n, n+|j|) with the values along the
-    corresponding diagonal; profiles interpolate linearly between samples and
-    each carries its raw samples in ``Profile.samples``.
-    """
-    F = np.asarray(F, dtype=complex)
-    N = grid.N
-    if max_mode >= N:
-        raise ValueError(f"max_mode {max_mode} must be below N={N}")
-    hermitian = bool(np.abs(F - F.conj().T).max() <= 1e-12 * max(1.0, np.abs(F).max()))
-    modes = {}
-    step = 1e-6 * (grid.b - grid.a)
-    for j in range(-max_mode, max_mode + 1):
-        d = -j
-        vals = np.diagonal(F, offset=d).copy()
-        if not np.abs(vals).max() > 0.0:
-            continue
-        zpts = grid.offset_pair_values(d)
-
-        def interp(z, zpts=zpts, vals=vals):
-            zr = np.interp(z, zpts, vals.real)
-            zi = np.interp(z, zpts, vals.imag)
-            return zr + 1j * zi
-
-        modes[j] = Profile(interp, fd_step=step, samples=(zpts, vals))
-    return BandLimitedFunction(modes, (grid.a, grid.b), real_valued=hermitian)
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,13 @@ over a closed parameter interval [a, b].  Spheres use the geometric interval
 [-R, R]; ellipsoids the normalized interval [-1, 1] with the third coordinate
 scaled by the axial semi-axis.
 
-The module provides the unweighted Poisson bracket
-{f, h} = d_theta f d_z h - d_z f d_theta h, the area density
-sqrt|g| = sqrt({x,y}^2 + {y,z}^2 + {z,x}^2), the bracket form of the
-Laplace-Beltrami operator, integrals against the area form, and the one
-parser that turns a surface spec (kind, semi_axes, radius) into a surface.
+The module provides what the quantized operator and its classical checks
+read: pointwise products and the unweighted Poisson bracket
+{f, h} = d_theta f d_z h - d_z f d_theta h as band-limited functions (built
+by mode calculus on closed-form profile derivatives), the area density
+sqrt|g| = sqrt({x,y}^2 + {y,z}^2 + {z,x}^2), integrals against the area
+form, and the one parser that turns a surface spec (kind, semi_axes,
+radius) into a surface.
 
 Integrals use a tensor rule: Gauss-Legendre in z and the trapezoid rule in
 theta, doubling the nodes until two values agree.  The area density of the
@@ -30,15 +32,12 @@ from typing import Callable
 import numpy as np
 from scipy.special import roots_legendre
 
-from .errors import ConsistencyError, DomainError, SingularPointError
+from .errors import ConsistencyError, DomainError
 
 TWO_PI = 2.0 * math.pi
 
 #: relative tolerance used when checking that a radicand is nonnegative
 RADICAND_TOL = 1e-12
-
-#: area density below which a point counts as a pole (classical evaluation refused)
-POLE_DENSITY_FLOOR = 1e-10
 
 #: nodes per direction of the integration rule: first and last of the doublings
 INTEGRAL_NODES = (32, 512)
@@ -46,42 +45,36 @@ INTEGRAL_NODES = (32, 512)
 #: absolute floor of the integration stopping test, so vanishing integrals stop
 INTEGRAL_ABS_TOL = 1e-13
 
+#: accepted radii and semi-axes: every command runs on spheres and ellipsoids
+#: of these sizes; past them powers of the size leave the double range (dense
+#: spectra fail from about 1e-55, area densities and block solves near 1e80)
+SIZE_RANGE = (1e-50, 1e50)
+
 
 @dataclass(frozen=True)
 class Profile:
-    """One Fourier-mode profile f_j(z).
-
-    Carries analytic first/second derivatives when available; otherwise
-    central differences with the declared steps are used.  ``fd_step`` is the
-    first-difference step ((b - a) * 1e-6 for the built-in surfaces),
-    ``fd_step2`` the wider second-difference step.
+    """One Fourier-mode profile f_j(z) with its closed-form first and second
+    derivatives.  A profile built without one can be evaluated and
+    integrated; asking for the missing derivative (a product's or bracket's
+    derivative, or a bracket's value) raises ValueError naming it.
     """
 
     func: Callable
     deriv: Callable | None = None
     deriv2: Callable | None = None
-    fd_step: float = 2e-6
-    fd_step2: float = 2e-4
-    samples: tuple | None = None  # (z points, values) when built from a matrix
 
     def __call__(self, z):
         return self.func(z)
 
     def d1(self, z):
-        if self.deriv is not None:
-            return self.deriv(z)
-        h = self.fd_step
-        return (self.func(z + h) - self.func(z - h)) / (2.0 * h)
+        if self.deriv is None:
+            raise ValueError("profile has no closed-form first derivative (deriv)")
+        return self.deriv(z)
 
     def d2(self, z):
-        if self.deriv2 is not None:
-            return self.deriv2(z)
-        h = self.fd_step2
-        return (self.func(z + h) - 2.0 * self.func(z) + self.func(z - h)) / h**2
-
-    @property
-    def analytic(self) -> bool:
-        return self.deriv is not None and self.deriv2 is not None
+        if self.deriv2 is None:
+            raise ValueError("profile has no closed-form second derivative (deriv2)")
+        return self.deriv2(z)
 
 
 def constant_profile(value) -> Profile:
@@ -92,25 +85,6 @@ def constant_profile(value) -> Profile:
 
     zero = lambda z: np.zeros(np.shape(z)) if np.ndim(z) else 0.0
     return Profile(f, zero, zero)
-
-
-@dataclass(frozen=True)
-class SurfacePoint:
-    """A point (z, theta) in parameter coordinates; theta reduced mod 2*pi."""
-
-    z: float
-    theta: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "z", float(self.z))
-        object.__setattr__(self, "theta", float(self.theta) % TWO_PI)
-
-
-def as_point(p) -> SurfacePoint:
-    if isinstance(p, SurfacePoint):
-        return p
-    z, theta = p
-    return SurfacePoint(z, theta)
 
 
 @dataclass(frozen=True)
@@ -152,20 +126,6 @@ class BandLimitedFunction:
             acc = acc + self.modes[j](z) * np.exp(1j * j * theta)
         return acc
 
-    def d_z(self, z, theta):
-        self.check_domain(z)
-        acc = 0.0 + 0.0j
-        for j in sorted(self.modes):
-            acc = acc + self.modes[j].d1(z) * np.exp(1j * j * theta)
-        return acc
-
-    def d_theta(self, z, theta):
-        self.check_domain(z)
-        acc = 0.0 + 0.0j
-        for j in sorted(self.modes):
-            acc = acc + (1j * j) * self.modes[j](z) * np.exp(1j * j * theta)
-        return acc
-
 
 def _binary_mode_pairs(f: BandLimitedFunction, h: BandLimitedFunction):
     """Pairs (j1, p1, j2, p2) in a fixed order, grouped by resulting mode."""
@@ -199,7 +159,6 @@ def pointwise_product(f: BandLimitedFunction, h: BandLimitedFunction) -> BandLim
     """Product f*h by exact mode convolution (band limits add)."""
     grouped = _binary_mode_pairs(f, h)
     modes = {}
-    step = f.modes[next(iter(f.modes))].fd_step if f.modes else 2e-6
     clamp = _pole_clamp(f.z_interval)
     for k, terms in grouped.items():
 
@@ -224,7 +183,7 @@ def pointwise_product(f: BandLimitedFunction, h: BandLimitedFunction) -> BandLim
                 acc = acc + p1.d2(z) * p2(z) + 2.0 * p1.d1(z) * p2.d1(z) + p1(z) * p2.d2(z)
             return acc
 
-        modes[k] = Profile(value, d1, d2, fd_step=step)
+        modes[k] = Profile(value, d1, d2)
     return BandLimitedFunction(modes, f.z_interval, f.real_valued and h.real_valued)
 
 
@@ -236,7 +195,6 @@ def bracket_function(f: BandLimitedFunction, h: BandLimitedFunction) -> BandLimi
     """
     grouped = _binary_mode_pairs(f, h)
     modes = {}
-    step = f.modes[next(iter(f.modes))].fd_step if f.modes else 2e-6
     clamp = _pole_clamp(f.z_interval)
     for k, terms in grouped.items():
 
@@ -255,14 +213,8 @@ def bracket_function(f: BandLimitedFunction, h: BandLimitedFunction) -> BandLimi
                 acc = acc - (1j * j2) * (p1.d2(z) * p2(z) + p1.d1(z) * p2.d1(z))
             return acc
 
-        modes[k] = Profile(value, d1, None, fd_step=step)
+        modes[k] = Profile(value, d1)
     return BandLimitedFunction(modes, f.z_interval, f.real_valued and h.real_valued)
-
-
-def poisson_bracket(f: BandLimitedFunction, h: BandLimitedFunction, p) -> complex:
-    """Evaluate {f, h} at the point p."""
-    p = as_point(p)
-    return complex(bracket_function(f, h).evaluate(p.z, p.theta))
 
 
 @dataclass
@@ -288,17 +240,6 @@ class SurfaceDescriptor:
     def coordinates(self):
         return (self.coord_x, self.coord_y, self.coord_z)
 
-    @property
-    def has_analytic_derivatives(self) -> bool:
-        """True when every coordinate profile carries closed-form derivatives.
-
-        Surfaces built from bare callables fall back to central differences
-        (steps declared on the Profile); reports flag that situation.
-        """
-        return all(
-            prof.analytic for blf in self.coordinates for prof in blf.modes.values()
-        )
-
     def coordinate_brackets(self):
         """({x,y}, {y,z}, {z,x}) as band-limited functions, cached."""
         if self._brackets is None:
@@ -311,7 +252,7 @@ class SurfaceDescriptor:
         return self._brackets
 
 
-def _sqrt_mode_profiles(rsq_of_z, scale: complex, interval, dsq=None) -> Profile:
+def _sqrt_mode_profiles(rsq_of_z, scale: complex) -> Profile:
     """Profile scale*sqrt(rsq(z)) with analytic derivatives.
 
     rsq must be a quadratic c0 - c2*z^2 described by (c0, c2): then
@@ -319,7 +260,6 @@ def _sqrt_mode_profiles(rsq_of_z, scale: complex, interval, dsq=None) -> Profile
     """
     c0, c2 = rsq_of_z
     s = complex(scale)
-    step = 1e-6 * (interval[1] - interval[0])
 
     def w(z):
         return np.sqrt(c0 - c2 * np.asarray(z) ** 2 + 0j).real
@@ -333,12 +273,10 @@ def _sqrt_mode_profiles(rsq_of_z, scale: complex, interval, dsq=None) -> Profile
     def d2(z):
         return -s * c0 * c2 / w(z) ** 3
 
-    return Profile(f, d1, d2, fd_step=step, fd_step2=100 * step)
+    return Profile(f, d1, d2)
 
 
-def _linear_profile(slope: float, interval) -> Profile:
-    step = 1e-6 * (interval[1] - interval[0])
-
+def _linear_profile(slope: float) -> Profile:
     def f(z):
         return slope * np.asarray(z, dtype=float) if np.ndim(z) else slope * z
 
@@ -348,37 +286,38 @@ def _linear_profile(slope: float, interval) -> Profile:
     def d2(z):
         return np.zeros(np.shape(z)) if np.ndim(z) else 0.0
 
-    return Profile(f, d1, d2, fd_step=step, fd_step2=100 * step)
+    return Profile(f, d1, d2)
 
 
 def _build_coordinates(interval, rsq, ax: float, ay: float, az: float):
     """x, y, z band-limited coordinates with x = ax*w(z)cos, y = ay*w(z)sin."""
     x = BandLimitedFunction(
         {
-            +1: _sqrt_mode_profiles(rsq, ax / 2.0, interval),
-            -1: _sqrt_mode_profiles(rsq, ax / 2.0, interval),
+            +1: _sqrt_mode_profiles(rsq, ax / 2.0),
+            -1: _sqrt_mode_profiles(rsq, ax / 2.0),
         },
         interval,
     )
     y = BandLimitedFunction(
         {
-            +1: _sqrt_mode_profiles(rsq, -0.5j * ay, interval),
-            -1: _sqrt_mode_profiles(rsq, +0.5j * ay, interval),
+            +1: _sqrt_mode_profiles(rsq, -0.5j * ay),
+            -1: _sqrt_mode_profiles(rsq, +0.5j * ay),
         },
         interval,
     )
-    z = BandLimitedFunction({0: _linear_profile(az, interval)}, interval)
+    z = BandLimitedFunction({0: _linear_profile(az)}, interval)
     return x, y, z
 
 
 def _size(key: str, value) -> float:
-    """value as a float; ValueError naming the key unless finite and positive."""
+    """value as a float; ValueError naming the key unless it lies in SIZE_RANGE."""
     try:
         v = float(value)
     except (TypeError, ValueError):
         v = math.nan
-    if not (math.isfinite(v) and v > 0):
-        raise ValueError(f"{key} must be a finite positive number, got {value!r}")
+    lo, hi = SIZE_RANGE
+    if not lo <= v <= hi:
+        raise ValueError(f"{key} must be a finite positive number in [{lo:g}, {hi:g}], got {value!r}")
     return v
 
 
@@ -438,37 +377,10 @@ def _area_density(s: SurfaceDescriptor, z, theta) -> np.ndarray:
 
 
 def metric_sqrt_det(s: SurfaceDescriptor, p) -> float:
-    """Area density sqrt|g| = sqrt({x,y}^2 + {y,z}^2 + {z,x}^2) at p."""
-    p = as_point(p)
-    return float(_area_density(s, p.z, p.theta))
-
-
-def laplace_beltrami_apply(s: SurfaceDescriptor, f: BandLimitedFunction, p) -> float:
-    """Bracket form of the Laplace-Beltrami operator applied to f at p.
-
-    Delta f = sum_i (1/sqrt|g|) {x^i, (1/sqrt|g|) {x^i, f}}, with the inner
-    bracket computed by mode calculus and the outer derivatives by central
-    differences (steps (b-a)*1e-6 in z and 2*pi*1e-6 in theta).  Points where
-    the density falls below the pole floor are rejected.
-    """
-    p = as_point(p)
-    rho0 = metric_sqrt_det(s, p)
-    if rho0 < POLE_DENSITY_FLOOR:
-        raise SingularPointError(f"area density {rho0:g} below pole floor at z={p.z:g}")
-    a, b = s.z_interval
-    hz = (b - a) * 1e-6
-    ht = TWO_PI * 1e-6
-    total = 0.0 + 0.0j
-    for xi in s.coordinates:
-        inner = bracket_function(xi, f)
-
-        def weighted(z, theta, inner=inner):
-            return inner.evaluate(z, theta) / metric_sqrt_det(s, SurfacePoint(z, theta))
-
-        dh_dz = (weighted(p.z + hz, p.theta) - weighted(p.z - hz, p.theta)) / (2 * hz)
-        dh_dt = (weighted(p.z, p.theta + ht) - weighted(p.z, p.theta - ht)) / (2 * ht)
-        total += xi.d_theta(p.z, p.theta) * dh_dz - xi.d_z(p.z, p.theta) * dh_dt
-    return float((total / rho0).real)
+    """Area density sqrt|g| = sqrt({x,y}^2 + {y,z}^2 + {z,x}^2) at the
+    parameter point p = (z, theta)."""
+    z, theta = p
+    return float(_area_density(s, z, theta))
 
 
 def surface_integral(s: SurfaceDescriptor, f: BandLimitedFunction, rel_tol: float = 1e-10) -> float:
@@ -522,8 +434,7 @@ def surface_from_spec(spec) -> SurfaceDescriptor:
     kind is sphere (radius, default 1), spheroid (semi_axes [a, c] or
     [a, a, c]) or ellipsoid (semi_axes [a1, a2, a3]); semi_axes is a list or
     a comma-separated string.  An unknown key, a key that does not apply to
-    the kind, or a size that is not finite and positive raises ValueError
-    naming the key.
+    the kind, or a size outside SIZE_RANGE raises ValueError naming the key.
     """
     spec = dict(spec)
     kind = str(spec.pop("kind", "")).strip().lower()

@@ -51,26 +51,6 @@ def metric_oracle(surf, z, theta):
     return g11, g12, g22, math.sqrt(det)
 
 
-def fd_laplace_oracle(surf, f, z, theta, h=2e-4):
-    """Divergence-form Laplace-Beltrami by nested central differences."""
-
-    def flux(zz, tt):
-        g11, g12, g22, sq = metric_oracle(surf, zz, tt)
-        inv_det = 1.0 / (g11 * g22 - g12 * g12)
-        iz_z, iz_t, it_t = g22 * inv_det, -g12 * inv_det, g11 * inv_det
-        dfz = (f.evaluate(zz + h, tt) - f.evaluate(zz - h, tt)).real / (2 * h)
-        dft = (f.evaluate(zz, tt + h) - f.evaluate(zz, tt - h)).real / (2 * h)
-        return sq * (iz_z * dfz + iz_t * dft), sq * (iz_t * dfz + it_t * dft)
-
-    H = 2 * h
-    fz_p, _ = flux(z + H, theta)
-    fz_m, _ = flux(z - H, theta)
-    _, ft_p = flux(z, theta + H)
-    _, ft_m = flux(z, theta - H)
-    sq = metric_oracle(surf, z, theta)[3]
-    return ((fz_p - fz_m) + (ft_p - ft_m)) / (2 * H * sq)
-
-
 def interior_points(n, seed, zlim=0.9):
     rng = np.random.default_rng(seed)
     zs = rng.uniform(-zlim, zlim, n)

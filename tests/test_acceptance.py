@@ -225,7 +225,7 @@ def test_gamma_consistency():
     diag = np.real(np.diag(ops2.gamma))
     spheroid_dev = 0.0
     for n in range(N // 4, 3 * N // 4):
-        want = nc.metric_sqrt_det(spheroid, nc.SurfacePoint(nodes[n], 0.0))
+        want = nc.metric_sqrt_det(spheroid, (nodes[n], 0.0))
         spheroid_dev = max(spheroid_dev, abs(diag[n] - want))
     ok = sphere_dev <= 5.0 / N and spheroid_dev <= 10.0 / N
     _report(

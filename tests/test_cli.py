@@ -117,6 +117,36 @@ def test_spectrum_gap_flag_overrides_clustering(tmp_path):
     assert len(payload["clusters"]) == 1  # everything merges under a huge gap
 
 
+@pytest.mark.parametrize("gap", ["-1", "nan", "inf", "-inf"])
+def test_spectrum_refuses_a_gap_that_is_not_finite_and_nonnegative(gap, tmp_path, capsys):
+    argv = ["spectrum", "--N", "12", "--count", "4", f"--gap={gap}", "--out", str(tmp_path)]
+    assert main(argv) == 1
+    assert "cluster gap must be finite and nonnegative" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_spectrum_accepts_a_zero_gap(tmp_path):
+    argv = ["spectrum", "--N", "12", "--count", "4", "--gap", "0", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    payload = json.loads((tmp_path / "spectrum_sphere_N12.json").read_text())
+    assert payload["config"]["cluster_gap"] == 0.0
+
+
+@pytest.mark.parametrize("command", ["spectrum", "dump-coords"])
+@pytest.mark.parametrize(
+    "flags, key",
+    [(["--radius", "1e200"], "radius"), (["--radius", "1e-200"], "radius"),
+     (["--surface", "ellipsoid", "--axes", "1e200,1e200,1e200"], "semi_axes"),
+     (["--surface", "ellipsoid", "--axes", "1e-200,1,1"], "semi_axes")],
+    ids=["huge-radius", "tiny-radius", "huge-axes", "tiny-axis"],
+)
+def test_sizes_outside_the_range_exit_one_and_write_nothing(command, flags, key, tmp_path, capsys):
+    assert main([command, *flags, "--N", "8", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key} must be a finite positive number in [1e-50, 1e+50]")
+    assert not list(tmp_path.iterdir())
+
+
 def test_narrow_block_range_is_config_error(tmp_path, capsys):
     # K=1 leaves out blocks +-2, which hold two members of the l=2 cluster
     code = main(
@@ -130,7 +160,8 @@ def test_narrow_block_range_is_config_error(tmp_path, capsys):
         ]
     )
     assert code == 1
-    assert "widen the block range K" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "below the largest kept magnitude" in err and "widen the block range K" in err
     assert not list(tmp_path.glob("spectrum_*"))
 
 

@@ -444,17 +444,6 @@ class TestSpectrum:
         dense = nc.spectrum(ops, strategy="dense", count=64)
         np.testing.assert_allclose(sorted(blocks.eigenvalues), sorted(dense.eigenvalues), atol=1e-9)
 
-    def test_dequantized_eigenmatrix_is_single_mode(self, unit_sphere):
-        # a block eigenmatrix lives on one offset, so its mode content is pure
-        ops = _ops(unit_sphere, 16)
-        blocks = nc.block_decompose(ops, 2)
-        block1 = [b for b in blocks if b.offset == 1][0]
-        w, V = np.linalg.eig(block1.operator)
-        i = np.argmin(np.abs(w + 2.0))
-        F = np.diag(V[:, i], 1)
-        back = nc.dequantize(F, ops.coords.grid, max_mode=3)
-        assert set(back.modes) == {-1}
-
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("bad", ["zero", "nan", "perturbed"])
     def test_broken_block_eigenvector_fails_residual_gate(self, prolate_112, monkeypatch, bad):
@@ -500,13 +489,68 @@ class TestSpectrum:
             assert key not in csv_path.read_text()
         assert "diagnostics" not in nc.spectrum(ops, strategy="dense", count=4).to_json_dict()
 
+    @pytest.mark.parametrize(
+        "surf, R",
+        [(nc.sphere(0.1), 0.1), (nc.sphere(10.0), 10.0), (nc.ellipsoid(10.0, 10.0, 10.0), 10.0)],
+        ids=["sphere0.1", "sphere10", "ellipsoid10"],
+    )
+    def test_default_gap_scales_with_the_surface(self, unit_sphere, surf, R):
+        # eigenvalues scale as 1/R^2, and so do the default gap and the
+        # block-range margin: the clusters of sphere(R) are the unit sphere's
+        want = nc.spectrum(_ops(unit_sphere, 100))
+        got = nc.spectrum(_ops(surf, 100))
+        assert [m for _, m in got.clusters] == [m for _, m in want.clusters] == [5, 3, 1]
+        for g, w in zip(sorted(got.eigenvalues), sorted(want.eigenvalues)):
+            assert abs(g * R**2 - w) <= 1e-10 * max(1.0, abs(w))
+        assert got.config["cluster_gap"] * R**2 == pytest.approx(want.config["cluster_gap"], rel=1e-14)
+
+    @pytest.mark.parametrize(
+        "surf, want",
+        [
+            (nc.spheroid(0.1, 1.0), [1, 1, 1, 1, 1, 1, 1, 2]),
+            (nc.spheroid(1.0, 10.0), [1, 1, 1, 1, 1, 1, 1, 2]),
+            (nc.ellipsoid(1.0, 1.0, 10.0), [1, 1, 1, 1, 1, 1, 1, 2]),
+            # the reference's own -14.21 pair and -14.23 level lie 0.02 apart
+            (nc.spheroid(1.0, 0.1), [1, 2, 1, 2, 3]),
+        ],
+        ids=["prolate0.1-1", "prolate1-10", "ellipsoid1-1-10", "oblate1-0.1"],
+    )
+    def test_default_gap_follows_the_longest_axis(self, surf, want):
+        # the low levels of a thin or long spheroid are set by its longest
+        # axis: the default gap keeps its distinct levels apart and groups
+        # its +-k pairs, as the per-mode reference does with the same gap
+        rep = nc.spectrum(_ops(surf, 100), count=9, block_range=99)
+        got = [m for _, m in sorted(rep.clusters, key=lambda c: abs(c[0]))]
+        ref = sorted(sorted(nc.reference_for(surf, 9).expanded(), key=abs)[:9])
+        clustered = nc.cluster_multiplicities(ref, rep.config["cluster_gap"])
+        assert got == [m for _, m in sorted(clustered, key=lambda c: abs(c[0]))] == want
+
+    def test_default_gap_follows_the_longest_axis_dense(self):
+        # a disc thin along x: its levels are set by the unit axes
+        rep = nc.spectrum(_ops(nc.ellipsoid(0.1, 1.0, 1.0), 40), count=6)
+        assert [m for _, m in sorted(rep.clusters, key=lambda c: abs(c[0]))] == [1, 2, 1, 2]
+
+    def test_default_gap_is_ten_hbar_over_the_longest_axis_squared(
+        self, unit_sphere, prolate_112, triaxial_123
+    ):
+        cases = (
+            (unit_sphere, 1.0),
+            (nc.spheroid(0.1, 1.0), 1.0),
+            (nc.spheroid(1.0, 0.5), 1.0),
+            (prolate_112, 2.0),
+            (triaxial_123, 3.0),
+        )
+        for surf, L in cases:
+            ops = _ops(surf, 40, offset="symmetric")
+            assert nc_laplacian.default_cluster_gap(ops) == 10.0 * ops.hbar / L**2
+
     def test_report_serialization(self, unit_sphere):
         ops = _ops(unit_sphere, 12)
         rep = nc.spectrum(ops, strategy="blocks", count=4, block_range=1)
         payload = rep.to_json_dict()
         assert payload["surface"] == "sphere"
         assert payload["N"] == 12
-        assert payload["config"]["analytic_derivatives"] is True
+        assert "analytic_derivatives" not in payload["config"]
         assert {"value", "residual", "block", "cluster"} <= set(payload["eigenvalues"][0])
         assert {"mean", "multiplicity"} <= set(payload["clusters"][0])
         rows = payload["eigenvalues"]
@@ -700,7 +744,7 @@ class TestBoundedSelection:
         surf = nc.sphere() if c is None else nc.spheroid(1.0, c)
         for N in (16, 64, 200):
             ops = _ops(surf, N, offset=offset)
-            gap = 10.0 * ops.hbar
+            gap = nc_laplacian.default_cluster_gap(ops)
             for K in (1, 3, 5):
                 outer = min(
                     abs(nc_laplacian._offset_block(ops, k).lowest(1)[0][0]) for k in (K + 1, -K - 1)
@@ -853,12 +897,16 @@ class TestBlockRangeCheck:
     @pytest.mark.parametrize("offset", ["paper", "symmetric"])
     def test_config_error_names_the_magnitude(self, prolate_112, offset):
         ops = _ops(prolate_112, 64, offset=offset)
-        K, margin = 3, 10.0 * ops.hbar
+        K, margin = 3, nc_laplacian.default_cluster_gap(ops)
         nearest = min(abs(nc_laplacian._offset_block(ops, k).level(0)) for k in (K + 1, -K - 1))
         nc_laplacian._check_block_range(ops, K, nearest - margin - 1e-9 * nearest)
-        with pytest.raises(ConfigError, match=f"magnitude {nearest:.6g}, within .*widen") as err:
-            nc_laplacian._check_block_range(ops, K, nearest - margin + 1e-9 * nearest)
-        assert f"blocks +-{K + 1}" in str(err.value)
+        largest = nearest - margin + 1e-9 * nearest
+        with pytest.raises(ConfigError) as err:
+            nc_laplacian._check_block_range(ops, K, largest)
+        assert str(err.value) == (
+            f"blocks +-{K + 1} have an eigenvalue of magnitude {nearest:.6g}, below the largest "
+            f"kept magnitude {largest:.6g} plus the cluster gap {margin:.3g}; widen the block range K"
+        )
 
 
 class TestGammaStorage:

@@ -604,28 +604,6 @@ def test_uniform_boundedness_proxy(unit_sphere):
             assert opnorm <= norm_bound(blf, g) + 1e-12
 
 
-class TestDequantize:
-    def test_roundtrip_exact_at_samples(self):
-        f = _random_real_blf(seed=13, max_mode=3)
-        g = nc.build_grid(16, -1, 1, 1)
-        T = nc.quantize(f, g)
-        back = nc.dequantize(T, g, max_mode=3)
-        for j in range(-3, 4):
-            zpts, vals = back.modes[j].samples
-            np.testing.assert_array_equal(vals, f.profile_values(j, zpts))
-
-    def test_identity_has_single_constant_mode(self):
-        g = nc.build_grid(8, -1, 1, 1)
-        back = nc.dequantize(np.eye(8), g, max_mode=3)
-        assert set(back.modes) == {0}
-        np.testing.assert_array_equal(back.modes[0].samples[1], np.ones(8))
-
-    def test_max_mode_validated(self):
-        g = nc.build_grid(4, -1, 1, 1)
-        with pytest.raises(ValueError):
-            nc.dequantize(np.eye(4), g, max_mode=4)
-
-
 def _dump_matrices(n):
     """Dense n x n complex matrices whose parts are often 0.0, -0.0 or
     non-finite."""

@@ -4,17 +4,9 @@ import numpy as np
 import pytest
 
 import nclaplace as nc
-from nclaplace.errors import ConsistencyError, DomainError, SingularPointError
+from nclaplace.errors import ConsistencyError, DomainError
 
-from conftest import fd_bracket, fd_laplace_oracle, interior_points, metric_oracle
-
-TWO_PI = 2.0 * math.pi
-
-
-def test_surface_point_normalizes_theta():
-    p = nc.SurfacePoint(0.2, TWO_PI + 1.5)
-    assert p.theta == pytest.approx(1.5, abs=1e-12)
-    assert 0.0 <= nc.SurfacePoint(0.0, -0.1).theta < TWO_PI
+from conftest import fd_bracket, interior_points, metric_oracle
 
 
 def test_coordinate_evaluation_recovers_embedding(unit_sphere):
@@ -40,14 +32,13 @@ def test_ellipsoid_reality_of_modes():
 def test_bracket_of_function_with_itself_is_zero(unit_sphere):
     z = unit_sphere.coord_z
     for zz, tt in interior_points(5, seed=2):
-        assert nc.poisson_bracket(z, z, nc.SurfacePoint(zz, tt)) == 0
+        assert nc.bracket_function(z, z).evaluate(zz, tt) == 0
 
 
 def test_sphere_bracket_xy_is_z(unit_sphere):
     # oracle: brute-force finite differences of the evaluated coordinates
     for zz, tt in interior_points(10, seed=3):
-        p = nc.SurfacePoint(zz, tt)
-        val = nc.poisson_bracket(unit_sphere.coord_x, unit_sphere.coord_y, p)
+        val = nc.bracket_function(unit_sphere.coord_x, unit_sphere.coord_y).evaluate(zz, tt)
         assert abs(val - zz) < 1e-12
         fd = fd_bracket(unit_sphere.coord_x, unit_sphere.coord_y, zz, tt)
         assert abs(val - fd) < 1e-6
@@ -55,8 +46,7 @@ def test_sphere_bracket_xy_is_z(unit_sphere):
 
 def test_sphere_bracket_yz_is_x(unit_sphere):
     for zz, tt in interior_points(10, seed=4):
-        p = nc.SurfacePoint(zz, tt)
-        val = nc.poisson_bracket(unit_sphere.coord_y, unit_sphere.coord_z, p)
+        val = nc.bracket_function(unit_sphere.coord_y, unit_sphere.coord_z).evaluate(zz, tt)
         x = math.sqrt(1 - zz * zz) * math.cos(tt)
         assert abs(val - x) < 1e-12
         fd = fd_bracket(unit_sphere.coord_y, unit_sphere.coord_z, zz, tt)
@@ -69,30 +59,28 @@ def test_bracket_antisymmetry_exact(unit_sphere):
     pairs = [(x, y), (y, z), (z, x), (x, xy)]
     for i, (zz, tt) in enumerate(interior_points(100, seed=5)):
         f, h = pairs[i % len(pairs)]
-        p = nc.SurfacePoint(zz, tt)
-        assert nc.poisson_bracket(f, h, p) == -nc.poisson_bracket(h, f, p)
+        fh = nc.bracket_function(f, h).evaluate(zz, tt)
+        assert fh == -nc.bracket_function(h, f).evaluate(zz, tt)
 
 
 def test_bracket_leibniz_rule(unit_sphere):
     x, y, z = unit_sphere.coordinates
     gh = nc.pointwise_product(y, z)
+    xgh, xy, xz = (nc.bracket_function(x, h) for h in (gh, y, z))
     for zz, tt in interior_points(25, seed=6):
-        p = nc.SurfacePoint(zz, tt)
-        lhs = nc.poisson_bracket(x, gh, p)
-        rhs = nc.poisson_bracket(x, y, p) * z.evaluate(zz, tt) + y.evaluate(
-            zz, tt
-        ) * nc.poisson_bracket(x, z, p)
+        lhs = xgh.evaluate(zz, tt)
+        rhs = xy.evaluate(zz, tt) * z.evaluate(zz, tt) + y.evaluate(zz, tt) * xz.evaluate(zz, tt)
         assert abs(lhs - rhs) < 1e-9 * max(1.0, abs(lhs))
 
 
 def test_bracket_outside_interval_raises(unit_sphere):
     with pytest.raises(DomainError):
-        nc.poisson_bracket(unit_sphere.coord_x, unit_sphere.coord_y, nc.SurfacePoint(1.5, 0.0))
+        nc.bracket_function(unit_sphere.coord_x, unit_sphere.coord_y).evaluate(1.5, 0.0)
 
 
 def test_metric_sqrt_det_sphere_is_one(unit_sphere):
     for zz, tt in interior_points(20, seed=7):
-        assert nc.metric_sqrt_det(unit_sphere, nc.SurfacePoint(zz, tt)) == pytest.approx(
+        assert nc.metric_sqrt_det(unit_sphere, (zz, tt)) == pytest.approx(
             1.0, abs=1e-12
         )
 
@@ -101,9 +89,8 @@ def test_metric_sqrt_det_sphere_bracket_identity(unit_sphere):
     # {x,y}^2 + {y,z}^2 + {z,x}^2 = z^2 + x^2 + y^2 = 1 on the unit sphere
     x, y, z = unit_sphere.coordinates
     for zz, tt in interior_points(10, seed=8):
-        p = nc.SurfacePoint(zz, tt)
         total = sum(
-            nc.poisson_bracket(f, h, p) ** 2 for f, h in [(x, y), (y, z), (z, x)]
+            nc.bracket_function(f, h).evaluate(zz, tt) ** 2 for f, h in [(x, y), (y, z), (z, x)]
         )
         assert total.real == pytest.approx(1.0, abs=1e-12)
         assert abs(total.imag) < 1e-14
@@ -111,9 +98,8 @@ def test_metric_sqrt_det_sphere_bracket_identity(unit_sphere):
 
 def test_metric_sqrt_det_ellipsoid_112_center():
     e = nc.ellipsoid(1.0, 1.0, 2.0)
-    p = nc.SurfacePoint(0.0, 0.0)
     expected = metric_oracle(e, 0.0, 0.0)[3]
-    assert nc.metric_sqrt_det(e, p) == pytest.approx(expected, rel=1e-12)
+    assert nc.metric_sqrt_det(e, (0.0, 0.0)) == pytest.approx(expected, rel=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -123,88 +109,35 @@ def test_metric_sqrt_det_ellipsoid_112_center():
 )
 def test_metric_sqrt_det_matches_embedding_oracle(surf):
     for zz, tt in interior_points(100, seed=9):
-        got = nc.metric_sqrt_det(surf, nc.SurfacePoint(zz, tt))
+        got = nc.metric_sqrt_det(surf, (zz, tt))
         want = metric_oracle(surf, zz, tt)[3]
         assert got == pytest.approx(want, rel=1e-9)
 
 
 def test_metric_sqrt_det_at_exact_pole(triaxial_123):
     # density stays finite at the poles: sqrt|g| -> a1*a2
-    assert nc.metric_sqrt_det(triaxial_123, nc.SurfacePoint(1.0, 0.3)) == pytest.approx(
+    assert nc.metric_sqrt_det(triaxial_123, (1.0, 0.3)) == pytest.approx(
         2.0, rel=1e-9
     )
 
 
-def test_laplace_sphere_degree_one_harmonics(unit_sphere):
-    for zz, tt in interior_points(8, seed=10, zlim=0.85):
-        p = nc.SurfacePoint(zz, tt)
-        assert nc.laplace_beltrami_apply(unit_sphere, unit_sphere.coord_z, p) == pytest.approx(
-            -2.0 * zz, abs=1e-6
-        )
-        x = math.sqrt(1 - zz * zz) * math.cos(tt)
-        assert nc.laplace_beltrami_apply(unit_sphere, unit_sphere.coord_x, p) == pytest.approx(
-            -2.0 * x, abs=1e-6
-        )
-
-
-def test_laplace_spheroid_against_fd_stencil(prolate_112):
-    p = nc.SurfacePoint(0.3, 0.0)
-    got = nc.laplace_beltrami_apply(prolate_112, prolate_112.coord_z, p)
-    want = fd_laplace_oracle(prolate_112, prolate_112.coord_z, 0.3, 0.0)
-    assert got == pytest.approx(want, abs=5e-5)
-
-
-def test_laplace_bracket_form_matches_divergence_form(prolate_112):
-    # both forms of the operator at random interior points
-    for zz, tt in interior_points(5, seed=21, zlim=0.7):
-        p = nc.SurfacePoint(zz, tt)
-        got = nc.laplace_beltrami_apply(prolate_112, prolate_112.coord_x, p)
-        want = fd_laplace_oracle(prolate_112, prolate_112.coord_x, zz, tt)
-        assert got == pytest.approx(want, abs=5e-4)
-
-
-def test_numeric_derivative_fallback():
-    # strip the analytic derivatives: brackets fall back to central
-    # differences at the declared step and stay accurate to ~1e-9
-    from nclaplace.surface import Profile
-
-    ref = nc.sphere()
-    stripped = {}
-    for name in ("coord_x", "coord_y", "coord_z"):
-        blf = getattr(ref, name)
-        stripped[name] = nc.BandLimitedFunction(
-            {j: Profile(p.func, fd_step=p.fd_step) for j, p in blf.modes.items()},
-            blf.z_interval,
-            blf.real_valued,
-        )
-    bare = nc.SurfaceDescriptor(
-        "bare-sphere",
-        ref.z_interval,
-        stripped["coord_x"],
-        stripped["coord_y"],
-        stripped["coord_z"],
-        semi_axes=(1.0, 1.0, 1.0),
+def test_bracket_of_a_profile_without_derivative_raises(unit_sphere):
+    # nothing is differenced in place of a missing closed-form derivative
+    x, y = unit_sphere.coord_x, unit_sphere.coord_y
+    bare = nc.BandLimitedFunction({j: nc.Profile(p.func) for j, p in y.modes.items()}, y.z_interval)
+    first = nc.BandLimitedFunction(
+        {j: nc.Profile(p.func, p.deriv) for j, p in y.modes.items()}, y.z_interval
     )
-    assert ref.has_analytic_derivatives
-    assert not bare.has_analytic_derivatives
-    for zz, tt in interior_points(5, seed=22, zlim=0.7):
-        p = nc.SurfacePoint(zz, tt)
-        val = nc.poisson_bracket(bare.coord_x, bare.coord_y, p)
-        assert abs(val - zz) < 1e-8
-        assert nc.metric_sqrt_det(bare, p) == pytest.approx(1.0, abs=1e-8)
-
-
-def test_laplace_triaxial_against_fd_stencil(triaxial_123):
-    p = nc.SurfacePoint(-0.2, 0.9)
-    got = nc.laplace_beltrami_apply(triaxial_123, triaxial_123.coord_x, p)
-    want = fd_laplace_oracle(triaxial_123, triaxial_123.coord_x, -0.2, 0.9)
-    assert got == pytest.approx(want, abs=5e-4)
-
-
-def test_laplace_rejects_vanishing_density():
-    thin = nc.ellipsoid(1e-11, 1e-11, 1.0)
-    with pytest.raises(SingularPointError):
-        nc.laplace_beltrami_apply(thin, thin.coord_z, nc.SurfacePoint(0.0, 0.0))
+    with pytest.raises(ValueError, match="no closed-form first derivative"):
+        nc.bracket_function(x, bare).evaluate(0.3, 0.2)
+    with pytest.raises(ValueError, match="no closed-form first derivative"):
+        nc.pointwise_product(x, bare).modes[0].d1(0.3)
+    # a bracket's value needs first derivatives only, its derivative the second
+    assert nc.bracket_function(x, first).evaluate(0.3, 0.2) == nc.bracket_function(x, y).evaluate(
+        0.3, 0.2
+    )
+    with pytest.raises(ValueError, match="no closed-form second derivative"):
+        nc.bracket_function(x, first).modes[0].d1(0.3)
 
 
 def test_surface_area_values():
@@ -269,10 +202,13 @@ def test_area_density_rejects_a_negative_radicand(unit_sphere):
     x, y, z = unit_sphere.coordinates
     twisted = nc.SurfaceDescriptor(
         "twisted", unit_sphere.z_interval, x, y,
-        nc.BandLimitedFunction({0: nc.Profile(lambda u: 1j * np.asarray(u))}, z.z_interval),
+        nc.BandLimitedFunction(
+            {0: nc.Profile(lambda u: 1j * np.asarray(u), lambda u: np.full(np.shape(u), 1j))},
+            z.z_interval,
+        ),
     )
     with pytest.raises(ConsistencyError, match="not a nonnegative real"):
-        nc.metric_sqrt_det(twisted, nc.SurfacePoint(0.1, 0.0))
+        nc.metric_sqrt_det(twisted, (0.1, 0.0))
     with pytest.raises(ConsistencyError, match="not a nonnegative real"):
         nc.surface_area(twisted)
 
@@ -311,13 +247,21 @@ def test_load_surface_config_rejects_unknown(tmp_path):
         ({"kind": "spheroid", "semi_axes": [1, -2]}, "semi_axes"),
         ({"kind": "sphere", "radius": math.inf}, "radius"),
         ({"kind": "sphere", "radius": 0}, "radius"),
+        ({"kind": "sphere", "radius": 1e51}, "radius"),
+        ({"kind": "ellipsoid", "semi_axes": [1, 2, 1e-51]}, "semi_axes"),
     ],
     ids=["radius-on-ellipsoid", "axes-on-sphere", "unknown-key", "nan-axis", "negative-axis",
-         "inf-radius", "zero-radius"],
+         "inf-radius", "zero-radius", "huge-radius", "tiny-axis"],
 )
 def test_surface_from_spec_rejects_naming_the_key(spec, key):
     with pytest.raises(ValueError, match=key):
         nc.surface_from_spec(spec)
+
+
+def test_sizes_at_the_ends_of_the_range_are_accepted():
+    lo, hi = nc.surface.SIZE_RANGE
+    assert nc.sphere(lo).semi_axes == (lo, lo, lo)
+    assert nc.ellipsoid(hi, hi, hi).semi_axes == (hi, hi, hi)
 
 
 def test_surface_from_spec_accepts_lists_and_strings():
