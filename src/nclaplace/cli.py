@@ -120,8 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gap", type=float, default=None,
                    help="cluster gap, finite and >= 0 (default 10*hbar*(2/(b-a))/L^2, "
                         "L the largest semi-axis)")
-    p.add_argument("--dump-coords", default=None, metavar="PATH",
-                   help="also write the coordinate matrices under PATH")
     p.set_defaults(func="cmd_spectrum")
 
     p = add_parser("converge", help="eigenvalue errors against a classical reference")
@@ -233,8 +231,6 @@ def cmd_spectrum(args) -> int:
     written = write_report(
         args.out, stem, report.config, report.to_csv_rows(), report.to_json_dict(), formats
     )
-    if args.dump_coords:
-        written += qz.dump_coordinate_matrices(ops.coords, args.dump_coords)
 
     try:
         ref = oracle.reference_for(surf, args.count)

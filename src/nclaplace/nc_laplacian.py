@@ -30,8 +30,8 @@ are provided:
   ?stebz call per block then bisects exactly those, and the `count`
   closest to zero are kept.  Eigenvectors are solved for the kept levels
   only.  O(dim) work per count and per bisected level.  The range check on
-  blocks +-(K+1) bisects nothing: it is one LDL^T factorization per block
-  (a definiteness test, Parlett ch. 3).
+  blocks +-(K+1) is the same ?stebz call over the levels above
+  -(largest kept + gap): it bisects none unless the check fails.
 
 `apply_laplacian` of an offset -> diagonal map (the residual check of the
 blocks strategy) runs on the same kernel: every product of two banded
@@ -377,61 +377,32 @@ class OffsetBlock:
     the entry convention T(f)[n, m] = f_{n-m}(...), the offset-k diagonal
     carries azimuthal mode -k.  Offsets +-k appear as separate blocks whose
     low eigenvalues approach each other only in the large-N limit.  The
-    block is tridiagonal: ``diag``, ``upper`` (entries (j, j+1)) and
-    ``lower`` (entries (j+1, j)).
+    block B is tridiagonal and held as the symmetric tridiagonal matrix
+    T = D^{-1} B D (``diag``, ``off``) and D's diagonal ``scale``:
+    B = diag(scale) T diag(1/scale), and eigenvectors of B are D times
+    those of T.
     """
 
     offset: int
     diag: np.ndarray
-    upper: np.ndarray
-    lower: np.ndarray
+    off: np.ndarray
+    scale: np.ndarray
 
     @property
     def dim(self) -> int:
         return len(self.diag)
 
-    @property
-    def operator(self) -> np.ndarray:
-        """Dense view of the block (small-size oracles)."""
-        return np.diag(self.diag) + np.diag(self.upper, 1) + np.diag(self.lower, -1)
-
-    @cached_property
-    def symmetric(self) -> tuple:
-        """(off, scale): the off-diagonal of the symmetric tridiagonal matrix
-        D^{-1} B D, with D_{j+1}/D_j = sqrt(lower_j/upper_j), and D's diagonal.
-        Eigenvectors of B are D times those of the symmetric matrix."""
-        if np.any(self.upper * self.lower <= 0.0):
-            raise ConsistencyError(
-                f"offset-{self.offset} block has a non-positive off-diagonal product; "
-                "it is not similar to a symmetric tridiagonal matrix"
-            )
-        ratio = np.sqrt(self.lower / self.upper)
-        return self.upper * ratio, np.concatenate(([1.0], np.cumprod(ratio)))
-
-    def level(self, j: int) -> float:
-        """The j-th eigenvalue counted from 0 downwards (j = 0 is the closest
-        to 0), bisected alone by index with no eigenvector: O(dim) work.
-        Only the ConfigError of `_check_block_range` uses it; the spectrum
-        bisects by value range (`_closest_levels`)."""
-        i = self.dim - 1 - j
-        return float(
-            sla.eigh_tridiagonal(
-                self.diag, self.symmetric[0], eigvals_only=True, select="i", select_range=(i, i)
-            )[0]
-        )
-
     def vectors(self, values) -> np.ndarray:
         """Eigenvectors (rows) for eigenvalues already bisected
         (`_levels_within`), by inverse iteration (LAPACK ?stein), with no
-        second bisection.  The symmetric form is one unreduced block:
-        `symmetric` refuses a zero off-diagonal product."""
-        off, scale = self.symmetric
+        second bisection.  T is one unreduced block: `_offset_block`
+        refuses a zero off-diagonal product."""
         order = np.argsort(values)
         n = self.dim
-        stein = sla.get_lapack_funcs("stein", (self.diag, off))
+        stein = sla.get_lapack_funcs("stein", (self.diag, self.off))
         Y, info = stein(
             self.diag,
-            off if n > 1 else np.zeros(1),  # the wrapper wants e non-empty
+            self.off if n > 1 else np.zeros(1),  # the wrapper wants e non-empty
             np.asarray(values, dtype=float)[order],
             np.ones(n, dtype=np.int32),
             np.full(n, n, dtype=np.int32),
@@ -441,37 +412,26 @@ class OffsetBlock:
                 f"inverse iteration on the offset-{self.offset} block failed (info={info})"
             )
         out = np.empty((len(order), n))
-        out[order] = (scale[:, None] * Y).T
+        out[order] = (self.scale[:, None] * Y).T
         return out
-
-    def lowest(self, take: int):
-        """The `take` eigenvalues closest to 0, descending, and their vectors (rows).
-
-        The Laplacian is self-adjoint and negative semidefinite in the inner
-        product weighted by gamma, so these are the largest eigenvalues.  One
-        `eigh_tridiagonal` call bisects the `take` top levels of the
-        symmetric form (`symmetric`) and solves their eigenvectors; take
-        above dim returns all dim levels.
-        """
-        if take < 1:
-            raise ValueError(f"take must be at least 1, got take={take}")
-        off, scale = self.symmetric
-        select = (self.dim - min(take, self.dim), self.dim - 1)
-        w, Y = sla.eigh_tridiagonal(self.diag, off, select="i", select_range=select)
-        return w[::-1], (scale[:, None] * Y).T[::-1]
 
 
 def _offset_block(ops: QuantizedOperatorSet, k: int) -> OffsetBlock:
     """Closed-form restriction of L to offset k for tridiagonal X_i, diagonal gamma.
 
-    With g = diag(gamma^{-1}), row n of the block (entry (n, m = n + k) of the
-    matrix) reads as below, summed over X_i in (X, Y, Z), with c = diag(X_i)
-    and q_n = X_i[n, n+1] X_i[n+1, n] (zero outside 0 <= n < N-1):
+    With g = diag(gamma^{-1}), row n of the block B (entry (n, m = n + k) of
+    the matrix) reads as below, summed over X_i in (X, Y, Z), with
+    c = diag(X_i) and q_n = X_i[n, n+1] X_i[n+1, n] (zero outside
+    0 <= n < N-1):
 
         diag  = -g_n/hbar^2 [g_n (c_n - c_m)^2 + g_{n+1} q_n + g_{n-1} q_{n-1}
                              + g_n (q_m + q_{m-1})]
         upper = g_n (g_n + g_{n+1})/hbar^2 X_i[n, n+1] X_i[m+1, m]
         lower = g_{n+1} (g_n + g_{n+1})/hbar^2 X_i[n+1, n] X_i[m, m+1]
+
+    B is returned as its symmetric form, with D_{j+1}/D_j =
+    sqrt(lower_j/upper_j); a non-positive product upper_j lower_j raises
+    ConsistencyError.
     """
     N = ops.N
     M = N - abs(k)
@@ -494,9 +454,16 @@ def _offset_block(ops: QuantizedOperatorSet, k: int) -> OffsetBlock:
     gn, h2 = g[n], ops.hbar**2
     diag = gn * diag_sum + gp[n + 2] * qp[n + 1] + gp[n] * qp[n] + gn * (qp[m + 1] + qp[m])
     pair = gn[:-1] + gn[1:]
-    return OffsetBlock(
-        k, -gn * diag / h2, gn[:-1] * pair * upper.real / h2, gn[1:] * pair * lower.real / h2
-    )
+    upper = gn[:-1] * pair * upper.real / h2
+    lower = gn[1:] * pair * lower.real / h2
+    if np.any(upper * lower <= 0.0):
+        raise ConsistencyError(
+            f"offset-{k} block has a non-positive off-diagonal product; "
+            "it is not similar to a symmetric tridiagonal matrix"
+        )
+    ratio = np.sqrt(lower / upper)
+    scale = np.concatenate(([1.0], np.cumprod(ratio)))
+    return OffsetBlock(k, -gn * diag / h2, upper * ratio, scale)
 
 
 def block_decompose(ops: QuantizedOperatorSet, max_offset: int) -> list[OffsetBlock]:
@@ -613,7 +580,7 @@ def spectrum(
     eigenmatrix raises SolverConvergenceError.  Blocks +-(K+1) must lie
     beyond the kept eigenvalues by `default_cluster_gap`, or ConfigError
     asks for a wider K (at K = N - 1 the blocks hold all N^2 eigenvalues,
-    and the error says so); that check factorizes and bisects nothing.  The
+    and the error says so); that check bisects nothing unless it fails.  The
     blocks strategy reports ``diagnostics = {"levels_solved": n,
     "sturm_counts": c, "level_bound": tau, "residual_margin": r}``: the
     levels bisected to full precision, the ?stebz calls that only counted,
@@ -746,22 +713,20 @@ def _dense_candidates(ops: QuantizedOperatorSet, count: int) -> list:
     ]
 
 
-def _levels_within(block: OffsetBlock, tau: float, stebz, abstol: float):
-    """(m, values): the m levels of the block with |lambda| < tau, ascending.
+def _levels_within(block: OffsetBlock, lo: float, hi: float, stebz, abstol: float):
+    """(m, values): the m levels of the block in (lo, hi], ascending.
 
-    One LAPACK ?stebz call over the value range (-tau, tau^-], tau^- the
-    largest double below tau: it counts the range by Sturm sequences, then
-    bisects every level in it until its bracket is narrower than ``abstol``
-    (0: ulp * ||T||, as `level` bisects).  With ``abstol`` = STURM_COUNT_ABSTOL
-    the bisection stops at once, so m is the exact count and the values mean
-    nothing (Barth, Martin & Wilkinson, Numer. Math. 9 (1967); Parlett, The
-    Symmetric Eigenvalue Problem, ch. 3).  A dim-1 block is read off."""
+    One LAPACK ?stebz call over that value range (hi may be inf): it counts
+    the range by Sturm sequences, then bisects every level in it until its
+    bracket is narrower than ``abstol`` (0: ulp * ||T||).  With ``abstol`` =
+    STURM_COUNT_ABSTOL the bisection stops at once, so m is the exact count
+    and the values mean nothing (Barth, Martin & Wilkinson, Numer. Math. 9
+    (1967); Parlett, The Symmetric Eigenvalue Problem, ch. 3).  A dim-1
+    block is read off."""
     if block.dim == 1:
         d = block.diag
-        return (1, d) if abs(d[0]) < tau else (0, d[:0])
-    m, w, _, _, info = stebz(
-        block.diag, block.symmetric[0], 1, -tau, np.nextafter(tau, -np.inf), 0, 0, abstol, "E"
-    )
+        return (1, d) if lo < d[0] <= hi else (0, d[:0])
+    m, w, _, _, info = stebz(block.diag, block.off, 1, lo, hi, 0, 0, abstol, "E")
     if info != 0:
         raise SolverConvergenceError(
             f"bisection on the offset-{block.offset} block failed (info={info})"
@@ -782,32 +747,31 @@ def _closest_levels(blocks: list, count: int) -> tuple:
     sum to at most count + 1, or CUTOFF_STEPS steps have run.  Counts are
     monotone in tau, so a block whose count is equal at both ends of the
     bracket is not counted again.  Each block with a level below tau is
-    then bisected once over (-tau, tau^-], and the `count` levels first in
-    the kept spectrum's order (|lambda|, lambda, offset) are kept.  This is
-    the exhaustive selection: every level outside the range has |lambda| >=
-    tau, and every level inside |lambda| < tau.  The bisection starts from
-    the range, so a value's last bits depend on tau: two block ranges K that
-    end at different cutoffs agree to about ulp * ||T||, not bit for bit.
+    then bisected once over (-tau, tau^-], tau^- the largest double below
+    tau, and the `count` levels first in the kept spectrum's order
+    (|lambda|, lambda, offset) are kept.  This is the exhaustive selection:
+    every level outside the range has |lambda| >= tau, and every level
+    inside |lambda| < tau.  The bisection starts from the range, so a
+    value's last bits depend on tau: two block ranges K that end at
+    different cutoffs agree to about ulp * ||T||, not bit for bit.
     """
     stebz = sla.get_lapack_funcs("stebz", (blocks[0].diag,))
     # every level lies within the Gershgorin bound, so all are below the cap
-    bound = max(
-        np.abs(b.diag).max() + 2.0 * np.abs(b.symmetric[0]).max(initial=0.0) for b in blocks
-    )
+    bound = max(np.abs(b.diag).max() + 2.0 * np.abs(b.off).max(initial=0.0) for b in blocks)
     cap = 2.0 * float(bound) + np.finfo(float).tiny
     lo, hi, c_lo, c_hi = 0.0, cap, [0] * len(blocks), [b.dim for b in blocks]
     # first guess: 1.5 times the tau at which the one-dimensional Weyl law,
     # #{|lambda| < tau} ~ sum_j sqrt(tau / |e_j|) / pi for a tridiagonal
     # block with off-diagonal e, puts sqrt(count) levels in block 0 (the
     # sphere holds L + 1 of its (L + 1)^2 lowest levels there)
-    e = np.abs(blocks[0].symmetric[0])
+    e = np.abs(blocks[0].off)
     tau = min(1.5 * (math.pi * math.sqrt(count) / np.sum(e**-0.5)) ** 2, cap) if len(e) else cap
     counted = steps = 0
     while sum(c_hi) > count + 1 and steps < CUTOFF_STEPS:
-        c = []
+        c, below = [], np.nextafter(tau, -np.inf)
         for b, low, high in zip(blocks, c_lo, c_hi):
             if low != high:
-                low = _levels_within(b, tau, stebz, STURM_COUNT_ABSTOL)[0]
+                low = _levels_within(b, -tau, below, stebz, STURM_COUNT_ABSTOL)[0]
                 counted += b.dim > 1
             c.append(low)
         if sum(c) >= count:
@@ -824,7 +788,7 @@ def _closest_levels(blocks: list, count: int) -> tuple:
     found = []
     for i, (b, c) in enumerate(zip(blocks, c_hi)):
         if c:
-            values = _levels_within(b, hi, stebz, 0.0)[1].tolist()
+            values = _levels_within(b, -hi, np.nextafter(hi, -np.inf), stebz, 0.0)[1].tolist()
             found += [(abs(lam), lam, b.offset, i) for lam in values]
     levels = [[] for _ in blocks]
     for _, lam, _, i in sorted(found)[:count]:
@@ -832,28 +796,19 @@ def _closest_levels(blocks: list, count: int) -> tuple:
     return levels, {"levels_solved": len(found), "sturm_counts": counted, "level_bound": float(hi)}
 
 
-def _negative_definite_below(block: OffsetBlock, tau: float) -> bool:
-    """Whether every eigenvalue of the block lies below -tau: whether
-    -T - tau I, T the symmetric form (`OffsetBlock.symmetric`), is positive
-    definite.  One LDL^T factorization (LAPACK ?pttrf), O(dim), with no
-    eigenvalue: by Sylvester's law of inertia it succeeds exactly when no
-    pivot is non-positive (Parlett, The Symmetric Eigenvalue Problem,
-    ch. 3)."""
-    off = block.symmetric[0]
-    d = -block.diag - tau
-    pttrf = sla.get_lapack_funcs("pttrf", (d, off))
-    return pttrf(d, -off if block.dim > 1 else np.zeros(1))[2] == 0  # the wrapper wants e non-empty
-
-
 def _check_block_range(ops: QuantizedOperatorSet, K: int, largest_kept: float) -> None:
     """Blocks +-(K+1) must not reach the kept spectrum within the default
-    cluster gap: each must be negative definite below -(largest_kept + gap)
-    (`_negative_definite_below`).  Their top levels are bisected only to
-    word the ConfigError."""
+    cluster gap: neither may hold a level above -(largest_kept + gap).  One
+    ?stebz call per block over that range (`_levels_within`) counts it and
+    bisects only the levels it finds, which word the ConfigError."""
     margin = default_cluster_gap(ops)
     outer = [_offset_block(ops, k) for k in (K + 1, -K - 1)]
-    if not all(_negative_definite_below(b, largest_kept + margin) for b in outer):
-        nearest = min(abs(b.level(0)) for b in outer)
+    stebz = sla.get_lapack_funcs("stebz", (outer[0].diag,))
+    found = np.concatenate(
+        [_levels_within(b, -(largest_kept + margin), np.inf, stebz, 0.0)[1] for b in outer]
+    )
+    if len(found):
+        nearest = np.abs(found).min()
         raise ConfigError(
             f"blocks +-{K + 1} have an eigenvalue of magnitude {nearest:.6g}, below the largest "
             f"kept magnitude {largest_kept:.6g} plus the cluster gap {margin:.3g}; "
@@ -888,7 +843,6 @@ def convergence_study(
     surface: SurfaceDescriptor,
     N_list,
     count: int,
-    reference=None,
     beta: float = 1.0,
     grid_offset: str = "paper",
     strategy: str = "auto",
@@ -898,22 +852,20 @@ def convergence_study(
 
     The sizes must be distinct.  Returns one row per (N, cluster): dict with
     keys N, hbar, cluster, lambda, reference, abs_error, fitted_order, in
-    that order, ascending in N.  The reference defaults to
+    that order, ascending in N.  The reference is
     ``reference_for(surface, count)``: the analytic spectrum on the unit
     sphere and the spectral Galerkin solve (error estimate below 1e-9
     relative) on other surfaces of revolution, so the errors are the nc
-    operator's; there is none on a triaxial surface.  A ClassicalSpectrum
-    can be passed explicitly.
+    operator's; there is none on a triaxial surface.
     """
     N_list = sorted(int(n) for n in N_list)
     if len(N_list) < 2:
         raise ConfigError("convergence study needs at least two values of N")
     if len(set(N_list)) < len(N_list):
         raise ConfigError(f"convergence study sizes must be distinct, got {N_list}")
+    reference = reference_for(surface, count)
     if reference is None:
-        reference = reference_for(surface, count)
-        if reference is None:
-            raise ConfigError("no classical reference available for this surface")
+        raise ConfigError("no classical reference available for this surface")
 
     a, b = surface.z_interval
     runs = []

@@ -105,16 +105,15 @@ def _meridian_coefficients(s):
     return r, stretch
 
 
-def _mode_eigenvalues(r, stretch, n: int, m: int, count: int, floor=None) -> np.ndarray:
+def _mode_eigenvalues(r, stretch, n: int, m: int, count: int) -> np.ndarray:
     """Top `count` eigenvalues of one azimuthal band of the revolution problem.
 
     Cell-centered conservative scheme for
         (1/(r E)) d/dt( (r/E) u' ) - m^2 u / r^2 = lambda u,   E = |d(meridian)/dt|
     on (0, pi).  Flux coefficients p = r/E live on cell faces and vanish at
     the poles, which encodes the bounded-solution endpoint condition; for
-    m >= 1 the singular m^2/r^2 potential suppresses u there.  With `floor`,
-    only the eigenvalues in (floor, 0] are bisected and the top `count` of
-    them returned.  Returns eigenvalues sorted descending (nearest zero first).
+    m >= 1 the singular m^2/r^2 potential suppresses u there.  Returns
+    eigenvalues sorted descending (nearest zero first).
     """
     h = math.pi / n
     nodes = (np.arange(n) + 0.5) * h
@@ -130,12 +129,8 @@ def _mode_eigenvalues(r, stretch, n: int, m: int, count: int, floor=None) -> np.
     sw = np.sqrt(w)
     diag = diag_t / w
     off = off_t / (sw[:-1] * sw[1:])
-    if floor is None:
-        lo = max(n - count, 0)
-        vals = eigh_tridiagonal(diag, off, select="i", select_range=(lo, n - 1), eigvals_only=True)
-    else:
-        vals = eigh_tridiagonal(diag, off, select="v", select_range=(floor, 0.0), eigvals_only=True)
-        vals = vals[max(len(vals) - count, 0):]
+    lo = max(n - count, 0)
+    vals = eigh_tridiagonal(diag, off, select="i", select_range=(lo, n - 1), eigvals_only=True)
     return vals[::-1]
 
 
@@ -158,19 +153,13 @@ def _keep_prefix(levels, count: int):
 def revolution_spectrum(s, m_max: int, grid_points: int, count: int) -> ClassicalSpectrum:
     """Low spectrum of a revolution surface by separated finite differences.
 
-    Walks the azimuthal modes m = 0, 1, ..., m_max on `grid_points` cells of
-    the meridian angle (multiplicity 1 for m = 0, else 2) and keeps levels
-    until `count` eigenvalues are covered with multiplicity.  Mode 0 solves
-    its top levels by index.  Once the levels found so far cover `count` up
-    to |lambda| = tau, a later mode bisects only its levels in
-    [-(tau + margin), 0], and the walk stops at the first mode with none
-    there.  That is exact: the symmetrized band matrices satisfy
-    T_{m+1} = T_m - (2m+1) diag(1/r^2), so by Weyl's monotonicity every level
-    of band m+1 lies below the same-index level of band m.  Each mode offers
-    at most its top min(max(count, 2), grid_points//2 - 1) levels.  A coarse
-    companion solve on grid_points//2 cells estimates the discretization
-    error of every kept eigenvalue; estimates comparable to the eigenvalue
-    itself raise.
+    Solves every azimuthal band m = 0, 1, ..., m_max on `grid_points` cells
+    of the meridian angle for its top min(max(count, 2), grid_points//2 - 1)
+    levels by index (multiplicity 1 for m = 0, else 2), and keeps the levels
+    nearest zero until `count` eigenvalues are covered with multiplicity.  A
+    coarse companion solve on grid_points//2 cells estimates the
+    discretization error of every kept eigenvalue; estimates comparable to
+    the eigenvalue itself raise.
     """
     if grid_points < 4:
         raise ValueError(f"grid_points must be at least 4, got {grid_points}")
@@ -178,27 +167,11 @@ def revolution_spectrum(s, m_max: int, grid_points: int, count: int) -> Classica
         raise ValueError(f"m_max must be nonnegative, got {m_max}")
     r, stretch = _meridian_coefficients(s)
     take = min(max(count, 2), grid_points // 2 - 1)
-    fine = []  # (value, multiplicity, mode, index within the band)
-    tau = math.inf
-    modes_solved = levels_solved = 0
-    for m in range(m_max + 1):
-        if m == 0:
-            f = _mode_eigenvalues(r, stretch, grid_points, 0, min(take, max(count, 1)))
-        elif math.isinf(tau):
-            f = _mode_eigenvalues(r, stretch, grid_points, m, take)
-        else:
-            # far above the bisection tolerance, so near-ties at tau are solved
-            margin = 1e-6 * (1.0 + tau)
-            f = _mode_eigenvalues(r, stretch, grid_points, m, take, floor=-(tau + margin))
-        modes_solved += 1
-        levels_solved += len(f)
-        if len(f) == 0:
-            break
-        mult = 1 if m == 0 else 2
-        fine.extend((v, mult, m, i) for i, v in enumerate(f))
-        kept_idx, total = _keep_prefix(fine, count)
-        if total >= count:
-            tau = abs(fine[kept_idx[-1]][0]) if kept_idx else 0.0
+    fine = [  # (value, multiplicity, mode, index within the band)
+        (v, 1 if m == 0 else 2, m, i)
+        for m in range(m_max + 1)
+        for i, v in enumerate(_mode_eigenvalues(r, stretch, grid_points, m, take))
+    ]
     kept_idx, total = _keep_prefix(fine, count)
     if total < count:
         raise ResolutionError(
@@ -210,7 +183,6 @@ def revolution_spectrum(s, m_max: int, grid_points: int, count: int) -> Classica
     # the coarse solve of each band returns one companion per kept level
     depth = Counter(m for _, _, m, _ in kept)
     coarse = {m: _mode_eigenvalues(r, stretch, grid_points // 2, m, k) for m, k in depth.items()}
-    levels_solved += len(kept)
     # second-order scheme: halving the grid scales the error by ~4, so the
     # fine/coarse difference over 3 estimates the fine-grid error
     err_est = [abs(v - coarse[m][i]) / 3.0 for v, _, m, i in kept]
@@ -229,8 +201,6 @@ def revolution_spectrum(s, m_max: int, grid_points: int, count: int) -> Classica
         "m_max": m_max,
         "max_error_estimate": max(err_est, default=0.0),
         "surface": s.name,
-        "modes_solved": modes_solved,
-        "levels_solved": levels_solved,
     }
     return ClassicalSpectrum(tuple(entries), meta)
 

@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
 import nclaplace as nc
 
@@ -111,3 +112,19 @@ def dense_from_map(diagonals, N):
     for k, d in diagonals.items():
         A += np.diag(d[max(0, k) : N + min(0, k)], k)
     return A
+
+
+def block_matrix(block):
+    """The dense offset block B = diag(scale) T diag(1/scale), T the
+    symmetric tridiagonal form (``diag``, ``off``) the block holds."""
+    T = np.diag(block.diag) + np.diag(block.off, 1) + np.diag(block.off, -1)
+    return block.scale[:, None] * T / block.scale
+
+
+def block_top_levels(block, take):
+    """The `take` levels of the block closest to 0, descending, and their
+    eigenvectors of B (rows): `eigh_tridiagonal` of the symmetric form by
+    index, all dim levels when take is above dim."""
+    n = block.dim
+    w, Y = eigh_tridiagonal(block.diag, block.off, select="i", select_range=(n - min(take, n), n - 1))
+    return w[::-1], (block.scale[:, None] * Y).T[::-1]

@@ -604,27 +604,10 @@ def test_dump_coords_roundtrip(tmp_path, unit_sphere):
     np.testing.assert_array_equal(read_matrix_json(tmp_path / "coords_X.json"), X)
 
 
-def test_spectrum_dump_coords_flag(tmp_path):
-    code = main(
-        [
-            "spectrum",
-            "--surface", "sphere",
-            "--N", "4",
-            "--strategy", "dense",
-            "--count", "2",
-            "--out", str(tmp_path),
-            "--dump-coords", str(tmp_path / "mats"),
-        ]
-    )
-    assert code == 0
-    assert (tmp_path / "mats" / "coords_Y.nclq").exists()
-
-
 def test_coordinate_dumps_re_encode_byte_for_byte(tmp_path):
     assert main(["dump-coords", "--surface", "ellipsoid", "--axes", "1,2,3", "--N", "9",
                  "--out", str(tmp_path / "dump")]) == 0
-    assert main(["spectrum", "--surface", "sphere", "--N", "4", "--strategy", "dense", "--count", "2",
-                 "--out", str(tmp_path), "--dump-coords", str(tmp_path / "spectrum")]) == 0
+    assert main(["dump-coords", "--surface", "sphere", "--N", "4", "--out", str(tmp_path / "sphere")]) == 0
     files = sorted(tmp_path.glob("*/coords_*"))
     assert len(files) == 12
     for path in files:

@@ -20,7 +20,14 @@ from nclaplace.errors import (
 from nclaplace import cli, nc_laplacian
 from nclaplace.nc_laplacian import _dense_candidates, assemble_dense_superoperator
 
-from conftest import csr_from_diagonals, dense_from_map, metric_oracle, offset_map
+from conftest import (
+    block_matrix,
+    block_top_levels,
+    csr_from_diagonals,
+    dense_from_map,
+    metric_oracle,
+    offset_map,
+)
 
 
 def _ops(surf, N, beta=1.0, offset="paper"):
@@ -211,7 +218,7 @@ class TestApply:
         ops = _ops(surf, N)
         G = sp.csr_matrix(sp.diags(ops.gamma_inv_eigenvalues))
         for block in nc.block_decompose(ops, 2):
-            values, vectors = block.lowest(3)
+            values, vectors = block_top_levels(block, 3)
             for lam, v in zip(values, vectors):
                 F = sp.diags(v.astype(complex), block.offset, shape=(N, N), format="csr")
                 LF = 0
@@ -323,14 +330,14 @@ class TestBlocks:
             dense = np.sort(np.linalg.eigvals(sup).real)
             blocks = nc.block_decompose(ops, 5)
             union = np.sort(
-                np.concatenate([np.linalg.eigvals(b.operator).real for b in blocks])
+                np.concatenate([np.linalg.eigvals(block_matrix(b)).real for b in blocks])
             )
             np.testing.assert_allclose(union, dense, atol=1e-10)
 
     def test_zero_block_kernel_is_constant_vector(self, unit_sphere):
         ops = _ops(unit_sphere, 10)
         block0 = [b for b in nc.block_decompose(ops, 2) if b.offset == 0][0]
-        assert np.abs(block0.operator @ np.ones(10)).max() < 1e-10
+        assert np.abs(block_matrix(block0) @ np.ones(10)).max() < 1e-10
 
     @pytest.mark.parametrize("N", [2, 3, 24])
     @pytest.mark.parametrize("offset", ["paper", "symmetric"])
@@ -343,13 +350,34 @@ class TestBlocks:
                 k = block.offset
                 resp = nc.apply_laplacian(ops, offset_map(v, k, N))
                 np.testing.assert_allclose(
-                    resp[k][max(0, k) : N + min(0, k)].real, block.operator @ v, atol=1e-10
+                    resp[k][max(0, k) : N + min(0, k)].real, block_matrix(block) @ v, atol=1e-10
                 )
 
-    def test_lowest_names_a_bad_take(self, unit_sphere):
-        block = nc.block_decompose(_ops(unit_sphere, 8), 1)[0]
-        with pytest.raises(ValueError, match="take"):
-            block.lowest(0)
+    @pytest.mark.parametrize("offset", ["paper", "symmetric"])
+    def test_vectors_are_eigenvectors_of_the_block(self, prolate_112, offset):
+        # levels bisected over a value range, then ?stein: rows v of
+        # `vectors` satisfy B v = lambda v for the dense block B
+        ops = _ops(prolate_112, 40, offset=offset)
+        for block in nc.block_decompose(ops, 3):
+            stebz = sla.get_lapack_funcs("stebz", (block.diag,))
+            top = block_top_levels(block, 4)[0]
+            m, values = nc_laplacian._levels_within(block, top[-1] - 1e-6, np.inf, stebz, 0.0)
+            assert m == len(top)
+            np.testing.assert_allclose(values[::-1], top, atol=1e-10 * (1.0 + abs(top).max()))
+            B = block_matrix(block)
+            for lam, v in zip(values, block.vectors(values)):
+                assert np.linalg.norm(B @ v - lam * v) <= 1e-10 * (1.0 + abs(lam)) * np.linalg.norm(v)
+
+    def test_non_positive_off_diagonal_product_is_refused(self, unit_sphere):
+        # with X's lower diagonal negated, the X and Y terms of every
+        # off-diagonal cancel on the sphere: no symmetric form exists
+        ops = _ops(unit_sphere, 12)
+        X = dict(ops.coords.diagonals[0])
+        X[-1] = -X[-1]
+        coords = dataclasses.replace(ops.coords, diagonals=(X, *ops.coords.diagonals[1:]))
+        broken = dataclasses.replace(ops, coords=coords)
+        with pytest.raises(ConsistencyError, match="offset-2 block has a non-positive"):
+            nc_laplacian._offset_block(broken, 2)
 
     def test_triaxial_raises(self, triaxial_123):
         ops = _ops(triaxial_123, 8)
@@ -733,7 +761,7 @@ class TestConvergenceStudy:
 def _exhaustive_selection(ops, count, K):
     """(value, offset) of every block's `count` top levels, sorted like the
     kept spectrum: the selection without the merge is its first `count`."""
-    found = [(float(lam), b.offset) for b in nc.block_decompose(ops, K) for lam in b.lowest(count)[0]]
+    found = [(float(lam), b.offset) for b in nc.block_decompose(ops, K) for lam in block_top_levels(b, count)[0]]
     return sorted(found, key=lambda f: (abs(f[0]), f[0], f[1]))
 
 
@@ -747,7 +775,7 @@ class TestBoundedSelection:
             gap = nc_laplacian.default_cluster_gap(ops)
             for K in (1, 3, 5):
                 outer = min(
-                    abs(nc_laplacian._offset_block(ops, k).lowest(1)[0][0]) for k in (K + 1, -K - 1)
+                    abs(block_top_levels(nc_laplacian._offset_block(ops, k), 1)[0][0]) for k in (K + 1, -K - 1)
                 )
                 for count in (1, 4, 9, 12, 20):
                     found = _exhaustive_selection(ops, count, K)
@@ -807,7 +835,7 @@ def _all_levels(blocks):
     found = [
         (float(lam), b.offset)
         for b in blocks
-        for lam in sla.eigh_tridiagonal(b.diag, b.symmetric[0], eigvals_only=True)
+        for lam in sla.eigh_tridiagonal(b.diag, b.off, eigvals_only=True)
     ]
     return sorted(found, key=lambda f: (abs(f[0]), f[0], f[1]))
 
@@ -826,7 +854,7 @@ class TestCountFirstSelection:
         # both sides hold a level only to about ulp * ||T||: 9e-10 on
         # sphere(0.1) at N = 200, where they put the kernel level 1.2e-10 apart
         norm = max(
-            np.abs(b.diag).max() + 2.0 * np.abs(b.symmetric[0]).max(initial=0.0) for b in blocks
+            np.abs(b.diag).max() + 2.0 * np.abs(b.off).max(initial=0.0) for b in blocks
         )
         for (value, block), (expected, expected_block) in zip(got, want):
             tol = 1e-10 * (1.0 + abs(expected)) + np.finfo(float).eps * norm
@@ -883,22 +911,53 @@ class TestBlockRangeCheck:
     @pytest.mark.parametrize("offset", ["paper", "symmetric"])
     @pytest.mark.parametrize("c", [None, 0.5, 2.0], ids=["sphere", "c0.5", "c2"])
     def test_factorization_agrees_with_bisection(self, c, offset):
-        # -T - tau I is positive definite exactly when tau lies below |level(0)|
+        # the range check's verdict flips where -(largest kept + gap) passes
+        # the top level of a block +-(K+1), solved here by index: above it
+        # the block's value range holds no level, below it the top one
         surf = nc.sphere() if c is None else nc.spheroid(1.0, c)
         for N, K in ((8, 6), (64, 3), (200, 5)):
             ops = _ops(surf, N, offset=offset)
-            for k in (K + 1, -K - 1):
-                block = nc_laplacian._offset_block(ops, k)
-                top = abs(block.level(0))
+            margin = nc_laplacian.default_cluster_gap(ops)
+            outer = [nc_laplacian._offset_block(ops, k) for k in (K + 1, -K - 1)]
+            stebz = sla.get_lapack_funcs("stebz", (outer[0].diag,))
+            for block in outer:
+                top = abs(block_top_levels(block, 1)[0][0])
                 delta = 1e-9 * np.abs(block.diag).max()
-                assert nc_laplacian._negative_definite_below(block, top - delta)
-                assert not nc_laplacian._negative_definite_below(block, top + delta)
+                assert nc_laplacian._levels_within(block, -(top - delta), np.inf, stebz, 0.0)[0] == 0
+                m, values = nc_laplacian._levels_within(block, -(top + delta), np.inf, stebz, 0.0)
+                assert m >= 1 and abs(values[-1] + top) <= delta
+            nearest = min(abs(block_top_levels(b, 1)[0][0]) for b in outer)
+            delta = 1e-9 * max(np.abs(b.diag).max() for b in outer)
+            nc_laplacian._check_block_range(ops, K, nearest - delta - margin)
+            with pytest.raises(ConfigError, match="widen"):
+                nc_laplacian._check_block_range(ops, K, nearest + delta - margin)
+
+    @pytest.mark.parametrize("c", [None, 2.0], ids=["sphere", "c2"])
+    def test_open_value_range_matches_gershgorin_cap(self, c):
+        # the range check asks ?stebz for (lo, inf): the same levels as
+        # (lo, cap] with cap the Gershgorin bound above every level of T
+        surf = nc.sphere() if c is None else nc.spheroid(1.0, c)
+        ops = _ops(surf, 64)
+        for k in (4, -4):
+            block = nc_laplacian._offset_block(ops, k)
+            stebz = sla.get_lapack_funcs("stebz", (block.diag,))
+            radius = np.abs(np.concatenate(([0.0], block.off))) + np.abs(np.concatenate((block.off, [0.0])))
+            cap = float((block.diag + radius).max())
+            # each side bisects a level to ulp * ||T|| from its own bracket
+            tol = 4.0 * np.finfo(float).eps * float((np.abs(block.diag) + radius).max())
+            for lo in -abs(block_top_levels(block, 6)[0]) - 1e-6:
+                m_open, open_values = nc_laplacian._levels_within(block, lo, np.inf, stebz, 0.0)
+                m_cap, cap_values = nc_laplacian._levels_within(block, lo, cap, stebz, 0.0)
+                assert m_open == m_cap >= 1
+                np.testing.assert_allclose(open_values, cap_values, rtol=0, atol=tol)
 
     @pytest.mark.parametrize("offset", ["paper", "symmetric"])
     def test_config_error_names_the_magnitude(self, prolate_112, offset):
         ops = _ops(prolate_112, 64, offset=offset)
         K, margin = 3, nc_laplacian.default_cluster_gap(ops)
-        nearest = min(abs(nc_laplacian._offset_block(ops, k).level(0)) for k in (K + 1, -K - 1))
+        nearest = min(
+            abs(block_top_levels(nc_laplacian._offset_block(ops, k), 1)[0][0]) for k in (K + 1, -K - 1)
+        )
         nc_laplacian._check_block_range(ops, K, nearest - margin - 1e-9 * nearest)
         largest = nearest - margin + 1e-9 * nearest
         with pytest.raises(ConfigError) as err:
