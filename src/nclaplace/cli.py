@@ -85,13 +85,19 @@ def _add_surface_args(p: argparse.ArgumentParser) -> None:
                    help="sphere radius (sphere only; default 1)")
 
 
-def _add_grid_args(p: argparse.ArgumentParser, size: bool = True) -> None:
-    """Grid flags; --N only on the subcommands that read it."""
+def _add_grid_args(p: argparse.ArgumentParser, size: bool = True, beta: bool = True) -> None:
+    """Grid flags; --N and --beta only on the subcommands that read them.
+    The eigenvalue commands take no --beta and run at beta = 1: the paper
+    grid ends at a + beta (b - a), so a smaller beta solves on a truncated
+    surface and a larger one leaves it."""
     if size:
         p.add_argument("--N", type=int, default=100, help="matrix size")
-    p.add_argument("--beta", default="1",
-                   help="grid scale parameter: a float, or 'auto' for area/(2*pi*(b-a)); "
-                        "the grid fits the surface only for beta <= 1 (paper offset)")
+    if beta:
+        p.add_argument("--beta", default="1",
+                       help="grid scale parameter: a float, or 'auto' for area/(2*pi*(b-a)); "
+                            "the grid fits the surface only for beta <= 1 (paper offset)")
+    else:
+        p.set_defaults(beta="1")
     p.add_argument("--grid-offset", choices=qz.GRID_OFFSETS, default="paper")
 
 
@@ -111,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("spectrum", help="compute the low spectrum and write a report")
     _add_surface_args(p)
-    _add_grid_args(p)
+    _add_grid_args(p, beta=False)
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--format", choices=("json", "csv", "both"), default="both")
     p.add_argument("--strategy", choices=("auto", "dense", "blocks"), default="auto")
@@ -124,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("converge", help="eigenvalue errors against a classical reference")
     _add_surface_args(p)
-    _add_grid_args(p, size=False)
+    _add_grid_args(p, size=False, beta=False)
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--N-list", dest="N_list", type=_size_list, required=True,
                    help="comma-separated matrix sizes (at least two)")

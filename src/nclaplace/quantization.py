@@ -11,11 +11,14 @@ products of their diagonals (`_banded_product`, `_banded_commutator`), the
 one banded kernel that `nc_laplacian` also runs on.  Real-valued functions
 map to hermitian matrices, products map to matrix products up to O(1/N),
 and the scaled commutator approaches the Poisson bracket.  The module also
-provides the normalized trace, the product/bracket defect norms (spectral
-norms bisected with banded Cholesky factorizations, the next shift steered
-by inverse iteration), and matrix export in a small binary container and
-JSON.  Both export formats store only the diagonals that hold an entry, so
-a dump costs what the band costs.
+provides the normalized trace, the product/bracket defect norms, and
+matrix export in a small binary container and JSON.  A spectral norm is
+sqrt(lambda_max(M^H M)): when M^H M has offsets in {-2, 0, 2} (every
+coordinate matrix, and every defect but the x.y ones) it splits by index
+parity into two tridiagonal matrices, each bisected by one ?stebz call;
+any wider M^H M is bisected with banded Cholesky factorizations, the next
+shift steered by inverse iteration.  Both export formats store only the
+diagonals that hold an entry, so a dump costs what the band costs.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from pathlib import Path
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import ConsistencyError
+from .errors import ConsistencyError, SolverConvergenceError
 from .surface import (
     BandLimitedFunction,
     SurfaceDescriptor,
@@ -211,20 +214,53 @@ def quantize(f: BandLimitedFunction, grid: QuantizationGrid) -> np.ndarray:
     return _dense(quantize_diagonals(f, grid), grid.N)
 
 
+def _parity_top_eigenvalue(A: dict, p: int) -> float:
+    """Largest eigenvalue of the parity-p half of a hermitian A whose
+    offsets lie in {-2, 0, 2}: rows and columns p, p + 2, ... of A, a
+    hermitian tridiagonal matrix with diagonal A[0][p::2] and off-diagonal
+    A[-2][p::2].  The diagonal unitary similarity that turns each
+    off-diagonal entry into its modulus makes it real symmetric, and one
+    LAPACK ?stebz call by index bisects its top eigenvalue with Sturm counts
+    to abstol 0 (ulp * ||T||; Barth, Martin & Wilkinson, Numer. Math. 9
+    (1967)).  The half is first scaled by a power of two to a largest entry
+    in [0.5, 1), exactly, since ?stebz splits at any off-diagonal whose
+    square underflows.  A half of size 1 is read off."""
+    d = A[0].real[p::2]
+    n = len(d)
+    if n == 1:
+        return float(d[0])
+    e = np.abs(A[-2][p::2][: n - 1]) if -2 in A else np.zeros(n - 1)
+    exponent = math.frexp(max(d.max(), e.max()))[1]
+    stebz = sla.get_lapack_funcs("stebz", (d,))
+    _, w, _, _, info = stebz(np.ldexp(d, -exponent), np.ldexp(e, -exponent), 2, 0.0, 0.0, n, n, 0.0, "E")
+    if info != 0:
+        raise SolverConvergenceError(f"bisection of the parity-{p} half of M^H M failed (info={info})")
+    return math.ldexp(w[0], exponent)
+
+
 def spectral_norm(M: dict, N: int) -> float:
     """Largest singular value sqrt(lambda_max(M^H M)) of a banded N x N
     matrix M, given as an offset -> diagonal map.
 
     A = M^H M is hermitian with bandwidth kd at most the sum of the lower
-    and upper bandwidths of M; its diagonals come from `_banded_product`.
-    tau lies above lambda_max(A) exactly when tau I - A is positive
-    definite, which one banded Cholesky factorization (LAPACK ?pbtrf,
-    O(N kd^2)) decides: by Sylvester's law of inertia it succeeds exactly
-    when no pivot is non-positive (Parlett, The Symmetric Eigenvalue
-    Problem, ch. 3).  tau is bisected on [max diagonal of A, largest column
-    sum of |A|] until the midpoint no longer splits the bracket, and the
-    upper end is returned; no band is reduced to tridiagonal form and no
-    dense SVD is formed.
+    and upper bandwidths of M; its diagonals come from `_banded_product`,
+    and its offsets choose the path.  An all-zero M gives exactly 0.0.
+
+    When the offsets of A lie in {-2, 0, 2} (M with odd offsets only, as a
+    coordinate matrix, or even offsets within {-2, 0} or {0, 2}, as a
+    diagonal one), A couples only indices of one parity: it is two
+    independent hermitian tridiagonal matrices, and lambda_max is the
+    larger of their top eigenvalues, one ?stebz call each
+    (`_parity_top_eigenvalue`).
+
+    Every other A is bisected with banded Cholesky factorizations.  tau
+    lies above lambda_max(A) exactly when tau I - A is positive definite,
+    which one factorization (LAPACK ?pbtrf, O(N kd^2)) decides: by
+    Sylvester's law of inertia it succeeds exactly when no pivot is
+    non-positive (Parlett, The Symmetric Eigenvalue Problem, ch. 3).  tau
+    is bisected on [max diagonal of A, largest column sum of |A|] until the
+    midpoint no longer splits the bracket, and the upper end is returned;
+    no band is reduced to tridiagonal form and no dense SVD is formed.
 
     The factorizations decide every step, but inverse iteration picks the
     shifts: after each one that succeeds at tau, one solve y = (tau I -
@@ -236,11 +272,13 @@ def spectral_norm(M: dict, N: int) -> float:
     estimate costs steps, never the result.  The band is real when every
     entry below its diagonal is real (as for purely real or purely
     imaginary M), complex otherwise; the diagonal, a sum of |m|^2, is taken
-    as real, as ?pbtrf takes it.  An all-zero M gives exactly 0.0.
+    as real, as ?pbtrf takes it.
     """
     if not any(np.any(d) for d in M.values()):
         return 0.0
     A = _banded_product(_adjoint(M), M, N)
+    if set(A) <= {-2, 0, 2}:
+        return math.sqrt(max(_parity_top_eigenvalue(A, p) for p in range(min(N, 2))))
     kd = -min(A)
     # lower band storage: band[i, c] = A[c + i, c], offset -i of A
     band = np.array([A.get(-i, np.zeros(N, dtype=complex)) for i in range(kd + 1)])

@@ -57,11 +57,16 @@ class Profile:
     derivatives.  A profile built without one can be evaluated and
     integrated; asking for the missing derivative (a product's or bracket's
     derivative, or a bracket's value) raises ValueError naming it.
+    ``jet(z, order, cache)``, when given, returns the value and the
+    derivatives up to ``order`` from one call, for profiles that share work
+    between them and with other profiles at the same z (`samples`); each
+    entry equals the separate call's bit for bit.
     """
 
     func: Callable
     deriv: Callable | None = None
     deriv2: Callable | None = None
+    jet: Callable | None = None
 
     def __call__(self, z):
         return self.func(z)
@@ -75,6 +80,15 @@ class Profile:
         if self.deriv2 is None:
             raise ValueError("profile has no closed-form second derivative (deriv2)")
         return self.deriv2(z)
+
+    def samples(self, z, order: int, cache: dict) -> tuple:
+        """(value, d1, ..., d^order) at z, order <= 2: one `jet` call when
+        the profile has one, else one call each.  `cache` is a dict that
+        lives for one z array, where jets keep what profiles share (the
+        square-root profiles keep w(z) under their radicand (c0, c2))."""
+        if self.jet is not None:
+            return self.jet(z, order, cache)
+        return tuple(f(z) for f in (self.func, self.d1, self.d2)[: order + 1])
 
 
 def constant_profile(value) -> Profile:
@@ -155,8 +169,23 @@ def _pole_clamp(interval):
     return clamp
 
 
+def _sampled_terms(terms, z, order: int) -> list:
+    """The mode pairs (j1, p1, j2, p2) of `terms` with each profile replaced
+    by its samples (value, d1, ..., d^order) at z (`Profile.samples`): a
+    profile in several terms is sampled once, and all share one cache."""
+    memo, cache = {}, {}
+
+    def sample(p):
+        if id(p) not in memo:
+            memo[id(p)] = p.samples(z, order, cache)
+        return memo[id(p)]
+
+    return [(j1, sample(p1), j2, sample(p2)) for j1, p1, j2, p2 in terms]
+
+
 def pointwise_product(f: BandLimitedFunction, h: BandLimitedFunction) -> BandLimitedFunction:
-    """Product f*h by exact mode convolution (band limits add)."""
+    """Product f*h by exact mode convolution (band limits add).  Each call
+    of a mode profile samples every operand profile once (`_sampled_terms`)."""
     grouped = _binary_mode_pairs(f, h)
     modes = {}
     clamp = _pole_clamp(f.z_interval)
@@ -165,22 +194,20 @@ def pointwise_product(f: BandLimitedFunction, h: BandLimitedFunction) -> BandLim
         def value(z, terms=terms):
             # plain profile products stay finite at the endpoints: no clamp
             acc = 0.0 + 0.0j
-            for _, p1, _, p2 in terms:
-                acc = acc + p1(z) * p2(z)
+            for _, (f1,), _, (f2,) in _sampled_terms(terms, z, 0):
+                acc = acc + f1 * f2
             return acc
 
         def d1(z, terms=terms):
-            z = clamp(z)
             acc = 0.0 + 0.0j
-            for _, p1, _, p2 in terms:
-                acc = acc + p1.d1(z) * p2(z) + p1(z) * p2.d1(z)
+            for _, (f1, g1), _, (f2, g2) in _sampled_terms(terms, clamp(z), 1):
+                acc = acc + g1 * f2 + f1 * g2
             return acc
 
         def d2(z, terms=terms):
-            z = clamp(z)
             acc = 0.0 + 0.0j
-            for _, p1, _, p2 in terms:
-                acc = acc + p1.d2(z) * p2(z) + 2.0 * p1.d1(z) * p2.d1(z) + p1(z) * p2.d2(z)
+            for _, (f1, g1, h1), _, (f2, g2, h2) in _sampled_terms(terms, clamp(z), 2):
+                acc = acc + h1 * f2 + 2.0 * g1 * g2 + f1 * h2
             return acc
 
         modes[k] = Profile(value, d1, d2)
@@ -191,7 +218,9 @@ def bracket_function(f: BandLimitedFunction, h: BandLimitedFunction) -> BandLimi
     """Unweighted Poisson bracket {f, h} = d_theta f d_z h - d_z f d_theta h.
 
     Built by mode calculus: d_theta multiplies mode j by i*j, d_z acts on the
-    profiles.  The 1/sqrt|g| weight is applied separately by callers.
+    profiles.  The 1/sqrt|g| weight is applied separately by callers.  Each
+    call of a mode profile samples every operand profile once
+    (`_sampled_terms`).
     """
     grouped = _binary_mode_pairs(f, h)
     modes = {}
@@ -199,18 +228,16 @@ def bracket_function(f: BandLimitedFunction, h: BandLimitedFunction) -> BandLimi
     for k, terms in grouped.items():
 
         def value(z, terms=terms):
-            z = clamp(z)
             acc = 0.0 + 0.0j
-            for j1, p1, j2, p2 in terms:
-                acc = acc + (1j * j1) * p1(z) * p2.d1(z) - p1.d1(z) * ((1j * j2) * p2(z))
+            for j1, (f1, g1), j2, (f2, g2) in _sampled_terms(terms, clamp(z), 1):
+                acc = acc + (1j * j1) * f1 * g2 - g1 * ((1j * j2) * f2)
             return acc
 
         def d1(z, terms=terms):
-            z = clamp(z)
             acc = 0.0 + 0.0j
-            for j1, p1, j2, p2 in terms:
-                acc = acc + (1j * j1) * (p1.d1(z) * p2.d1(z) + p1(z) * p2.d2(z))
-                acc = acc - (1j * j2) * (p1.d2(z) * p2(z) + p1.d1(z) * p2.d1(z))
+            for j1, (f1, g1, h1), j2, (f2, g2, h2) in _sampled_terms(terms, clamp(z), 2):
+                acc = acc + (1j * j1) * (g1 * g2 + f1 * h2)
+                acc = acc - (1j * j2) * (h1 * f2 + g1 * g2)
             return acc
 
         modes[k] = Profile(value, d1)
@@ -257,23 +284,27 @@ def _sqrt_mode_profiles(rsq_of_z, scale: complex) -> Profile:
 
     rsq must be a quadratic c0 - c2*z^2 described by (c0, c2): then
     f = s*w, f' = -s*c2*z/w, f'' = -s*c0*c2/w^3 with w = sqrt(c0 - c2 z^2).
+    The jet takes w(z) from `cache` under (c0, c2) when a profile of the
+    same radicand put it there for this z.
     """
-    c0, c2 = rsq_of_z
+    c0, c2 = rsq = tuple(rsq_of_z)
     s = complex(scale)
 
-    def w(z):
-        return np.sqrt(c0 - c2 * np.asarray(z) ** 2 + 0j).real
+    def jet(z, order, cache):
+        w = cache.get(rsq)
+        if w is None:
+            # w = 0 past the interval ends, where c0 - c2 z^2 < 0
+            w = cache[rsq] = np.sqrt(np.maximum(c0 - c2 * np.asarray(z) ** 2, 0.0))
+        out = (s * w,)
+        if order >= 1:
+            out += (-s * c2 * np.asarray(z) / w,)
+        if order >= 2:
+            out += (-s * c0 * c2 / w**3,)
+        return out
 
-    def f(z):
-        return s * w(z)
-
-    def d1(z):
-        return -s * c2 * np.asarray(z) / w(z)
-
-    def d2(z):
-        return -s * c0 * c2 / w(z) ** 3
-
-    return Profile(f, d1, d2)
+    return Profile(
+        lambda z: jet(z, 0, {})[0], lambda z: jet(z, 1, {})[1], lambda z: jet(z, 2, {})[2], jet
+    )
 
 
 def _linear_profile(slope: float) -> Profile:

@@ -49,7 +49,6 @@ def test_spectrum_blocks_summary_has_oracle_deltas(tmp_path, capsys):
             "spectrum",
             "--surface", "sphere",
             "--N", "80",
-            "--beta", "auto",
             "--strategy", "blocks",
             "--count", "9",
             "--K", "2",
@@ -681,29 +680,37 @@ def test_directory_as_surface_is_config_error(tmp_path, capsys):
 
 
 def test_beta_auto_equals_one_for_sphere(tmp_path):
-    argsets = []
+    # on the sphere --beta auto is the default grid, to the area quadrature's accuracy
+    matrices = []
     for beta in ("auto", "1"):
         out = tmp_path / beta
-        assert main(
-            [
-                "spectrum",
-                "--surface", "sphere",
-                "--N", "16",
-                "--beta", beta,
-                "--strategy", "blocks",
-                "--count", "4",
-                "--K", "1",
-                "--out", str(out),
-            ]
-        ) == 0
-        payload = json.loads((out / "spectrum_sphere_N16.json").read_text())
-        argsets.append([e["value"] for e in payload["eigenvalues"]])
-    np.testing.assert_allclose(argsets[0], argsets[1], atol=1e-9)
+        assert main(["dump-coords", "--surface", "sphere", "--N", "16", "--beta", beta,
+                     "--format", "binary", "--out", str(out)]) == 0
+        matrices.append([read_matrix_binary(out / f"coords_{c}.nclq")[0] for c in "XYZ"])
+    np.testing.assert_allclose(matrices[0], matrices[1], atol=1e-9)
 
 
-@pytest.mark.parametrize("command", ["spectrum", "converge", "axioms", "dump-coords"])
+@pytest.mark.parametrize("command", ["spectrum", "converge"])
+def test_flat_spheroid_spectrum_runs_on_the_whole_surface(tmp_path, capsys, command):
+    # --beta auto is area / (2 pi (b - a)) = 0.515 here, and a grid at that
+    # beta ends at z = 0.03: half the spheroid, with no error.  The
+    # eigenvalue commands take no --beta and run at beta = 1, where the
+    # grid spans [-1, 1].
+    assert qz.default_beta(nc.spheroid(1, 0.1)) < 0.52
+    sizes = ["--N-list", "20,40"] if command == "converge" else ["--N", "40"]
+    argv = [command, "--surface", "spheroid", "--axes", "1,1,0.1", *sizes, "--count", "4"]
+    for beta in ("auto", "0.5", "1"):
+        assert main([*argv, "--beta", beta, "--out", str(tmp_path / "beta")]) == 1
+        assert "unrecognized arguments: --beta" in capsys.readouterr().err
+    assert not (tmp_path / "beta").exists()
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    (table,) = tmp_path.glob("*.csv")
+    assert "# beta = 1.0\n" in table.read_text()
+
+
+@pytest.mark.parametrize("command", ["axioms", "dump-coords"])
 def test_beta_past_the_surface_names_beta(tmp_path, capsys, command):
-    sizes = ["--N-list", "50,100"] if command in ("converge", "axioms") else ["--N", "100"]
+    sizes = ["--N-list", "50,100"] if command == "axioms" else ["--N", "100"]
     argv = [command, "--surface", "spheroid", "--axes", "1,2", "--beta", "auto", *sizes]
     assert main([*argv, "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
@@ -715,8 +722,10 @@ def test_beta_past_the_surface_names_beta(tmp_path, capsys, command):
 
 
 def test_bad_beta_is_config_error(capsys):
-    assert main(["spectrum", "--surface", "sphere", "--beta", "fast"]) == 1
-    assert main(["spectrum", "--surface", "sphere", "--beta", "-2"]) == 1
+    assert main(["trace", "--surface", "sphere", "--beta", "fast"]) == 1
+    assert "--beta must be a float or 'auto'" in capsys.readouterr().err
+    assert main(["trace", "--surface", "sphere", "--beta", "-2"]) == 1
+    assert "--beta must be positive" in capsys.readouterr().err
 
 
 def test_help_exits_zero():

@@ -392,15 +392,19 @@ class TestAxiomDefects:
     lower=st.integers(0, 4),
     upper=st.integers(0, 4),
     hermitian=st.booleans(),
+    parity=st.sampled_from(["all", "odd", "even"]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_spectral_norm_matches_dense_2_norm(N, lower, upper, hermitian, seed):
+def test_spectral_norm_matches_dense_2_norm(N, lower, upper, hermitian, parity, seed):
+    # odd offsets only, or even ones within {-2, 0} or {0, 2}, give an M^H M
+    # with offsets in {-2, 0, 2}: the draws cover both paths of spectral_norm
     rng = np.random.default_rng(seed)
-    offsets = [k for k in range(-lower, upper + 1) if abs(k) < N]
+    keep = {"all": lambda k: True, "odd": lambda k: k % 2 == 1, "even": lambda k: k % 2 == 0}[parity]
+    offsets = [k for k in range(-lower, upper + 1) if abs(k) < N and keep(k)]
     diagonals = [
         rng.standard_normal(N - abs(k)) + 1j * rng.standard_normal(N - abs(k)) for k in offsets
     ]
-    A = sum(np.diag(d, k) for k, d in zip(offsets, diagonals))
+    A = sum((np.diag(d, k) for k, d in zip(offsets, diagonals)), np.zeros((N, N), complex))
     if hermitian:
         A = (A + A.conj().T) / 2
     want = np.linalg.norm(A, 2)
@@ -431,13 +435,17 @@ def test_spectral_norm_needs_the_matrix_size():
 
 
 def _spy_cholesky(monkeypatch, solve=None):
-    """Record, for each `spectral_norm` call, the dtype of its Cholesky band,
-    and count the factorizations (?pbtrf calls); with `solve`, the
-    inverse-iteration solve (?pbtrs) is replaced by it."""
+    """Record, for each `spectral_norm` call that bisects with Cholesky
+    factorizations, the dtype of its band, and count the factorizations
+    (?pbtrf calls); with `solve`, the inverse-iteration solve (?pbtrs) is
+    replaced by it.  Other LAPACK lookups (the ?stebz of the tridiagonal
+    halves) pass through."""
     dtypes, factorizations = [], []
     lookup = sla.get_lapack_funcs
 
     def spy(names, arrays):
+        if "pbtrf" not in names:
+            return lookup(names, arrays)
         dtypes.append(arrays[0].dtype)
         funcs = dict(zip(names, lookup(names, arrays)))
         pbtrf = funcs["pbtrf"]
@@ -467,8 +475,31 @@ def test_spectral_norm_takes_a_real_band_when_mhm_is_real(kind, monkeypatch):
         A = sum(np.diag(d, k) for k, d in zip(offsets, diagonals))
         want = np.linalg.norm(A, 2)
         assert spectral_norm(_diagonal_map(A), N) == pytest.approx(want, rel=1e-13, abs=0)
-    # a 1 x 1 M^H M is |m|^2, real for every kind
-    assert [d == np.float64 for d in dtypes] == [kind != "mixed" or N == 1 for N in sizes]
+    # a 1 x 1 M^H M is |m|^2, read off without a factorization; every
+    # larger one is as wide as offsets -4..4 allow, and factors
+    assert [d == np.float64 for d in dtypes] == [kind != "mixed" for N in sizes if N > 1]
+
+
+def _mhm_is_parity_split(M, N):
+    """Whether the offsets of M^H M, the differences l - k of M's stored
+    offsets within the matrix, lie in {-2, 0, 2}."""
+    return {l - k for k in M for l in M if abs(l - k) < N} <= {-2, 0, 2}
+
+
+@pytest.mark.parametrize("offsets", [(-1, 1), (-3, -1), (1,), (0, 2), (-2, 0), (0,)])
+def test_parity_split_mhm_takes_no_cholesky_factorization(offsets, monkeypatch):
+    dtypes, factorizations = _spy_cholesky(monkeypatch)
+    rng = np.random.default_rng(11)
+    for N in (1, 2, 3, 4, 17, 60):
+        kept = [k for k in offsets if abs(k) < N]
+        A = sum(
+            (np.diag(rng.standard_normal(N - abs(k)) + 1j * rng.standard_normal(N - abs(k)), k) for k in kept),
+            np.zeros((N, N), complex),
+        )
+        M = _diagonal_map(A)
+        assert _mhm_is_parity_split(M, N)
+        assert spectral_norm(M, N) == pytest.approx(np.linalg.norm(A, 2), rel=1e-13, abs=0)
+    assert not dtypes and not factorizations
 
 
 def _sbevx_norm(M):
@@ -516,6 +547,17 @@ def test_spectral_norm_bisection_terminates(monkeypatch):
         assert spectral_norm(scaled, 40) == pytest.approx(scale * want, rel=1e-13, abs=0)
         # hi / lo <= 2 kd + 1, so the bracket halves to one ulp in about 53 + log2(2 kd + 1) steps
         assert 0 < len(factorizations) <= 60
+    # odd offsets: M^H M splits into two tridiagonal halves, bisected by
+    # ?stebz, whose squared off-diagonals would underflow at these scales
+    # unless each half is scaled first
+    A = sum(np.diag(rng.standard_normal(40 - abs(k)) + 1j * rng.standard_normal(40 - abs(k)), k) for k in (-1, 1))
+    M = _diagonal_map(A)
+    want = np.linalg.norm(A, 2)
+    factorizations.clear()
+    for scale in (1.0, 1e-150, 3e-151):
+        scaled = {k: scale * d for k, d in M.items()}
+        assert spectral_norm(scaled, 40) == pytest.approx(scale * want, rel=1e-13, abs=0)
+    assert not factorizations
 
 
 def _plain_bisection_norm(M, N):
@@ -570,14 +612,19 @@ def test_steered_bisection_equals_plain_bisection(tmp_path, monkeypatch, flags):
     calls = _axioms_norm_arguments(monkeypatch, argv)
     assert len(calls) == 11
     _, factorizations = _spy_cholesky(monkeypatch)
-    steered = plain = 0
+    steered = plain = factored = 0
     for M, N in calls:
         factorizations.clear()
         got = spectral_norm(M, N)
         want, steps = _plain_bisection_norm(M, N) if any(np.any(d) for d in M.values()) else (0.0, 0)
         assert got == pytest.approx(want, rel=1e-15, abs=0)
+        if _mhm_is_parity_split(M, N):
+            assert not factorizations
+            continue
+        # the x.y product and bracket defects: M^H M holds offsets +-4
         assert len(factorizations) <= 30
-        steered, plain = steered + len(factorizations), plain + steps
+        steered, plain, factored = steered + len(factorizations), plain + steps, factored + 1
+    assert factored == 2
     assert steered < plain / 2
 
 
@@ -586,13 +633,16 @@ def test_failed_inverse_iteration_falls_back_to_bisection(tmp_path, monkeypatch)
     calls = _axioms_norm_arguments(monkeypatch, argv)
     nan_solve = lambda ab, b, lower=0: (np.full_like(b, np.nan), 0)
     _, factorizations = _spy_cholesky(monkeypatch, solve=nan_solve)
+    factored = 0
     for M, N in calls:
-        if not any(np.any(d) for d in M.values()):
+        if not any(np.any(d) for d in M.values()) or _mhm_is_parity_split(M, N):
             continue
         factorizations.clear()
         want, steps = _plain_bisection_norm(M, N)
         assert spectral_norm(M, N) == pytest.approx(want, rel=1e-15, abs=0)
         assert abs(len(factorizations) - steps) <= 2
+        factored += 1
+    assert factored == 2
 
 
 def test_uniform_boundedness_proxy(unit_sphere):

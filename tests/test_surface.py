@@ -140,6 +140,68 @@ def test_bracket_of_a_profile_without_derivative_raises(unit_sphere):
         nc.bracket_function(x, first).modes[0].d1(0.3)
 
 
+def _term_by_term(f, h, k, z):
+    """Mode k of f*h and {f, h} and their derivatives, each operand profile
+    called once per term and formula, summed in the order of the terms."""
+    terms = [(j1, f.modes[j1], k - j1, h.modes[k - j1]) for j1 in sorted(f.modes) if k - j1 in h.modes]
+    out = {name: 0.0 + 0.0j for name in ("product", "product_d1", "product_d2", "bracket", "bracket_d1")}
+    for j1, p1, j2, p2 in terms:
+        out["product"] = out["product"] + p1(z) * p2(z)
+        out["product_d1"] = out["product_d1"] + p1.d1(z) * p2(z) + p1(z) * p2.d1(z)
+        out["product_d2"] = (
+            out["product_d2"] + p1.d2(z) * p2(z) + 2.0 * p1.d1(z) * p2.d1(z) + p1(z) * p2.d2(z)
+        )
+        out["bracket"] = out["bracket"] + (1j * j1) * p1(z) * p2.d1(z) - p1.d1(z) * ((1j * j2) * p2(z))
+        out["bracket_d1"] = out["bracket_d1"] + (1j * j1) * (p1.d1(z) * p2.d1(z) + p1(z) * p2.d2(z))
+        out["bracket_d1"] = out["bracket_d1"] - (1j * j2) * (p1.d2(z) * p2(z) + p1.d1(z) * p2.d1(z))
+    return out
+
+
+def test_product_and_bracket_profiles_equal_the_term_by_term_sums(triaxial_123):
+    # sampling each operand once per call changes no bit of the values
+    x, y, z = triaxial_123.coordinates
+    zz = np.linspace(-0.9, 0.9, 41)
+    for f, h in ((x, y), (y, z), (z, x), (x, x), (nc.pointwise_product(x, y), z)):
+        product, bracket = nc.pointwise_product(f, h), nc.bracket_function(f, h)
+        for k in product.modes:
+            want = _term_by_term(f, h, k, zz)
+            got = {
+                "product": product.modes[k](zz),
+                "product_d1": product.modes[k].d1(zz),
+                "product_d2": product.modes[k].d2(zz),
+                "bracket": bracket.modes[k](zz),
+                "bracket_d1": bracket.modes[k].d1(zz),
+            }
+            for name, value in got.items():
+                assert np.asarray(value).tobytes() == np.asarray(want[name]).tobytes(), (k, name)
+
+
+def test_product_and_bracket_profiles_sample_each_operand_once(unit_sphere):
+    x = unit_sphere.coord_x
+    orders = []
+
+    def counted(p):
+        def jet(z, order, cache):
+            orders.append(order)
+            return p.samples(z, order, cache)
+
+        return nc.Profile(p.func, p.deriv, p.deriv2, jet)
+
+    f = nc.BandLimitedFunction({j: counted(p) for j, p in x.modes.items()}, x.z_interval)
+    # mode 0 of f*f and {f, f} sums the terms (-1, +1) and (+1, -1): two profiles, two samples
+    zz = np.linspace(-0.5, 0.5, 7)
+    for profile, order in (
+        (nc.pointwise_product(f, f).modes[0], 0),
+        (nc.pointwise_product(f, f).modes[0].d1, 1),
+        (nc.pointwise_product(f, f).modes[0].d2, 2),
+        (nc.bracket_function(f, f).modes[0], 1),
+        (nc.bracket_function(f, f).modes[0].d1, 2),
+    ):
+        orders.clear()
+        profile(zz)
+        assert orders == [order, order]
+
+
 def test_surface_area_values():
     assert nc.surface_area(nc.sphere()) == pytest.approx(4 * math.pi, rel=1e-10)
     assert nc.surface_area(nc.ellipsoid(1, 1, 1)) == pytest.approx(4 * math.pi, rel=1e-10)
