@@ -270,8 +270,8 @@ def cmd_converge(args) -> int:
         "block_range": args.K,
     }
     rows = ncl.convergence_study(
-        surf, args.N_list, args.count, beta=config["beta"], grid_offset=args.grid_offset,
-        strategy=args.strategy, block_range=args.K,
+        surf, args.N_list, args.count, grid_offset=args.grid_offset, strategy=args.strategy,
+        block_range=args.K,
     )
     table = [list(rows[0])] + [list(row.values()) for row in rows]
     for path in write_report(args.out, f"converge_{_surface_tag(surf)}", config, table):

@@ -12,31 +12,38 @@ the operator set is built.  X, Y and Z arrive as offset -> diagonal maps
 (``coords.diagonals``, from `quantization.quantize_diagonals`), and
 S = gamma^2 is summed on them with the banded kernel of `quantization`
 (`_banded_product`, `_banded_commutator`); on a surface of revolution
-gamma is diagonal and no N x N array is formed.  Two spectrum strategies
-are provided:
+gamma is diagonal and no N x N array is formed.
 
-- dense (any surface, N <= DENSE_CAP): L = G K with G = gamma^{-1} and K
-  self-adjoint, so H = G^{1/2} K G^{1/2} is symmetric and similar to L: one
-  real `eigh` per parity sector of F[n, m] (n - m even or odd), which H keeps
-  apart.  Each sector is assembled directly in real arithmetic from Kronecker
-  products of the quarter-size parity blocks of real factors; the factors,
-  not H, are checked for being real or imaginary and of one offset parity.
-- blocks (revolution surfaces, large N): gamma is diagonal, so L maps each
-  matrix diagonal (Fourier offset) to itself by a closed-form tridiagonal
-  matrix that a diagonal similarity makes symmetric (Parlett, The Symmetric
-  Eigenvalue Problem, ch. 7).  A cutoff tau is found from Sturm counts
-  alone (LAPACK ?stebz by value range, stopped before it bisects), so that
-  the blocks hold little more than `count` levels with |lambda| < tau; one
-  ?stebz call per block then bisects exactly those, and the `count`
-  closest to zero are kept.  Eigenvectors are solved for the kept levels
-  only.  O(dim) work per count and per bisected level.  The range check on
-  blocks +-(K+1) is the same ?stebz call over the levels above
-  -(largest kept + gap): it bisects none unless the check fails.
+`spectrum` is one pipeline: validate, hand the solve to one strategy, then
+check every eigenpair through the full operator (`_full_residual`), gate
+the residuals, group the values into clusters and write the report.  A
+strategy returns exactly `count` pairs (lambda, block, F) in report order
+(|lambda|, lambda, offset), with F in the kind `apply_laplacian` takes,
+and a diagnostics dict:
 
-`apply_laplacian` of an offset -> diagonal map (the residual check of the
-blocks strategy) runs on the same kernel: every product of two banded
-matrices is a sum of shifted elementwise products of their diagonals.  The
-residual of a block eigenmatrix is taken over the diagonals that come back.
+- dense (`_dense_pairs`; any surface, N <= DENSE_CAP): L = G K with
+  G = gamma^{-1} and K self-adjoint, so H = G^{1/2} K G^{1/2} is symmetric
+  and similar to L: one real `eigh` per parity sector of F[n, m] (n - m even
+  or odd), which H keeps apart.  Each sector is assembled directly in real
+  arithmetic from Kronecker products of the quarter-size parity blocks of
+  real factors; the factors, not H, are checked for being real or imaginary
+  and of one offset parity.  F is the N x N eigenmatrix.
+- blocks (`_block_pairs`; revolution surfaces, large N): gamma is diagonal,
+  so L maps each matrix diagonal (Fourier offset) to itself by a
+  closed-form tridiagonal matrix that a diagonal similarity makes symmetric
+  (Parlett, The Symmetric Eigenvalue Problem, ch. 7).  A cutoff tau is
+  found from Sturm counts alone (LAPACK ?stebz by value range, stopped
+  before it bisects), so that the blocks hold little more than `count`
+  levels with |lambda| < tau; one ?stebz call per block then bisects
+  exactly those, and the `count` closest to zero are kept.  Eigenvectors
+  are solved for the kept levels only.  O(dim) work per count and per
+  bisected level.  The range check on blocks +-(K+1) is the same ?stebz
+  call over the levels above -(largest kept + gap): it bisects none unless
+  the check fails.  F is the map {k: padded diagonal}.
+
+`apply_laplacian` of an offset -> diagonal map runs on the same banded
+kernel: every product of two banded matrices is a sum of shifted
+elementwise products of their diagonals.
 """
 
 from __future__ import annotations
@@ -60,10 +67,10 @@ from .quantization import (
     CoordinateMatrices,
     QuantizationGrid,
     _accumulate,
+    _adjoint,
     _banded_commutator,
     _banded_product,
     _dense,
-    _shift,
     build_grid,
     coordinate_matrices,
     stored_diagonals,
@@ -123,8 +130,8 @@ def build_gamma(coords: CoordinateMatrices, hbar: float):
         _accumulate(S, _banded_product(C, C, N))
     S = {k: -d for k, d in S.items()}
     scale = max(max(abs(d).max() for d in S.values()), 1e-300)
-    # diagonal k of S^H is the conjugate of diagonal -k, shifted by k
-    dev = max(abs(d - np.conj(_shift(S.get(-k, 0 * d), k))).max() for k, d in S.items())
+    adjoint = _adjoint(S)
+    dev = max(abs(d - adjoint.get(k, 0.0)).max() for k, d in S.items())
     if dev > 1e-12 * scale:
         raise ConsistencyError(f"commutator square sum deviates from hermitian by {dev:.2e}")
     if coords.surface.revolution:
@@ -335,7 +342,7 @@ def assemble_dense_superoperator(
 
     The matrix is the sum of the Kronecker products of `_kron_terms`: N x N
     products and five Kronecker products in all, O(N^4) work.  With root =
-    G^{1/2} it is H of `_dense_candidates`.
+    G^{1/2} it is H of `_dense_pairs`.
 
     With ``parity`` = p in (0, 1) only the real restriction to the sector
     F[n, m], n + m = p (mod 2), is formed, with rows and columns in the order
@@ -498,8 +505,8 @@ class SpectrumReport:
     Entries are sorted by ascending absolute value.  ``blocks[i]`` names the
     offset block an eigenvalue came from (None off the blocks strategy),
     ``cluster_index[i]`` points into ``clusters`` (mean, multiplicity) pairs.
-    ``diagnostics`` (blocks strategy only) records the work done; it goes
-    into the JSON report, not into the CSV or ``config``.
+    ``diagnostics`` records the work done and the worst residual over the
+    tolerance; it goes into the JSON report, not into the CSV or ``config``.
     """
 
     eigenvalues: list
@@ -510,10 +517,10 @@ class SpectrumReport:
     strategy: str
     solver_tolerance: float
     config: dict
-    diagnostics: dict | None = None
+    diagnostics: dict
 
     def to_json_dict(self) -> dict:
-        out = {
+        return {
             "surface": self.config.get("surface"),
             "N": self.config.get("N"),
             "beta": self.config.get("beta"),
@@ -528,10 +535,8 @@ class SpectrumReport:
             "clusters": [{"mean": m, "multiplicity": mult} for m, mult in self.clusters],
             "solver_tolerance": self.solver_tolerance,
             "config": dict(sorted(self.config.items())),
+            "diagnostics": self.diagnostics,
         }
-        if self.diagnostics is not None:
-            out["diagnostics"] = self.diagnostics
-        return out
 
     def to_csv_rows(self) -> list:
         """The header, then one unformatted row per eigenvalue."""
@@ -568,87 +573,48 @@ def spectrum(
 ) -> SpectrumReport:
     """The `count` eigenvalues of smallest absolute value, with residuals.
 
-    Strategies: dense (any surface, N <= DENSE_CAP, else DenseSizeError; one
-    real symmetric solve per parity sector) and blocks (revolution surfaces,
-    offsets k in [-K, K]; Sturm counts find a cutoff tau below which the
-    blocks hold about `count` levels, one bisection per block over
-    (-tau, tau) solves those, `_closest_levels`, and inverse iteration gives
-    the kept levels' eigenvectors); auto picks
-    blocks on a surface of revolution, else dense.  Eigenvalues are real.
-    Residuals go through the full operator; one over the tolerance
-    1e-8*(1 + max |lambda| over the kept values), non-finite or of a zero
-    eigenmatrix raises SolverConvergenceError.  Blocks +-(K+1) must lie
-    beyond the kept eigenvalues by `default_cluster_gap`, or ConfigError
-    asks for a wider K (at K = N - 1 the blocks hold all N^2 eigenvalues,
-    and the error says so); that check bisects nothing unless it fails.  The
-    blocks strategy reports ``diagnostics = {"levels_solved": n,
-    "sturm_counts": c, "level_bound": tau, "residual_margin": r}``: the
-    levels bisected to full precision, the ?stebz calls that only counted,
-    the cutoff, and the worst residual over the tolerance, in the JSON
-    report only.  `cluster_gap` (default `default_cluster_gap`) groups the
-    kept values into clusters; one that is not finite and >= 0 raises
-    ConfigError.
+    `count` below 1, or a `cluster_gap` that is not finite and >= 0, raises
+    ConfigError.  `auto` resolves by `resolve_strategy`, and the strategy's
+    solver (`_dense_pairs`, `_block_pairs` with the block range K; any other
+    name raises ConfigError) returns the `count` eigenpairs in report order.
+    Every residual goes through the full operator (`_full_residual`); one
+    over the tolerance 1e-8*(1 + max |lambda| over the kept values),
+    non-finite or of a zero eigenmatrix raises SolverConvergenceError.  The
+    values are grouped into clusters `cluster_gap` apart (default
+    `default_cluster_gap`).  The report's ``diagnostics`` are the solver's
+    plus ``residual_margin``, the worst residual over the tolerance.
     """
     strategy = resolve_strategy(strategy, revolution=ops.gamma_eigenvectors is None)
-    N = ops.N
     if count < 1:
         raise ConfigError("count must be positive")
     if cluster_gap is not None and not (math.isfinite(cluster_gap) and cluster_gap >= 0):
         raise ConfigError(f"cluster gap must be finite and nonnegative, got {cluster_gap!r}")
     if strategy == "dense":
-        candidates = _dense_candidates(ops, count)
-        available = len(candidates)
+        pairs, diagnostics = _dense_pairs(ops, count)
     elif strategy == "blocks":
-        K = block_range if block_range is not None else min(N - 1, max(3, int(math.isqrt(count)) + 1))
-        blocks = block_decompose(ops, K)
-        available = sum(b.dim for b in blocks)
+        pairs, diagnostics = _block_pairs(ops, count, block_range)
     else:
         raise ConfigError(f"unknown strategy {strategy!r}")
 
-    if count > available:
-        hint = ""
-        if strategy == "blocks":
-            hint = (
-                f"; the blocks at K = N - 1 hold all N^2 = {N * N} eigenvalues"
-                if K == N - 1
-                else "; widen the block range K"
-            )
-        raise ConfigError(f"requested {count} eigenvalues, only {available} available{hint}")
-    if strategy == "blocks":
-        levels, diagnostics = _closest_levels(blocks, count)
-        candidates = [
-            {"value": lam, "block": b.offset, "vec": v, "kind": "block"}
-            for b, values in zip(blocks, levels)
-            if values
-            for lam, v in zip(values, b.vectors(values))
-        ]
-    candidates.sort(key=lambda c: (abs(c["value"]), c["value"], c.get("block") or 0))
-    kept = candidates[:count]
-    if strategy == "blocks" and K + 1 < N:
-        _check_block_range(ops, K, max(abs(c["value"]) for c in kept))
-
-    values = [c["value"] for c in kept]
-    residuals = [_full_residual(ops, c) for c in kept]
+    values = [lam for lam, _, _ in pairs]
+    residuals = [_full_residual(ops, lam, F) for lam, _, F in pairs]
+    tol = 1e-8 * (1.0 + max(abs(v) for v in values))
+    bad = [r for r in residuals if not r <= tol]
+    if bad:
+        raise SolverConvergenceError(
+            f"{len(bad)} residuals exceed the solver tolerance {tol:.2e} (max {max(bad):.2e})"
+        )
 
     gap = cluster_gap if cluster_gap is not None else default_cluster_gap(ops)
     order = sorted(range(len(values)), key=lambda i: values[i])
     clusters = cluster_multiplicities([values[i] for i in order], gap)
-    cluster_of = _assign_clusters(values, order, clusters)
-
-    tol = 1e-8 * (1.0 + max(abs(v) for v in values))
-    bad = [i for i, r in enumerate(residuals) if not r <= tol]
-    if bad:
-        worst = max(residuals[i] for i in bad)
-        raise SolverConvergenceError(
-            f"{len(bad)} residuals exceed the solver tolerance {tol:.2e} (max {worst:.2e})"
-        )
 
     grid = ops.coords.grid
     surf = ops.coords.surface
     config = {
         "surface": surf.name,
         "semi_axes": list(surf.semi_axes) if surf.semi_axes else None,
-        "N": N,
+        "N": ops.N,
         "beta": grid.beta,
         "hbar": grid.hbar,
         "grid_offset": grid.grid_offset,
@@ -660,17 +626,13 @@ def spectrum(
     return SpectrumReport(
         eigenvalues=values,
         residuals=residuals,
-        blocks=[c.get("block") for c in kept],
-        cluster_index=cluster_of,
+        blocks=[block for _, block, _ in pairs],
+        cluster_index=_assign_clusters(values, order, clusters),
         clusters=clusters,
         strategy=strategy,
         solver_tolerance=tol,
         config=config,
-        diagnostics=(
-            {**diagnostics, "residual_margin": max(residuals) / tol}
-            if strategy == "blocks"
-            else None
-        ),
+        diagnostics={**diagnostics, "residual_margin": max(residuals) / tol},
     )
 
 
@@ -685,12 +647,19 @@ def _assign_clusters(values, order, clusters) -> list:
     return cluster_of
 
 
-def _dense_candidates(ops: QuantizedOperatorSet, count: int) -> list:
-    """The `count` eigenpairs of L closest to 0.  L = G K with K self-adjoint, so
-    H = (R (x) I) K (R (x) I), R = G^{1/2}, is symmetric with L's eigenvalues and
-    eigenmatrices F = R Y; its largest ones per parity sector are the ones wanted.
-    Each real sector of H is assembled on its own and its eigenvectors are
-    scattered back through `_sector_index`."""
+def _report_order(pair: tuple) -> tuple:
+    """Sort key of an eigenpair (lambda, block, F): |lambda|, lambda, offset."""
+    lam, block, _ = pair
+    return abs(lam), lam, block or 0
+
+
+def _dense_pairs(ops: QuantizedOperatorSet, count: int) -> tuple:
+    """The `count` eigenpairs (lambda, None, F) of L closest to 0, in report
+    order, and no diagnostics: the largest eigenpairs of each real parity
+    sector of H = (R (x) I) K (R (x) I), R = G^{1/2}, scattered back through
+    `_sector_index`, with F = R Y the N x N eigenmatrix.  An eigenvalue above
+    the solver tolerance raises ConsistencyError; a `count` above the N^2
+    eigenvalues, ConfigError."""
     N = ops.N
     root = _hermitian(1.0 / np.sqrt(ops.gamma_eigenvalues), ops.gamma_eigenvectors)
     found = []
@@ -700,17 +669,48 @@ def _dense_candidates(ops: QuantizedOperatorSet, count: int) -> list:
         w, Y = sla.eigh(H, subset_by_index=[len(H) - k, len(H) - 1])
         E = np.zeros((N * N, k))
         E[_sector_index(N, p)] = Y
-        found += [(lam, root @ e.reshape(N, N)) for lam, e in zip(w, E.T)]
+        found += [(float(lam), None, root @ e.reshape(N, N)) for lam, e in zip(w, E.T)]
     top, tol = max(f[0] for f in found), 1e-8 * (1.0 + max(abs(f[0]) for f in found))
     if top > tol:
         raise ConsistencyError(
             f"eigenvalue {top:.3e} exceeds the solver tolerance {tol:.2e}; "
             "the operator is not negative semidefinite"
         )
-    return [
-        {"value": float(lam), "block": None, "vec": F.reshape(-1), "kind": "dense"}
-        for lam, F in sorted(found, key=lambda f: abs(f[0]))[:count]
-    ]
+    if count > len(found):
+        raise ConfigError(f"requested {count} eigenvalues, only {len(found)} available")
+    return sorted(found, key=_report_order)[:count], {}
+
+
+def _block_pairs(ops: QuantizedOperatorSet, count: int, block_range: int | None) -> tuple:
+    """The `count` eigenpairs (lambda, offset, F) of L closest to 0 over the
+    blocks of offsets -K..K, K = `block_range` (default min(N - 1, max(3,
+    isqrt(count) + 1))), in report order, with F the map {offset: padded
+    diagonal}, and the diagnostics of `_closest_levels`.  A `count` above
+    the levels the blocks hold raises ConfigError, which asks for a wider K
+    or, at K = N - 1, names the N^2 total; so does `_check_block_range`
+    when blocks +-(K+1) reach the kept values."""
+    N = ops.N
+    K = block_range if block_range is not None else min(N - 1, max(3, int(math.isqrt(count)) + 1))
+    blocks = block_decompose(ops, K)
+    available = sum(b.dim for b in blocks)
+    if count > available:
+        hint = (
+            f"the blocks at K = N - 1 hold all N^2 = {N * N} eigenvalues"
+            if K == N - 1
+            else "widen the block range K"
+        )
+        raise ConfigError(f"requested {count} eigenvalues, only {available} available; {hint}")
+    levels, diagnostics = _closest_levels(blocks, count)
+    pairs = []
+    for b, values in zip(blocks, levels):
+        for lam, row in zip(values, b.vectors(values) if values else ()):
+            F = np.zeros(N, dtype=complex)
+            F[max(0, b.offset) : N + min(0, b.offset)] = row
+            pairs.append((lam, b.offset, {b.offset: F}))
+    pairs.sort(key=_report_order)
+    if K + 1 < N:
+        _check_block_range(ops, K, max(abs(lam) for lam, _, _ in pairs))
+    return pairs, diagnostics
 
 
 def _levels_within(block: OffsetBlock, lo: float, hi: float, stebz, abstol: float):
@@ -816,43 +816,41 @@ def _check_block_range(ops: QuantizedOperatorSet, K: int, largest_kept: float) -
         )
 
 
-def _full_residual(ops: QuantizedOperatorSet, cand: dict) -> float:
+def _full_residual(ops: QuantizedOperatorSet, lam: float, F) -> float:
     """||L(F) - lambda F||_F / ||F||_F through the full operator; inf when F = 0.
 
-    A block eigenmatrix lies on one diagonal: F is passed as the map
-    {k: its padded diagonal}, lambda F is taken off diagonal k of L(F), and
-    the norm runs over the diagonals that come back (zero outside the
-    matrix)."""
-    lam = cand["value"]
-    norm = np.linalg.norm(cand["vec"])
-    if not norm > 0:
-        return math.inf
-    if cand["kind"] == "block":
-        N, k = ops.N, cand["block"]
-        v = np.zeros(N, dtype=complex)
-        v[max(0, k) : N + min(0, k)] = cand["vec"]
-        R = apply_laplacian(ops, {k: v})
+    F is a dense eigenmatrix or a block eigenmatrix, which lies on one
+    diagonal and is passed as the map {k: its padded diagonal}: lambda F is
+    then taken off diagonal k of L(F), the residual norm runs over the
+    diagonals that come back, and ||F|| over the diagonal's own N - |k|
+    entries, real as the block solve returns them."""
+    if isinstance(F, dict):
+        ((k, v),) = F.items()
+        norm = np.linalg.norm(v[max(0, k) : ops.N + min(0, k)].real)
+        if not norm > 0:
+            return math.inf
+        R = apply_laplacian(ops, F)
         R[k] = R[k] - lam * v
         return float(np.linalg.norm(np.array(list(R.values()))) / norm)
-    F = np.asarray(cand["vec"]).reshape(ops.N, ops.N)
-    resid = apply_laplacian(ops, F) - lam * F
-    return float(np.linalg.norm(resid) / norm)
+    norm = np.linalg.norm(F)
+    if not norm > 0:
+        return math.inf
+    return float(np.linalg.norm(apply_laplacian(ops, F) - lam * F) / norm)
 
 
 def convergence_study(
     surface: SurfaceDescriptor,
     N_list,
     count: int,
-    beta: float = 1.0,
     grid_offset: str = "paper",
     strategy: str = "auto",
     block_range: int | None = None,
 ) -> list:
     """Cluster-level eigenvalue errors against a classical reference.
 
-    The sizes must be distinct.  Returns one row per (N, cluster): dict with
-    keys N, hbar, cluster, lambda, reference, abs_error, fitted_order, in
-    that order, ascending in N.  The reference is
+    The grids run at beta = 1 and the sizes must be distinct.  Returns one
+    row per (N, cluster): dict with keys N, hbar, cluster, lambda,
+    reference, abs_error, fitted_order, in that order, ascending in N.  The reference is
     ``reference_for(surface, count)``: the analytic spectrum on the unit
     sphere and the spectral Galerkin solve (error estimate below 1e-9
     relative) on other surfaces of revolution, so the errors are the nc
@@ -870,7 +868,7 @@ def convergence_study(
     a, b = surface.z_interval
     runs = []
     for N in N_list:
-        grid = build_grid(N, a, b, beta, grid_offset)
+        grid = build_grid(N, a, b, 1.0, grid_offset)
         ops = build_operator_set(surface, grid)
         rep = spectrum(ops, strategy=strategy, count=count, block_range=block_range)
         runs.append((N, grid.hbar, rep))

@@ -175,26 +175,32 @@ def quantize_diagonals(f: BandLimitedFunction, grid: QuantizationGrid) -> dict:
     interval raises DomainError (possible when beta > 1 pushes the grid past
     the interval).
     The matrix of a real-valued f must be hermitian to HERMITICITY_TOL
-    relative, checked diagonal against diagonal.
+    relative: f_{-j} against conj f_j on the pair values they share.
     """
     N = grid.N
     if f.max_mode >= N:
         raise ValueError(f"band limit {f.max_mode} must be below N={N}")
-    diagonals = {}
-    for j in sorted(f.modes, reverse=True):
-        zvals = grid.offset_pair_values(-j)
-        d = np.zeros(N, dtype=complex)
-        d[max(0, -j) : max(0, -j) + len(zvals)] += f.profile_values(j, zvals)
-        diagonals[-j] = d
+    diagonals, devs = {}, []
+    for m in sorted({abs(j) for j in f.modes}, reverse=True):
+        # modes m and -m fill offsets -+m, which read the same pair values
+        zvals = grid.offset_pair_values(m)
+        f.check_domain(zvals)
+        pair = (m, -m) if m else (0,)
+        values = {j: np.asarray(f.modes[j](zvals), dtype=complex) for j in pair if j in f.modes}
+        for j, v in values.items():
+            d = np.zeros(N, dtype=complex)
+            d[max(0, -j) : max(0, -j) + len(zvals)] += v
+            diagonals[-j] = d
+        if f.real_valued:
+            devs.append(np.abs(values.get(-m, 0.0) - np.conj(values.get(m, 0.0))).max())
     if f.real_valued and diagonals:
-        adjoint = _adjoint(diagonals)
-        dev = np.max([np.abs(d - adjoint.get(k, 0.0)).max() for k, d in diagonals.items()])
+        dev = np.max(devs)
         scale = max(1.0, np.max([np.abs(d).max() for d in diagonals.values()]))
         if dev > HERMITICITY_TOL * scale:
             raise ConsistencyError(
                 f"matrix of a real-valued function deviates from hermitian by {dev:.2e}"
             )
-    return diagonals
+    return dict(sorted(diagonals.items()))
 
 
 def _dense(diagonals: dict, N: int) -> np.ndarray:
@@ -522,9 +528,7 @@ def _write_binary(path, layout: tuple, flags: int | None = None) -> None:
 
 def read_matrix_binary(path) -> tuple[np.ndarray, int]:
     """Read a binary dump back as a dense matrix; returns (matrix, flags).
-
-    Reads version 2 (banded) and version 1 (32-byte header, then all N^2
-    entries row-major)."""
+    Only version 2 (banded) is read."""
     raw = Path(path).read_bytes()
     if len(raw) < _HEADER.size:
         raise ValueError(f"file of {len(raw)} bytes has no NCLQ header")
@@ -532,10 +536,6 @@ def read_matrix_binary(path) -> tuple[np.ndarray, int]:
     if magic != NCLQ_MAGIC:
         raise ValueError(f"bad magic {magic!r}")
     payload = raw[_HEADER.size :]
-    if version == 1:
-        if len(payload) != 16 * n * n:
-            raise ValueError(f"version 1 payload of {len(payload)} bytes for N={n}")
-        return np.frombuffer(payload, dtype="<c16").reshape(n, n).astype(complex), flags
     if version != NCLQ_VERSION:
         raise ValueError(f"unsupported version {version}")
     if len(payload) < 4 * count or (len(payload) - 4 * count) % 16:
@@ -567,14 +567,10 @@ def _json_floats(obj) -> np.ndarray:
 
 
 def read_matrix_json(path) -> np.ndarray:
-    """Read a JSON dump back as an n x n complex matrix: the banded object,
-    or the dense list of n rows of [real, imag] pairs written before it."""
+    """Read a banded JSON dump back as an n x n complex matrix."""
     payload = json.loads(Path(path).read_text())
     if not isinstance(payload, dict):
-        pairs = _json_floats(payload)
-        if pairs.ndim != 3 or pairs.shape[1:] != (len(pairs), 2):
-            raise ValueError(f"expected n x n [real, imag] pairs, got shape {pairs.shape}")
-        return pairs.view(complex)[..., 0]
+        raise ValueError(f"expected a JSON object, got {type(payload).__name__}")
     if set(payload) != {"N", "offsets", "diagonals"}:
         raise ValueError(f"expected the keys N, offsets and diagonals, got {sorted(payload)}")
     n, offsets, diagonals = payload["N"], payload["offsets"], payload["diagonals"]

@@ -126,13 +126,6 @@ class BandLimitedFunction:
                 f"z in [{zmin:g}, {zmax:g}] leaves the profile interval [{a:g}, {b:g}]"
             )
 
-    def profile_values(self, j: int, z):
-        self.check_domain(z)
-        prof = self.modes.get(j)
-        if prof is None:
-            return np.zeros(np.shape(z), dtype=complex)
-        return np.asarray(prof(z), dtype=complex)
-
     def evaluate(self, z, theta):
         self.check_domain(z)
         acc = 0.0 + 0.0j

@@ -229,14 +229,15 @@ def test_triaxial_far_above_dense_cap_is_refused_before_gamma(tmp_path, capsys, 
 
 
 def test_zero_eigenmatrix_exits_two(tmp_path, capsys, monkeypatch):
-    original = nc_laplacian._dense_candidates
+    original = nc_laplacian._dense_pairs
 
     def zeroed(ops, count):
-        cands = original(ops, count)
-        cands[0]["vec"] = np.zeros_like(cands[0]["vec"])
-        return cands
+        pairs, diagnostics = original(ops, count)
+        lam, block, F = pairs[0]
+        pairs[0] = (lam, block, np.zeros_like(F))
+        return pairs, diagnostics
 
-    monkeypatch.setattr(nc_laplacian, "_dense_candidates", zeroed)
+    monkeypatch.setattr(nc_laplacian, "_dense_pairs", zeroed)
     args = ["spectrum", "--surface", "ellipsoid", "--axes", "1,2,3", "--N", "8",
             "--strategy", "dense", "--out", str(tmp_path)]
     assert main(args) == 2

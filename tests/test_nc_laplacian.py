@@ -18,7 +18,7 @@ from nclaplace.errors import (
     SolverConvergenceError,
 )
 from nclaplace import cli, nc_laplacian
-from nclaplace.nc_laplacian import _dense_candidates, assemble_dense_superoperator
+from nclaplace.nc_laplacian import _dense_pairs, assemble_dense_superoperator
 
 from conftest import (
     block_matrix,
@@ -227,8 +227,7 @@ class TestApply:
                     LF = LF + G @ (X @ inner - inner @ X)
                 LF = -LF / ops.hbar**2
                 want = sp.linalg.norm(LF - lam * F) / np.linalg.norm(v)
-                cand = {"value": lam, "vec": v, "block": block.offset, "kind": "block"}
-                got = nc_laplacian._full_residual(ops, cand)
+                got = nc_laplacian._full_residual(ops, lam, offset_map(v, block.offset, N))
                 assert abs(got - want) <= 1e-13 * want
 
     def test_degree_one_harmonic_symmetric_grid(self, unit_sphere):
@@ -452,6 +451,43 @@ class TestSpectrum:
         assert rep.strategy == "dense"
         assert max(rep.residuals) <= 1e-10
 
+    @pytest.mark.parametrize(
+        "surface, N, strategy",
+        [
+            ("triaxial_123", 8, "dense"),
+            ("unit_sphere", 10, "dense"),
+            ("prolate_112", 64, "blocks"),
+            ("unit_sphere", 100, "blocks"),
+        ],
+    )
+    def test_solvers_hand_back_count_pairs_in_report_order(self, request, surface, N, strategy):
+        ops = _ops(request.getfixturevalue(surface), N)
+        count, K = 9, 3
+        if strategy == "dense":
+            pairs, diagnostics = _dense_pairs(ops, count)
+            assert diagnostics == {}
+        else:
+            pairs, diagnostics = nc_laplacian._block_pairs(ops, count, K)
+            assert set(diagnostics) == {"levels_solved", "sturm_counts", "level_bound"}
+        assert len(pairs) == count
+        keys = [(abs(lam), lam, block or 0) for lam, block, _ in pairs]
+        assert keys == sorted(keys)
+        for lam, block, F in pairs:
+            # F is in the kind apply_laplacian takes, and comes back in it
+            if strategy == "dense":
+                assert block is None
+                assert isinstance(F, np.ndarray) and F.shape == (N, N)
+                assert isinstance(nc.apply_laplacian(ops, F), np.ndarray)
+            else:
+                assert list(F) == [block] and F[block].shape == (N,)
+                assert not F[block][: max(0, block)].any() and not F[block][N + min(0, block) :].any()
+                assert isinstance(nc.apply_laplacian(ops, F), dict)
+            assert nc_laplacian._full_residual(ops, lam, F) <= 1e-8 * (1.0 + abs(lam))
+        # spectrum reports the pairs in the order they come
+        rep = nc.spectrum(ops, strategy=strategy, count=count, block_range=K)
+        assert rep.eigenvalues == [lam for lam, _, _ in pairs]
+        assert rep.blocks == [block for _, block, _ in pairs]
+
     def test_count_validation(self, unit_sphere):
         ops = _ops(unit_sphere, 6)
         with pytest.raises(ConfigError):
@@ -515,7 +551,9 @@ class TestSpectrum:
         (csv_path,) = cli.write_report(tmp_path, "rep", rep.config, rep.to_csv_rows())
         for key in diagnostics:
             assert key not in csv_path.read_text()
-        assert "diagnostics" not in nc.spectrum(ops, strategy="dense", count=4).to_json_dict()
+        dense = nc.spectrum(ops, strategy="dense", count=4).to_json_dict()["diagnostics"]
+        assert list(dense) == ["residual_margin"]
+        assert 0 < dense["residual_margin"] <= 1
 
     @pytest.mark.parametrize(
         "surf, R",
@@ -628,8 +666,8 @@ class TestDenseSectors:
         assert not any("flagged" in row for row in payload["eigenvalues"])
         # each eigenmatrix lives in one parity sector of F[n, m]
         odd = _odd_offsets(N)
-        for cand in _dense_candidates(ops, count):
-            F = cand["vec"].reshape(N, N)
+        pairs, _ = _dense_pairs(ops, count)
+        for _, _, F in pairs:
             assert np.abs(F).max() > 0
             assert not F[odd].any() or not F[~odd].any()
         # gamma and gamma^{-1} from one eigh per index-parity class
@@ -640,11 +678,12 @@ class TestDenseSectors:
     @pytest.mark.parametrize("bad", [0.0, np.nan, np.inf], ids=["zero", "nan", "inf"])
     def test_degenerate_eigenmatrix_fails_residual_gate(self, triaxial_123, monkeypatch, bad):
         def broken(ops, count):
-            cands = _dense_candidates(ops, count)
-            cands[0]["vec"] = np.full_like(cands[0]["vec"], bad)
-            return cands
+            pairs, diagnostics = _dense_pairs(ops, count)
+            lam, block, F = pairs[0]
+            pairs[0] = (lam, block, np.full_like(F, bad))
+            return pairs, diagnostics
 
-        monkeypatch.setattr(nc_laplacian, "_dense_candidates", broken)
+        monkeypatch.setattr(nc_laplacian, "_dense_pairs", broken)
         with pytest.raises(SolverConvergenceError):
             nc.spectrum(_ops(triaxial_123, 8), strategy="dense", count=4)
 

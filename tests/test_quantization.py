@@ -133,12 +133,28 @@ class TestQuantize:
         T = nc.quantize(f, g)
         assert np.abs(T - T.conj().T).max() <= 1e-13 * max(1.0, np.abs(T).max())
 
-    def test_hermiticity_checked_on_diagonals(self):
-        # a real-valued function whose mode -1 is missing: diagonal +1 of
-        # T - T^H is the mode-(-1) diagonal itself
-        f = nc.BandLimitedFunction({1: nc.constant_profile(0.5)}, (-1.0, 1.0), real_valued=True)
-        with pytest.raises(ConsistencyError, match="deviates from hermitian by 5.00e-01"):
+    @pytest.mark.parametrize(
+        "modes, dev",
+        [({1: 0.5}, "5.00e-01"), ({1: 0.5, -1: 0.25j}, "5.59e-01"), ({0: 1.0 + 0.125j}, "2.50e-01")],
+        ids=["missing-partner", "wrong-partner", "complex-mode-0"],
+    )
+    def test_hermiticity_checked_on_diagonals(self, modes, dev):
+        # a real-valued function needs f_{-j} = conj f_j: a missing mode -1
+        # leaves mode 1 itself as the deviation, a wrong one |f_{-1} - conj f_1|
+        profiles = {j: nc.constant_profile(v) for j, v in modes.items()}
+        f = nc.BandLimitedFunction(profiles, (-1.0, 1.0), real_valued=True)
+        with pytest.raises(ConsistencyError, match=f"deviates from hermitian by {dev}"):
             nc.quantize_diagonals(f, nc.build_grid(6, -1, 1, 1))
+
+    def test_modes_j_and_minus_j_share_one_domain_check(self, monkeypatch):
+        f = _random_real_blf(seed=14, max_mode=2)
+        sizes = []
+        original = nc.BandLimitedFunction.check_domain
+        monkeypatch.setattr(
+            nc.BandLimitedFunction, "check_domain", lambda self, z: sizes.append(len(z)) or original(self, z)
+        )
+        nc.quantize_diagonals(f, nc.build_grid(9, -1, 1, 1))
+        assert sizes == [7, 8, 9]  # |j| = 2, 1, 0
 
     def test_banded_holds_only_the_mode_diagonals(self):
         f = _random_real_blf(seed=14, max_mode=2)
@@ -179,7 +195,7 @@ class TestQuantize:
         def through_csr(f):
             modes = sorted(f.modes)
             values = [
-                np.broadcast_to(f.profile_values(j, grid.offset_pair_values(-j)), (N - abs(j),))
+                np.broadcast_to(np.asarray(f.modes[j](grid.offset_pair_values(-j)), complex), (N - abs(j),))
                 for j in modes
             ]
             return diagonals_from_csr(sp.diags(values, [-j for j in modes], shape=(N, N), format="csr"))
@@ -735,7 +751,10 @@ class TestMatrixDumps:
             {**good, "version": 2},
             {"offsets": good["offsets"], "diagonals": good["diagonals"]},
         ]
-        for payload in ([[[1.0, 0.0], [2.0, 0.0]]], [[1.0, 2.0]], [[[1.0, 0.0, 0.0]]], 3.0, [[{}]], *banded):
+        # the dense list of n rows of [real, imag] pairs that preceded the banded object
+        D = np.array([[1 + 2j, -0.0], [complex(np.inf, -0.0), complex(np.nan, 1e-300)]])
+        dense = D.view(float).reshape(2, 2, 2).tolist()
+        for payload in ([[[1.0, 0.0], [2.0, 0.0]]], [[1.0, 2.0]], [[[1.0, 0.0, 0.0]]], 3.0, [[{}]], dense, *banded):
             path.write_text(json.dumps(payload))
             with pytest.raises(ValueError):
                 read_matrix_json(path)
@@ -749,7 +768,10 @@ class TestMatrixDumps:
         path = tmp_path / "M.nclq"
         path.write_bytes(header() + offsets + entries)
         np.testing.assert_array_equal(read_matrix_binary(path)[0], [[0, 2, 0], [0, 0, 3], [0, 1, 0]])
+        # a version 1 file: the header, then all N^2 entries row-major
+        D = np.array([[1 + 2j, -0.0], [complex(np.inf, -0.0), complex(np.nan, 1e-300)]])
         for raw in (
+            struct.pack("<4sIII16x", b"NCLQ", 1, 2, 1) + D.astype("<c16").tobytes(),
             header(magic=b"NCLX") + offsets + entries,
             header(version=3) + offsets + entries,
             header(version=0) + offsets + entries,
@@ -767,17 +789,6 @@ class TestMatrixDumps:
             path.write_bytes(raw)
             with pytest.raises(ValueError):
                 read_matrix_binary(path)
-
-    def test_readers_accept_version_1_files(self, tmp_path):
-        D = np.array([[1 + 2j, -0.0], [complex(np.inf, -0.0), complex(np.nan, 1e-300)]])
-        path = tmp_path / "M.nclq"
-        path.write_bytes(struct.pack("<4sIII16x", b"NCLQ", 1, 2, 1) + D.astype("<c16").tobytes())
-        M, flags = read_matrix_binary(path)
-        np.testing.assert_array_equal(_bits(M), _bits(D))
-        assert flags == 1
-        path = tmp_path / "M.json"
-        path.write_text(json.dumps(D.view(float).reshape(2, 2, 2).tolist()))
-        np.testing.assert_array_equal(_bits(read_matrix_json(path)), _bits(D, canonical_nan=True))
 
     def test_json_writer_special_entries(self, tmp_path):
         # signed zeros, non-finite parts and an all-zero row
