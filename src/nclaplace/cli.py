@@ -120,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_grid_args(p, beta=False)
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--format", choices=("json", "csv", "both"), default="both")
-    p.add_argument("--strategy", choices=("auto", "dense", "blocks"), default="auto")
+    p.add_argument("--strategy", choices=("auto", "banded", "dense", "blocks"), default="auto")
     p.add_argument("--count", type=int, default=9)
     p.add_argument("--K", type=int, default=None, help="block offset range (blocks strategy)")
     p.add_argument("--gap", type=float, default=None,
@@ -134,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--N-list", dest="N_list", type=_size_list, required=True,
                    help="comma-separated matrix sizes (at least two)")
-    p.add_argument("--strategy", choices=("auto", "dense", "blocks"), default="auto")
+    p.add_argument("--strategy", choices=("auto", "banded", "dense", "blocks"), default="auto")
     p.add_argument("--count", type=int, default=9)
     p.add_argument("--K", type=int, default=None)
     p.set_defaults(func="cmd_converge")
@@ -224,6 +224,7 @@ def _surface_tag(surf) -> str:
 def cmd_spectrum(args) -> int:
     surf = resolve_surface(args)
     grid = _grid(args, surf, args.N)
+    ncl.check_size(ncl.resolve_strategy(args.strategy, surf.revolution), args.N)
     ops = ncl.build_operator_set(surf, grid)
     report = ncl.spectrum(
         ops,

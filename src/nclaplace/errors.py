@@ -24,8 +24,8 @@ class NotRevolutionSurfaceError(NCLaplaceError):
 
 
 class DenseSizeError(NCLaplaceError):
-    """Dense superoperator assembly refused above N = DENSE_CAP; on a surface
-    that is not one of revolution no other strategy exists there."""
+    """The dense oracle refused above N = DENSE_CAP; the banded strategy
+    serves larger N on every surface."""
 
 
 class SolverConvergenceError(NCLaplaceError):

@@ -21,13 +21,15 @@ strategy returns exactly `count` pairs (lambda, block, F) in report order
 (|lambda|, lambda, offset), with F in the kind `apply_laplacian` takes,
 and a diagnostics dict:
 
-- dense (`_dense_pairs`; any surface, N <= DENSE_CAP): L = G K with
-  G = gamma^{-1} and K self-adjoint, so H = G^{1/2} K G^{1/2} is symmetric
-  and similar to L: one real `eigh` per parity sector of F[n, m] (n - m even
-  or odd), which H keeps apart.  Each sector is assembled directly in real
-  arithmetic from Kronecker products of the quarter-size parity blocks of
-  real factors; the factors, not H, are checked for being real or imaginary
-  and of one offset parity.  F is the N x N eigenmatrix.
+- banded (`_banded_pairs`; the triaxial path, N <= BANDED_CAP): L = G K
+  with G = gamma^{-1} and K self-adjoint, so H = G^{1/2} K G^{1/2} is
+  symmetric, similar to L, and keeps the parity sectors of F[n, m] apart.
+  With rows ordered m-major each real sector is a band of half-bandwidth
+  about 3N/2 (`_sector_band`, O(N^3) from checked real Kronecker factors);
+  shift-invert Lanczos on its banded Cholesky factor finds the levels
+  closest to 0.  F is the N x N eigenmatrix.
+- dense (`_dense_pairs`; any surface, N <= DENSE_CAP): the oracle, one
+  exact `eigh` of each sector band densified.
 - blocks (`_block_pairs`; revolution surfaces, large N): gamma is diagonal,
   so L maps each matrix diagonal (Fourier offset) to itself by a
   closed-form tridiagonal matrix that a diagonal similarity makes symmetric
@@ -78,9 +80,13 @@ from .quantization import (
 from .reference_oracle import cluster_multiplicities, reference_for
 from .surface import SurfaceDescriptor
 
-#: largest N of the dense strategy: each real parity sector is at most
-#: N^2/2 = 3200 square, about 82 MB in float64
+#: largest N of the dense oracle: each real parity sector is densified to at
+#: most N^2/2 = 3200 square, about 82 MB in float64
 DENSE_CAP = 80
+
+#: largest N of the banded strategy: a sector band holds about 6 N^3 bytes,
+#: 0.4 GB at N = 400 (a 0.73 GB peak), and its solve takes O(N^4) work
+BANDED_CAP = 400
 
 #: relative off-diagonal mass allowed in the commutator-square sum of a
 #: surface of revolution, whose gamma is read off the diagonal
@@ -99,12 +105,15 @@ CUTOFF_STEPS = 6
 STURM_COUNT_ABSTOL = np.finfo(float).max
 
 
-def _check_dense_size(N: int) -> None:
-    if N > DENSE_CAP:
+def check_size(strategy: str, N: int) -> None:
+    """Refuse dense above DENSE_CAP (DenseSizeError), banded above BANDED_CAP."""
+    if strategy == "dense" and N > DENSE_CAP:
         raise DenseSizeError(
             f"dense superoperator needs N <= {DENSE_CAP} (got {N}); "
-            "use the blocks strategy on surfaces of revolution"
+            "use the banded strategy, or blocks on surfaces of revolution"
         )
+    if strategy == "banded" and N > BANDED_CAP:
+        raise ConfigError(f"the banded strategy needs N <= {BANDED_CAP} (got {N})")
 
 
 def build_gamma(coords: CoordinateMatrices, hbar: float):
@@ -118,9 +127,7 @@ def build_gamma(coords: CoordinateMatrices, hbar: float):
     broken coordinates.  On a surface of revolution S is diagonal: w is the
     entrywise root of its diagonal and V is None (gamma = diag(w));
     off-diagonal mass above GAMMA_DIAGONAL_TOL raises
-    NotRevolutionSurfaceError.  Otherwise S is decomposed densely, which only
-    the dense strategy can use: above N = DENSE_CAP DenseSizeError is raised
-    first.
+    NotRevolutionSurfaceError.  Otherwise S is decomposed densely.
     """
     N = coords.grid.N
     X = coords.diagonals
@@ -145,7 +152,6 @@ def build_gamma(coords: CoordinateMatrices, hbar: float):
             )
         V = None
     else:
-        _check_dense_size(N)
         S = _dense(S, N)
         w, V = _eigh(0.5 * (S + S.conj().T))
     wmax = max(w.max(), 0.0)
@@ -323,57 +329,68 @@ def _real_factors(terms: list, N: int) -> list:
     return factors
 
 
-def _sector_index(N: int, parity: int) -> np.ndarray:
-    """Row-major flat indices n*N + m of the entries F[n, m] with n + m = parity
-    (mod 2), in sector order: n even first, then n odd, each row-major."""
-    n = np.arange(N)
-    return np.concatenate(
-        [(N * n[a::2, None] + n[b::2]).ravel() for a, b in ((0, parity), (1, 1 - parity))]
-    )
+def _sector_band(ops: QuantizedOperatorSet, root: np.ndarray, parity: int) -> tuple:
+    """(band, rows): parity sector F[n, m], n + m = ``parity`` (mod 2), of
+    H = (root (x) I) K (root (x) I) in LAPACK lower band storage,
+    band[i - j, j] = H[i, j] for 0 <= i - j <= kd, and the row-major flat
+    index n*N + m of each row.
 
-
-def assemble_dense_superoperator(
-    ops: QuantizedOperatorSet, root=None, parity: int | None = None
-) -> np.ndarray:
-    """N^2 x N^2 matrix of the Laplacian in row-major vectorization (the
-    small-N oracle): column j is the image of the j-th standard basis matrix.
-    Refused with DenseSizeError above N = DENSE_CAP.  With ``parity`` None the
-    oracle forms a complex N^2 x N^2 array, about 0.65 GB at N = 80.
-
-    The matrix is the sum of the Kronecker products of `_kron_terms`: N x N
-    products and five Kronecker products in all, O(N^4) work.  With root =
-    G^{1/2} it is H of `_dense_pairs`.
-
-    With ``parity`` = p in (0, 1) only the real restriction to the sector
-    F[n, m], n + m = p (mod 2), is formed, with rows and columns in the order
-    of `_sector_index`: the factors are checked and made real by
-    `_real_factors`, and the sector is a 2 x 2 arrangement of blocks, each a
-    sum of kron(P~[a::2, c::2], Q~[b::2, d::2]) over the factors whose offset
-    parity is a - c.  No complex or N^2 x N^2 array is formed.
+    Rows run m-major (m outer, n inner), so the Q factors of `_kron_terms`,
+    which act on m, set the band: they are read by their diagonals and may
+    reach offsets |m - m'| <= 2 only (ConsistencyError otherwise), and kd is
+    three row groups less one, (3N + 1)//2 - 1.  The factors are made real
+    and checked by `_real_factors`; the block of rows m and columns m - d is
+    the sum of Q~[m, m - d] P~[n, n'] over the factors of offset parity d.
+    O(N^3) work and storage; neither the N^2 x N^2 operator nor a dense
+    sector is formed.
     """
     N = ops.N
-    _check_dense_size(N)
-    if parity not in (None, 0, 1):
-        raise ValueError(f"parity must be 0, 1 or None, got {parity!r}")
-    terms = _kron_terms(ops, root)
-    if parity is None:
-        (P, Q), *rest = terms
-        total = np.kron(P, Q)
-        for P, Q in rest:
-            total += np.kron(P, Q)
-        return -total / ops.hbar**2
-    factors = _real_factors(terms, N)
-    groups = ((0, parity), (1, 1 - parity))
-    edges = np.cumsum([0] + [len(range(a, N, 2)) * len(range(b, N, 2)) for a, b in groups])
-    H = np.zeros((edges[-1], edges[-1]))
-    for (a, b), r0, r1 in zip(groups, edges, edges[1:]):
-        for (c, d), c0, c1 in zip(groups, edges, edges[1:]):
-            block = H[r0:r1, c0:c1]
-            for P, Q, q in factors:
-                if (a - c) % 2 == q:
-                    block += np.kron(P[a::2, c::2], Q[b::2, d::2])
-    H *= -1.0 / ops.hbar**2
-    return H
+    factors = _real_factors(_kron_terms(ops, root), N)
+    if any(np.triu(Q, 3).any() or np.tril(Q, -3).any() for _, Q, _ in factors):
+        raise ConsistencyError("a Kronecker factor on the column index reaches beyond offset 2")
+    n_of = [np.arange((parity - m) % 2, N, 2) for m in range(N)]
+    start = np.cumsum([0] + [len(n) for n in n_of])
+    rows = np.concatenate([N * n + m for m, n in enumerate(n_of)])
+    kd = max(start[m + 1] - start[max(m - 2, 0)] for m in range(N)) - 1
+    band = np.zeros((kd + 1, start[-1]), order="F")  # LAPACK's order: factored in place
+    for d in range(min(3, N)):  # the blocks of rows m and columns m - d
+        terms = [(P, Q) for P, Q, q in factors if q == d % 2]
+        for c in (0, 1) if terms else ():  # rows m = c (mod 2)
+            m = np.arange(d + (c - d) % 2, N, 2)
+            a, b = (parity - c) % 2, (parity - c + d) % 2  # the parities of n and n'
+            sub = np.array([P[a::2, b::2] for P, _ in terms])
+            alpha, beta = np.indices(sub.shape[1:]).reshape(2, -1)  # the entries of a block
+            kept = alpha >= beta if d == 0 else slice(None)  # of a diagonal block, the lower triangle
+            alpha, beta = alpha[kept], beta[kept]
+            coef = np.array([np.diagonal(Q, -d)[m - d] for _, Q in terms])
+            i = (start[m] - start[m - d])[:, None] + (alpha - beta)
+            j = start[m - d][:, None] + beta
+            band[i, j] = np.tensordot(coef, sub[:, alpha, beta], axes=(0, 0))
+    band *= -1.0 / ops.hbar**2
+    return band, rows
+
+
+def assemble_dense_superoperator(ops: QuantizedOperatorSet, band=None) -> np.ndarray:
+    """N^2 x N^2 complex matrix of the Laplacian in row-major vectorization
+    (the small-N oracle): column j is the image of the j-th standard basis
+    matrix.  Refused with DenseSizeError above N = DENSE_CAP; about 0.65 GB
+    at N = 80.  It is the sum of the Kronecker products of `_kron_terms`:
+    N x N products and five Kronecker products in all, O(N^4) work.  Given
+    a sector's ``band`` (`_sector_band`), the symmetric matrix it stores.
+    """
+    if band is not None:
+        dim = band.shape[1]
+        H = np.zeros((dim, dim))
+        for r, diagonal in enumerate(band):
+            i = np.arange(dim - r)
+            H[i + r, i] = H[i, i + r] = diagonal[: dim - r]
+        return H
+    check_size("dense", ops.N)
+    (P, Q), *rest = _kron_terms(ops)
+    total = np.kron(P, Q)
+    for P, Q in rest:
+        total += np.kron(P, Q)
+    return -total / ops.hbar**2
 
 
 @dataclass
@@ -558,10 +575,10 @@ def default_cluster_gap(ops: QuantizedOperatorSet) -> float:
 
 def resolve_strategy(strategy: str, revolution: bool) -> str:
     """The strategy `auto` stands for: blocks on a surface of revolution, else
-    dense; any other name is returned as it is."""
+    banded; any other name is returned as it is."""
     if strategy != "auto":
         return strategy
-    return "blocks" if revolution else "dense"
+    return "blocks" if revolution else "banded"
 
 
 def spectrum(
@@ -574,9 +591,11 @@ def spectrum(
     """The `count` eigenvalues of smallest absolute value, with residuals.
 
     `count` below 1, or a `cluster_gap` that is not finite and >= 0, raises
-    ConfigError.  `auto` resolves by `resolve_strategy`, and the strategy's
-    solver (`_dense_pairs`, `_block_pairs` with the block range K; any other
-    name raises ConfigError) returns the `count` eigenpairs in report order.
+    ConfigError.  `auto` resolves by `resolve_strategy`; an N the strategy
+    refuses (`check_size`) and a `count` above the N^2 eigenvalues are
+    refused before any assembly.  The strategy's solver (`_banded_pairs`,
+    `_dense_pairs`, `_block_pairs` with the block range K; any other name
+    raises ConfigError) returns the `count` eigenpairs in report order.
     Every residual goes through the full operator (`_full_residual`); one
     over the tolerance 1e-8*(1 + max |lambda| over the kept values),
     non-finite or of a zero eigenmatrix raises SolverConvergenceError.  The
@@ -589,8 +608,15 @@ def spectrum(
         raise ConfigError("count must be positive")
     if cluster_gap is not None and not (math.isfinite(cluster_gap) and cluster_gap >= 0):
         raise ConfigError(f"cluster gap must be finite and nonnegative, got {cluster_gap!r}")
+    check_size(strategy, ops.N)
+    if count > ops.N**2:
+        hint = f"; the blocks at K = N - 1 hold all N^2 = {ops.N**2} eigenvalues"
+        hint = hint if strategy == "blocks" else ""
+        raise ConfigError(f"requested {count} eigenvalues, only {ops.N**2} available{hint}")
     if strategy == "dense":
         pairs, diagnostics = _dense_pairs(ops, count)
+    elif strategy == "banded":
+        pairs, diagnostics = _banded_pairs(ops, count)
     elif strategy == "blocks":
         pairs, diagnostics = _block_pairs(ops, count, block_range)
     else:
@@ -653,22 +679,22 @@ def _report_order(pair: tuple) -> tuple:
     return abs(lam), lam, block or 0
 
 
-def _dense_pairs(ops: QuantizedOperatorSet, count: int) -> tuple:
-    """The `count` eigenpairs (lambda, None, F) of L closest to 0, in report
-    order, and no diagnostics: the largest eigenpairs of each real parity
-    sector of H = (R (x) I) K (R (x) I), R = G^{1/2}, scattered back through
-    `_sector_index`, with F = R Y the N x N eigenmatrix.  An eigenvalue above
-    the solver tolerance raises ConsistencyError; a `count` above the N^2
-    eigenvalues, ConfigError."""
+def _sector_pairs(ops: QuantizedOperatorSet, count: int, solve) -> tuple:
+    """The `count` eigenpairs (lambda, None, F) of L closest to 0 in report
+    order, and ``sector_dims``.  ``solve(band, k)`` gives the k largest
+    eigenpairs (w, Y) of a real parity sector of H = (R (x) I) K (R (x) I),
+    R = G^{1/2}, from its `_sector_band`; F = R Y is scattered back through
+    the band's rows.  A level above the solver tolerance: ConsistencyError."""
     N = ops.N
     root = _hermitian(1.0 / np.sqrt(ops.gamma_eigenvalues), ops.gamma_eigenvectors)
-    found = []
+    found, dims = [], []
     for p in (0, 1):
-        H = assemble_dense_superoperator(ops, root=root, parity=p)
-        k = min(count, len(H))
-        w, Y = sla.eigh(H, subset_by_index=[len(H) - k, len(H) - 1])
-        E = np.zeros((N * N, k))
-        E[_sector_index(N, p)] = Y
+        band, rows = _sector_band(ops, root, p)
+        dims.append(len(rows))
+        w, Y = solve(band, min(count, len(rows)))
+        del band  # one O(N^3) band at a time
+        E = np.zeros((N * N, len(w)))
+        E[rows] = Y
         found += [(float(lam), None, root @ e.reshape(N, N)) for lam, e in zip(w, E.T)]
     top, tol = max(f[0] for f in found), 1e-8 * (1.0 + max(abs(f[0]) for f in found))
     if top > tol:
@@ -676,9 +702,70 @@ def _dense_pairs(ops: QuantizedOperatorSet, count: int) -> tuple:
             f"eigenvalue {top:.3e} exceeds the solver tolerance {tol:.2e}; "
             "the operator is not negative semidefinite"
         )
-    if count > len(found):
-        raise ConfigError(f"requested {count} eigenvalues, only {len(found)} available")
-    return sorted(found, key=_report_order)[:count], {}
+    return sorted(found, key=_report_order)[:count], {"sector_dims": dims}
+
+
+def _band_eigh(ops: QuantizedOperatorSet, band: np.ndarray, k: int) -> tuple:
+    """The k largest eigenpairs of the densified band, by one exact `eigh`."""
+    H = assemble_dense_superoperator(ops, band)
+    return sla.eigh(H, subset_by_index=[len(H) - k, len(H) - 1])
+
+
+def _dense_pairs(ops: QuantizedOperatorSet, count: int) -> tuple:
+    """`_sector_pairs` by `_band_eigh` (the oracle), plus ``eigh_calls``."""
+    pairs, diagnostics = _sector_pairs(ops, count, lambda band, k: _band_eigh(ops, band, k))
+    return pairs, {**diagnostics, "eigh_calls": len(diagnostics["sector_dims"])}
+
+
+def _banded_pairs(ops: QuantizedOperatorSet, count: int) -> tuple:
+    """`_sector_pairs` with each sector solved by shift-invert Lanczos on its
+    band (Ericsson & Ruhe, Math. Comp. 35 (1980); ARPACK `eigsh`).
+
+    With sigma = `default_cluster_gap` > 0, sigma I - H is factored once by
+    banded Cholesky (LAPACK ?pbtrf); a failure means H has a level at or
+    above sigma and raises the dense path's ConsistencyError.  The `count`
+    largest theta of (sigma I - H)^{-1} give lambda = sigma - 1/theta, the
+    levels closest to 0.  ``tol=0`` and a fixed start vector make identical
+    runs give identical bytes; ArpackNoConvergence raises
+    SolverConvergenceError.  A sector too small for ARPACK (k >= dim - 1) is
+    solved by `_band_eigh`.  The diagnostics add ``half_bandwidth``,
+    ``shift`` (sigma) and ``solves`` (applications of the inverse).
+    O(N^4) work and O(N^3) memory.
+    """
+    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+
+    sigma = default_cluster_gap(ops)
+    counts = {"half_bandwidth": 0, "shift": sigma, "solves": 0}
+
+    def solve(band, k):
+        counts["half_bandwidth"] = len(band) - 1  # the same for both sectors
+        dim = band.shape[1]
+        if k >= dim - 1:
+            return _band_eigh(ops, band, k)
+        band *= -1.0
+        band[0] += sigma
+        try:
+            factor = (sla.cholesky_banded(band, overwrite_ab=True, lower=True), True)
+        except np.linalg.LinAlgError:
+            raise ConsistencyError(
+                f"sigma I - H is not positive definite at the shift {sigma:.3e}; "
+                "the operator is not negative semidefinite"
+            ) from None
+
+        def inverse(x):
+            counts["solves"] += 1
+            return sla.cho_solve_banded(factor, x, check_finite=False)
+
+        op = LinearOperator((dim, dim), matvec=inverse, dtype=float)
+        v0 = np.random.default_rng(0).standard_normal(dim)
+        try:
+            theta, Y = eigsh(op, k, which="LM", tol=0, v0=v0)
+        except ArpackNoConvergence as exc:
+            raise SolverConvergenceError(f"Lanczos on a parity sector: {exc}") from None
+        return sigma - 1.0 / theta, Y
+
+    pairs, diagnostics = _sector_pairs(ops, count, solve)
+    return pairs, {**diagnostics, **counts}
 
 
 def _block_pairs(ops: QuantizedOperatorSet, count: int, block_range: int | None) -> tuple:
@@ -686,20 +773,17 @@ def _block_pairs(ops: QuantizedOperatorSet, count: int, block_range: int | None)
     blocks of offsets -K..K, K = `block_range` (default min(N - 1, max(3,
     isqrt(count) + 1))), in report order, with F the map {offset: padded
     diagonal}, and the diagnostics of `_closest_levels`.  A `count` above
-    the levels the blocks hold raises ConfigError, which asks for a wider K
-    or, at K = N - 1, names the N^2 total; so does `_check_block_range`
-    when blocks +-(K+1) reach the kept values."""
+    the levels the blocks hold raises ConfigError, which asks for a wider K;
+    so does `_check_block_range` when blocks +-(K+1) reach the kept
+    values."""
     N = ops.N
     K = block_range if block_range is not None else min(N - 1, max(3, int(math.isqrt(count)) + 1))
     blocks = block_decompose(ops, K)
     available = sum(b.dim for b in blocks)
     if count > available:
-        hint = (
-            f"the blocks at K = N - 1 hold all N^2 = {N * N} eigenvalues"
-            if K == N - 1
-            else "widen the block range K"
+        raise ConfigError(
+            f"requested {count} eigenvalues, only {available} available; widen the block range K"
         )
-        raise ConfigError(f"requested {count} eigenvalues, only {available} available; {hint}")
     levels, diagnostics = _closest_levels(blocks, count)
     pairs = []
     for b, values in zip(blocks, levels):

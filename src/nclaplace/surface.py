@@ -22,6 +22,7 @@ converge geometrically (Trefethen & Weideman, SIAM Review 56 (2014) 385).
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import warnings
@@ -407,10 +408,18 @@ def metric_sqrt_det(s: SurfaceDescriptor, p) -> float:
     return float(_area_density(s, z, theta))
 
 
+@functools.cache
+def _gauss_legendre(n: int) -> tuple:
+    """The n-point Gauss-Legendre rule on [-1, 1], read-only, computed once per n."""
+    x, w = roots_legendre(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def surface_integral(s: SurfaceDescriptor, f: BandLimitedFunction, rel_tol: float = 1e-10) -> float:
     """Integral of Re(f) sqrt|g| over [a, b] x [0, 2*pi).
 
-    Tensor rule: n Gauss-Legendre nodes in z (`roots_legendre`) times n
+    Tensor rule: n Gauss-Legendre nodes in z (`_gauss_legendre`) times n
     trapezoid nodes in theta, or one theta node when the integrand cannot
     depend on theta (a revolution surface and a mode-0 f).  n doubles from INTEGRAL_NODES[0]
     until two successive values agree to rel_tol relative or
@@ -421,7 +430,7 @@ def surface_integral(s: SurfaceDescriptor, f: BandLimitedFunction, rel_tol: floa
     theta_dependent = not (s.revolution and f.max_mode == 0)
     n, previous = INTEGRAL_NODES[0], None
     while True:
-        x, w = roots_legendre(n)
+        x, w = _gauss_legendre(n)
         m = n if theta_dependent else 1
         z = (0.5 * (b - a) * x + 0.5 * (a + b))[:, None]
         theta = (TWO_PI / m * np.arange(m))[None, :]

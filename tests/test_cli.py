@@ -170,7 +170,7 @@ def test_spectrum_dense_report_is_deterministic(tmp_path):
         "--surface", "ellipsoid",
         "--axes", "1,2,3",
         "--N", "8",
-        "--strategy", "auto",
+        "--strategy", "dense",
     ]
     assert main(args + ["--out", str(tmp_path / "a")]) == 0
     assert main(args + ["--out", str(tmp_path / "b")]) == 0
@@ -183,9 +183,26 @@ def test_spectrum_dense_report_is_deterministic(tmp_path):
     assert b"# partial" not in a
 
 
+def test_spectrum_banded_report_is_deterministic(tmp_path):
+    # auto picks banded on a triaxial surface; its counters go into the JSON
+    # report only, and two runs write the same CSV bytes
+    args = ["spectrum", "--surface", "ellipsoid", "--axes", "1,2,3", "--N", "16"]
+    assert main(args + ["--out", str(tmp_path / "a")]) == 0
+    assert main(args + ["--out", str(tmp_path / "b")]) == 0
+    payload = json.loads((tmp_path / "a" / "spectrum_ellipsoid_1-2-3_N16.json").read_text())
+    assert payload["strategy"] == "banded"
+    diagnostics = payload["diagnostics"]
+    assert set(diagnostics) == {"sector_dims", "half_bandwidth", "shift", "solves", "residual_margin"}
+    assert diagnostics["sector_dims"] == [128, 128] and diagnostics["solves"] > 0
+    a = (tmp_path / "a" / "spectrum_ellipsoid_1-2-3_N16.csv").read_bytes()
+    assert a == (tmp_path / "b" / "spectrum_ellipsoid_1-2-3_N16.csv").read_bytes()
+    for key in diagnostics:
+        assert key.encode() not in a
+
+
 def test_triaxial_above_dense_cap_exits_one(tmp_path, capsys):
     args = ["spectrum", "--surface", "ellipsoid", "--axes", "1,2,3", "--N", "81",
-            "--out", str(tmp_path)]
+            "--strategy", "dense", "--out", str(tmp_path)]
     assert main(args) == 1
     assert "N <= 80" in capsys.readouterr().err
     assert not list(tmp_path.glob("spectrum_*"))
@@ -216,15 +233,17 @@ def test_triaxial_dense_succeeds_blocks_fails(tmp_path, capsys):
 
 def test_triaxial_far_above_dense_cap_is_refused_before_gamma(tmp_path, capsys, monkeypatch):
     # the refusal costs what N = 81 costs: the dense N x N decomposition of
-    # the commutator-square sum is never started
+    # the commutator-square sum is never started; auto (banded) has its own cap
     def no_eigh(M):
         raise AssertionError(f"gamma decomposed at size {len(M)}")
 
     monkeypatch.setattr(nc_laplacian, "_eigh", no_eigh)
     args = ["spectrum", "--surface", "ellipsoid", "--axes", "1,2,3", "--N", "2000",
             "--out", str(tmp_path)]
-    assert main(args) == 1
+    assert main(args + ["--strategy", "dense"]) == 1
     assert "N <= 80" in capsys.readouterr().err
+    assert main(args) == 1
+    assert f"N <= {nc_laplacian.BANDED_CAP} " in capsys.readouterr().err
     assert not list(tmp_path.glob("spectrum_*"))
 
 

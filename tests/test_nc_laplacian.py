@@ -294,21 +294,24 @@ class TestDenseSuperoperator:
 
     def test_cap_refusal(self, triaxial_123, prolate_112):
         N = nc_laplacian.DENSE_CAP + 1
-        # a forced dense run on a surface of revolution reaches the assembly
-        ops = _ops(prolate_112, N)
-        for parity in (None, 0):
+        # only the dense oracle refuses; a triaxial operator set builds at any N
+        for surf in (prolate_112, triaxial_123):
+            ops = _ops(surf, N)
             with pytest.raises(DenseSizeError):
-                assemble_dense_superoperator(ops, parity=parity)
-        with pytest.raises(DenseSizeError, match=f"N <= {nc_laplacian.DENSE_CAP} "):
-            nc.spectrum(ops, strategy="dense")
-        # no other strategy serves a surface that is not one of revolution, so
-        # its gamma is refused before the dense decomposition
-        with pytest.raises(DenseSizeError, match=f"N <= {nc_laplacian.DENSE_CAP} "):
-            _ops(triaxial_123, N)
+                assemble_dense_superoperator(ops)
+            with pytest.raises(DenseSizeError, match=f"N <= {nc_laplacian.DENSE_CAP} "):
+                nc.spectrum(ops, strategy="dense")
+        assert nc_laplacian.resolve_strategy("auto", revolution=False) == "banded"
 
-    def test_parity_must_name_a_sector(self, triaxial_123):
-        with pytest.raises(ValueError, match="parity"):
-            assemble_dense_superoperator(_ops(triaxial_123, 6), parity=2)
+    def test_banded_cap_refuses_before_assembly(self, triaxial_123, monkeypatch):
+        def no_band(*args):
+            raise AssertionError("sector band assembled")
+
+        monkeypatch.setattr(nc_laplacian, "_sector_band", no_band)
+        ops = _ops(triaxial_123, 6)
+        monkeypatch.setattr(nc_laplacian, "BANDED_CAP", 5)
+        with pytest.raises(ConfigError, match="banded strategy needs N <= 5 "):
+            nc.spectrum(ops, count=4)
 
 
 class TestBlocks:
@@ -446,9 +449,9 @@ class TestSpectrum:
 
     def test_auto_strategy_selection(self, unit_sphere, triaxial_123):
         assert nc.spectrum(_ops(unit_sphere, 12), count=4).strategy == "blocks"
-        assert nc.spectrum(_ops(triaxial_123, 10), count=4).strategy == "dense"
+        assert nc.spectrum(_ops(triaxial_123, 10), count=4).strategy == "banded"
         rep = nc.spectrum(_ops(triaxial_123, 44), count=9)
-        assert rep.strategy == "dense"
+        assert rep.strategy == "banded"
         assert max(rep.residuals) <= 1e-10
 
     @pytest.mark.parametrize(
@@ -456,6 +459,8 @@ class TestSpectrum:
         [
             ("triaxial_123", 8, "dense"),
             ("unit_sphere", 10, "dense"),
+            ("triaxial_123", 8, "banded"),
+            ("unit_sphere", 10, "banded"),
             ("prolate_112", 64, "blocks"),
             ("unit_sphere", 100, "blocks"),
         ],
@@ -463,9 +468,17 @@ class TestSpectrum:
     def test_solvers_hand_back_count_pairs_in_report_order(self, request, surface, N, strategy):
         ops = _ops(request.getfixturevalue(surface), N)
         count, K = 9, 3
+        dims = [(N * N + 1) // 2, N * N // 2]
         if strategy == "dense":
             pairs, diagnostics = _dense_pairs(ops, count)
-            assert diagnostics == {}
+            assert diagnostics == {"sector_dims": dims, "eigh_calls": 2}
+        elif strategy == "banded":
+            pairs, diagnostics = nc_laplacian._banded_pairs(ops, count)
+            assert set(diagnostics) == {"sector_dims", "half_bandwidth", "shift", "solves"}
+            assert diagnostics["sector_dims"] == dims
+            assert diagnostics["half_bandwidth"] == (3 * N + 1) // 2 - 1
+            assert diagnostics["shift"] == nc_laplacian.default_cluster_gap(ops)
+            assert diagnostics["solves"] > 0
         else:
             pairs, diagnostics = nc_laplacian._block_pairs(ops, count, K)
             assert set(diagnostics) == {"levels_solved", "sturm_counts", "level_bound"}
@@ -474,7 +487,7 @@ class TestSpectrum:
         assert keys == sorted(keys)
         for lam, block, F in pairs:
             # F is in the kind apply_laplacian takes, and comes back in it
-            if strategy == "dense":
+            if strategy != "blocks":
                 assert block is None
                 assert isinstance(F, np.ndarray) and F.shape == (N, N)
                 assert isinstance(nc.apply_laplacian(ops, F), np.ndarray)
@@ -552,7 +565,7 @@ class TestSpectrum:
         for key in diagnostics:
             assert key not in csv_path.read_text()
         dense = nc.spectrum(ops, strategy="dense", count=4).to_json_dict()["diagnostics"]
-        assert list(dense) == ["residual_margin"]
+        assert list(dense) == ["sector_dims", "eigh_calls", "residual_margin"]
         assert 0 < dense["residual_margin"] <= 1
 
     @pytest.mark.parametrize(
@@ -687,16 +700,23 @@ class TestDenseSectors:
         with pytest.raises(SolverConvergenceError):
             nc.spectrum(_ops(triaxial_123, 8), strategy="dense", count=4)
 
-    def test_positive_eigenvalue_is_refused(self, triaxial_123, monkeypatch):
-        original = nc_laplacian.assemble_dense_superoperator
-        monkeypatch.setattr(
-            nc_laplacian, "assemble_dense_superoperator", lambda *a, **kw: -original(*a, **kw)
-        )
-        with pytest.raises(ConsistencyError, match="negative semidefinite"):
-            nc.spectrum(_ops(triaxial_123, 8), strategy="dense", count=4)
+    @pytest.mark.parametrize("strategy", ["dense", "banded"])
+    def test_positive_eigenvalue_is_refused(self, triaxial_123, monkeypatch, strategy):
+        # -H has levels far above any shift: the dense solve sees them, the
+        # banded Cholesky factorization of sigma I + H fails
+        original = nc_laplacian._sector_band
 
+        def negated(*args):
+            band, rows = original(*args)
+            return -band, rows
+
+        monkeypatch.setattr(nc_laplacian, "_sector_band", negated)
+        with pytest.raises(ConsistencyError, match="negative semidefinite"):
+            nc.spectrum(_ops(triaxial_123, 8), strategy=strategy, count=4)
+
+    @pytest.mark.parametrize("strategy", ["dense", "banded"])
     @pytest.mark.parametrize("entry", [(0, 1, 1e-3), (0, 0, 1e-3j)], ids=["coupling", "imaginary"])
-    def test_broken_sector_structure_is_refused(self, triaxial_123, monkeypatch, entry):
+    def test_broken_sector_structure_is_refused(self, triaxial_123, monkeypatch, entry, strategy):
         # the first factor, sum_i A_i A_i, is real with even offsets only: (0, 1)
         # is an odd offset (couples the sectors), 1e-3j an imaginary entry
         original = nc_laplacian._kron_terms
@@ -711,7 +731,23 @@ class TestDenseSectors:
 
         monkeypatch.setattr(nc_laplacian, "_kron_terms", perturbed)
         with pytest.raises(ConsistencyError, match="parity sectors"):
-            nc.spectrum(_ops(triaxial_123, 8), strategy="dense", count=4)
+            nc.spectrum(_ops(triaxial_123, 8), strategy=strategy, count=4)
+
+    def test_column_factor_beyond_offset_two_is_refused(self, triaxial_123, monkeypatch):
+        # the last Q factor, sum_i X_i^T X_i^T, has offsets 0 and +-2 only
+        original = nc_laplacian._kron_terms
+
+        def widened(*args, **kwargs):
+            terms = original(*args, **kwargs)
+            P, Q = terms[-1]
+            Q = Q.copy()
+            Q[4, 0] += 1e-3
+            terms[-1] = (P, Q)
+            return terms
+
+        monkeypatch.setattr(nc_laplacian, "_kron_terms", widened)
+        with pytest.raises(ConsistencyError, match="beyond offset 2"):
+            nc.spectrum(_ops(triaxial_123, 8), strategy="banded", count=4)
 
     @pytest.mark.parametrize("surf, N, beta, offset", SECTOR_CASES)
     def test_sectors_are_restrictions_of_root_form_operator(self, surf, N, beta, offset):
@@ -730,12 +766,14 @@ class TestDenseSectors:
         parity = np.add.outer(n, n).ravel() % 2
         dims = []
         for p in (0, 1):
-            idx = nc_laplacian._sector_index(N, p)
-            np.testing.assert_array_equal(np.sort(idx), np.flatnonzero(parity == p))
-            sector = assemble_dense_superoperator(ops, root=R, parity=p)
-            assert sector.dtype == np.float64
-            assert np.abs(sector - H[np.ix_(idx, idx)]).max() <= 1e-15 * scale
-            assert not H[np.ix_(idx, np.flatnonzero(parity != p))].any()
+            # the band, densified and permuted back, is the expanded sector
+            band, rows = nc_laplacian._sector_band(ops, R, p)
+            np.testing.assert_array_equal(np.sort(rows), np.flatnonzero(parity == p))
+            assert band.dtype == np.float64
+            assert band.shape == ((3 * N + 1) // 2, len(rows))
+            sector = assemble_dense_superoperator(ops, band)
+            assert np.abs(sector - H[np.ix_(rows, rows)]).max() <= 1e-15 * scale
+            assert not H[np.ix_(rows, np.flatnonzero(parity != p))].any()
             dims.append(len(sector))
         if N % 2:
             assert dims == [(N * N + 1) // 2, (N * N - 1) // 2]
@@ -757,6 +795,76 @@ class TestDenseSectors:
         finally:
             tracemalloc.stop()
         assert peak < 12e6
+
+
+BANDED_ORACLE_CASES = [
+    pytest.param(axes, N, offset, id=f"{':'.join(f'{x:g}' for x in axes)}-N{N}-{offset}")
+    for axes in ((1.0, 2.0, 3.0), (1.0, 1.2, 1.5), (0.5, 1.0, 4.0), (1.0, 3.0, 9.0))
+    for N in (11, 16)
+    for offset in ("paper", "symmetric")
+] + [pytest.param((1.0, 2.0, 3.0), 33, "paper", id="1:2:3-N33-paper")]
+
+
+class TestBandedSectors:
+    @pytest.mark.parametrize("axes, N, offset", BANDED_ORACLE_CASES)
+    def test_matches_complex_oracle(self, axes, N, offset):
+        ops = _ops(nc.ellipsoid(*axes), N, offset=offset)
+        count = 9
+        rep = nc.spectrum(ops, strategy="banded", count=count)
+        assert rep.strategy == "banded"
+        w = np.linalg.eigvals(assemble_dense_superoperator(ops))
+        oracle = np.sort(w[np.argsort(np.abs(w))[:count]].real)
+        values = np.sort(rep.eigenvalues)
+        assert np.all(np.abs(values - oracle) <= 1e-10 * (1.0 + np.abs(oracle)))
+
+    def test_identical_runs_give_identical_values(self, triaxial_123):
+        ops = _ops(triaxial_123, 20)
+        first, second = (nc.spectrum(ops, strategy="banded", count=9) for _ in range(2))
+        assert first.eigenvalues == second.eigenvalues
+        assert first.residuals == second.residuals
+
+    def test_sectors_too_small_for_lanczos_use_eigh(self, unit_sphere):
+        # N = 3: sectors of dimension 5 and 4 hold every one of the 9 levels
+        ops = _ops(unit_sphere, 3)
+        rep = nc.spectrum(ops, strategy="banded", count=9)
+        assert rep.diagnostics["solves"] == 0
+        oracle = np.sort(np.linalg.eigvals(assemble_dense_superoperator(ops)).real)
+        np.testing.assert_allclose(np.sort(rep.eigenvalues), oracle, rtol=0, atol=1e-10)
+
+    def test_lanczos_failure_is_a_convergence_error(self, triaxial_123, monkeypatch):
+        import scipy.sparse.linalg as spla
+
+        def stalled(A, k, **kwargs):
+            raise spla.ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((0, 0)))
+
+        monkeypatch.setattr(spla, "eigsh", stalled)
+        with pytest.raises(SolverConvergenceError, match="Lanczos"):
+            nc.spectrum(_ops(triaxial_123, 8), strategy="banded", count=4)
+
+    def test_past_the_dense_cap_within_memory(self, triaxial_123):
+        # one dense sector alone would take 415 MB at N = 120
+        ops = _ops(triaxial_123, 120)
+        tracemalloc.start()
+        try:
+            rep = nc.spectrum(ops, count=9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.strategy == "banded"
+        assert rep.diagnostics["residual_margin"] <= 1
+        assert rep.diagnostics["sector_dims"] == [7200, 7200]
+        assert peak < 60e6
+
+    @pytest.mark.parametrize("strategy", ["banded", "dense", "blocks"])
+    def test_count_above_the_total_is_refused_before_assembly(self, unit_sphere, monkeypatch, strategy):
+        def refused(*args, **kwargs):
+            raise AssertionError("assembled")
+
+        monkeypatch.setattr(nc_laplacian, "_sector_band", refused)
+        monkeypatch.setattr(nc_laplacian, "block_decompose", refused)
+        ops = _ops(unit_sphere, 6)
+        with pytest.raises(ConfigError, match="^requested 37 eigenvalues, only 36 available"):
+            nc.spectrum(ops, strategy=strategy, count=37, block_range=2)
 
 
 class TestConvergenceStudy:

@@ -247,6 +247,28 @@ def test_surface_integral_of_one_matches_closed_form_area(axes):
     assert nc.surface_area(surf) == pytest.approx(want, rel=1e-12)
 
 
+def test_gauss_legendre_rule_is_computed_once_per_n(monkeypatch):
+    from scipy.special import roots_legendre
+
+    from nclaplace import surface
+
+    x, w = surface._gauss_legendre(24)
+    assert surface._gauss_legendre(24)[0] is x
+    fresh = roots_legendre(24)
+    assert x.tobytes() == fresh[0].tobytes() and w.tobytes() == fresh[1].tobytes()
+    for a in (x, w):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
+    # integrals are bit-identical to a rule computed afresh for every n
+    surf = nc.ellipsoid(1.0, 2.0, 3.0)
+    cached = nc.surface_integral(surf, surf.coord_x)
+    one = nc.BandLimitedFunction({0: nc.constant_profile(1.0)}, surf.z_interval)
+    cached_one = nc.surface_integral(surf, one)
+    monkeypatch.setattr(surface, "_gauss_legendre", roots_legendre)
+    assert nc.surface_integral(surf, surf.coord_x) == cached
+    assert nc.surface_integral(surf, one) == cached_one
+
+
 def test_surface_integral_warns_when_the_rule_does_not_converge(unit_sphere):
     # sqrt|z| has a kink at the equator: Gauss-Legendre converges only algebraically
     kink = nc.BandLimitedFunction(
