@@ -25,9 +25,10 @@ and a diagnostics dict:
   with G = gamma^{-1} and K self-adjoint, so H = G^{1/2} K G^{1/2} is
   symmetric, similar to L, and keeps the parity sectors of F[n, m] apart.
   With rows ordered m-major each real sector is a band of half-bandwidth
-  about 3N/2 (`_sector_band`, O(N^3) from checked real Kronecker factors);
-  shift-invert Lanczos on its banded Cholesky factor finds the levels
-  closest to 0.  F is the N x N eigenmatrix.
+  about 3N/2 (`_sector_band`, O(N^3) from the real Kronecker expansion
+  `_root_terms`, built once per call); shift-invert Lanczos on its banded
+  Cholesky factor finds the levels closest to 0.  F is the real N x N
+  eigenmatrix.
 - dense (`_dense_pairs`; any surface, N <= DENSE_CAP): the oracle, one
   exact `eigh` of each sector band densified.
 - blocks (`_block_pairs`; revolution surfaces, large N): gamma is diagonal,
@@ -43,9 +44,17 @@ and a diagnostics dict:
   call over the levels above -(largest kept + gap): it bisects none unless
   the check fails.  F is the map {k: padded diagonal}.
 
-`apply_laplacian` of an offset -> diagonal map runs on the same banded
-kernel: every product of two banded matrices is a sum of shifted
-elementwise products of their diagonals.
+Both sector strategies and the dense `apply_laplacian` run in real
+arithmetic.  On every surface built here X and Z are real, Y is purely
+imaginary, X and Y sit on odd offsets and Z on even ones, so S = gamma^2,
+gamma, G and G^{1/2} are real with even offsets, L maps real matrices to
+real ones, and Y's two factors in each term give a sign -1 (COORD_SIGNS).
+That structure is checked once, at its source, where the real coordinate
+forms are made (`QuantizedOperatorSet.real_coordinates`); a broken input
+raises ConsistencyError there.  `apply_laplacian` of an offset -> diagonal
+map runs on the banded kernel: every product of two banded matrices is a
+sum of shifted elementwise products of their diagonals.  The complex
+`assemble_dense_superoperator` stays the independent oracle.
 """
 
 from __future__ import annotations
@@ -85,7 +94,8 @@ from .surface import SurfaceDescriptor
 DENSE_CAP = 80
 
 #: largest N of the banded strategy: a sector band holds about 6 N^3 bytes,
-#: 0.4 GB at N = 400 (a 0.73 GB peak), and its solve takes O(N^4) work
+#: 0.38 GB at N = 400, where a whole CLI run peaks at 0.49 GB (ru_maxrss)
+#: and takes about 12 s on 2 cores; its solve takes O(N^4) work
 BANDED_CAP = 400
 
 #: relative off-diagonal mass allowed in the commutator-square sum of a
@@ -104,6 +114,15 @@ CUTOFF_STEPS = 6
 #: a ?stebz tolerance so coarse that the bisection stops at the Sturm count
 STURM_COUNT_ABSTOL = np.finfo(float).max
 
+#: X = M_0, Y = i M_1 and Z = M_2 with real M_i (`real_coordinates`), so a
+#: product of two copies of coordinate i is COORD_SIGNS[i] times that of M_i
+COORD_SIGNS = (1.0, -1.0, 1.0)
+
+#: index and value entries `_sector_band` scatters per step: every (offset,
+#: row-parity) group is one step up to N = 80, and one block row of N^2/4
+#: entries bounds a step beyond
+SCATTER_ENTRIES = 1 << 16
+
 
 def check_size(strategy: str, N: int) -> None:
     """Refuse dense above DENSE_CAP (DenseSizeError), banded above BANDED_CAP."""
@@ -118,16 +137,18 @@ def check_size(strategy: str, N: int) -> None:
 
 def build_gamma(coords: CoordinateMatrices, hbar: float):
     """Eigenpairs (w, V) of gamma, the principal square root of
-    S = -([X,Y]^2 + [Y,Z]^2 + [Z,X]^2)/hbar^2: gamma = V diag(w) V^H.
+    S = -([X,Y]^2 + [Y,Z]^2 + [Z,X]^2)/hbar^2: gamma = V diag(w) V^T.
 
     S is summed on stored diagonals (``coords.diagonals``,
     `_banded_commutator`, `_banded_product`), and made dense only for the
-    triaxial decomposition.  It must be hermitian positive semidefinite up
-    to rounding; eigenvalues of S below -1e-10*||S|| signal a wrong hbar or
-    broken coordinates.  On a surface of revolution S is diagonal: w is the
-    entrywise root of its diagonal and V is None (gamma = diag(w));
-    off-diagonal mass above GAMMA_DIAGONAL_TOL raises
-    NotRevolutionSurfaceError.  Otherwise S is decomposed densely.
+    triaxial decomposition.  It must be real symmetric positive semidefinite
+    up to rounding (X and Z real, Y imaginary make every commutator square
+    real), and is decomposed in real arithmetic, so V is real; eigenvalues
+    of S below -1e-10*||S|| signal a wrong hbar or broken coordinates.  On
+    a surface of revolution S is diagonal: w is the entrywise root of its
+    diagonal and V is None (gamma = diag(w)); off-diagonal mass above
+    GAMMA_DIAGONAL_TOL raises NotRevolutionSurfaceError.  Otherwise S is
+    decomposed densely.
     """
     N = coords.grid.N
     X = coords.diagonals
@@ -138,11 +159,12 @@ def build_gamma(coords: CoordinateMatrices, hbar: float):
     S = {k: -d for k, d in S.items()}
     scale = max(max(abs(d).max() for d in S.values()), 1e-300)
     adjoint = _adjoint(S)
-    dev = max(abs(d - adjoint.get(k, 0.0)).max() for k, d in S.items())
+    dev = max(abs(d - adjoint.get(k, 0.0)).max() + abs(d.imag).max() for k, d in S.items())
     if dev > 1e-12 * scale:
-        raise ConsistencyError(f"commutator square sum deviates from hermitian by {dev:.2e}")
+        raise ConsistencyError(f"commutator square sum deviates from real symmetric by {dev:.2e}")
+    S = {k: d.real for k, d in S.items()}
     if coords.surface.revolution:
-        w = np.real(S[0])
+        w = S[0]
         off_mass = max((abs(d).max() for k, d in S.items() if k != 0), default=0.0)
         if off_mass > GAMMA_DIAGONAL_TOL * scale:
             raise NotRevolutionSurfaceError(
@@ -152,8 +174,8 @@ def build_gamma(coords: CoordinateMatrices, hbar: float):
             )
         V = None
     else:
-        S = _dense(S, N)
-        w, V = _eigh(0.5 * (S + S.conj().T))
+        S = _dense(S, N).real
+        w, V = _eigh(0.5 * (S + S.T))
     wmax = max(w.max(), 0.0)
     if w.min() < -1e-10 * max(wmax, 1e-300):
         raise ConsistencyError(
@@ -164,9 +186,9 @@ def build_gamma(coords: CoordinateMatrices, hbar: float):
 
 
 def _eigh(M: np.ndarray):
-    """Eigenpairs (w, V) of hermitian M, with one `eigh` per index-parity
-    class when M has no odd offsets, so that V and every `_hermitian(., V)`
-    keep exact zeros there."""
+    """Eigenpairs (w, V) of real symmetric M, with one `eigh` per
+    index-parity class when M has no odd offsets, so that V and every
+    `_hermitian(., V)` keep exact zeros there."""
     if M[::2, 1::2].any():
         return np.linalg.eigh(M)
     w, V = np.empty(len(M)), np.zeros_like(M)
@@ -176,11 +198,12 @@ def _eigh(M: np.ndarray):
 
 
 def _hermitian(w: np.ndarray, V) -> np.ndarray:
-    """V diag(w) V^H, or diag(w) when V is None (a diagonal eigenbasis)."""
+    """V diag(w) V^T for the real eigenvectors V of `build_gamma`, or
+    diag(w) when V is None (a diagonal eigenbasis)."""
     if V is None:
         return np.diag(w)
-    M = (V * w) @ V.conj().T
-    return 0.5 * (M + M.conj().T)
+    M = (V * w) @ V.T
+    return 0.5 * (M + M.T)
 
 
 def gamma_inverse(w: np.ndarray) -> np.ndarray:
@@ -202,13 +225,14 @@ def gamma_inverse(w: np.ndarray) -> np.ndarray:
 class QuantizedOperatorSet:
     """Everything needed to apply the commutator Laplacian.
 
-    gamma = V diag(gamma_eigenvalues) V^H and gamma^{-1} =
-    V diag(gamma_inv_eigenvalues) V^H with V = ``gamma_eigenvectors``, which
-    is None exactly on a surface of revolution (gamma diagonal, as
+    gamma = V diag(gamma_eigenvalues) V^T and gamma^{-1} =
+    V diag(gamma_inv_eigenvalues) V^T with V = ``gamma_eigenvectors``, real,
+    and None exactly on a surface of revolution (gamma diagonal, as
     `build_gamma` checked).  ``gamma_inv_eigenvalues`` is 1/w from
     `gamma_inverse`, which refuses a near-singular gamma at construction;
-    ``hbar`` and ``N`` are the grid's.  ``gamma`` and ``gamma_inv`` are the
-    dense forms, made on first use by the dense paths.
+    ``hbar`` and ``N`` are the grid's.  ``gamma``, ``gamma_inv`` and
+    ``real_coordinates`` are the real dense forms, made on first use by the
+    dense paths.
     """
 
     coords: CoordinateMatrices
@@ -239,6 +263,29 @@ class QuantizedOperatorSet:
         return _hermitian(self.gamma_inv_eigenvalues, self.gamma_eigenvectors)
 
     @cached_property
+    def real_coordinates(self) -> tuple:
+        """The real forms (M_0, M_1, M_2) = (X, Im Y, Z) as dense arrays:
+        X = M_0, Y = i M_1 and Z = M_2 (COORD_SIGNS).
+
+        This is the one check of the structure the sector paths and the dense
+        `apply_laplacian` rely on: X and Z real, Y purely imaginary, X and Y
+        on odd offsets only, Z and gamma^{-1} on even offsets only.  Then L
+        maps real matrices to real ones and keeps the parity sectors of
+        F[n, m] (n + m even or odd) apart.  Anything else raises
+        ConsistencyError."""
+        N = self.N
+        n = np.arange(N)
+        odd = np.add.outer(n, n) % 2 == 1
+        X, Y, Z = (_dense(M, N) for M in self.coords.diagonals)
+        rest = (X.imag, Y.real, Z.imag, X[~odd], Y[~odd], Z[odd], self.gamma_inv[odd])
+        if any(r.any() for r in rest):
+            raise ConsistencyError(
+                "the coordinates or gamma^{-1} break the real structure that keeps the parity "
+                "sectors apart (X, Z real, Y imaginary; X, Y on odd offsets; Z, G on even ones)"
+            )
+        return tuple(np.ascontiguousarray(M) for M in (X.real, Y.imag, Z.real))
+
+    @cached_property
     def diagonals(self) -> tuple:
         """(X, G): the offset -> diagonal maps of X, Y and Z
         (``coords.diagonals``) and of G = gamma^{-1}.  G is the single
@@ -263,8 +310,12 @@ def apply_laplacian(ops: QuantizedOperatorSet, F):
     zero outside the matrix) and returns the same kind.  On a map every
     product is taken on diagonals (`_banded_product`), with the diagonals of
     X, Y, Z and gamma^{-1} from ``ops.diagonals``; the result holds its
-    offsets in ascending order.  The closed-form blocks of `_offset_block`
-    are not used, so the check stays independent of the solve it verifies.
+    offsets in ascending order.  On a dense array L is real: with the real
+    forms M_i of ``ops.real_coordinates`` it is
+    -(1/hbar^2) G sum_i s_i [M_i, G [M_i, F]], s = COORD_SIGNS, applied to
+    Re F and Im F in real products (a real F comes back real).  The
+    closed-form blocks of `_offset_block` are not used, so the check stays
+    independent of the solve it verifies.
     """
     if isinstance(F, dict):
         N = ops.N
@@ -274,29 +325,28 @@ def apply_laplacian(ops: QuantizedOperatorSet, F):
             inner = _banded_product(G, _banded_commutator(Xi, F, N), N)
             _accumulate(out, _banded_product(G, _banded_commutator(Xi, inner, N), N))
         return {k: out[k] / -ops.hbar**2 for k in sorted(out)}
-    F = np.asarray(F, dtype=complex)
-    mats = (ops.coords.X, ops.coords.Y, ops.coords.Z)
+    F = np.asarray(F)
+    parts = np.stack((F.real, F.imag)) if np.iscomplexobj(F) else F.astype(float, copy=False)
     G = ops.gamma_inv
-    out = None
-    for Xi in mats:
-        inner = G @ (Xi @ F - F @ Xi)
-        term = G @ (Xi @ inner - inner @ Xi)
-        out = term if out is None else out + term
-    return -out / ops.hbar**2
+    out = 0.0
+    for s, M in zip(COORD_SIGNS, ops.real_coordinates):
+        inner = G @ (M @ parts - parts @ M)
+        out = out + s * (M @ inner - inner @ M)
+    out = G @ out / -ops.hbar**2
+    return out[0] + 1j * out[1] if np.iscomplexobj(F) else out
 
 
-def _kron_terms(ops: QuantizedOperatorSet, root=None) -> list:
-    """The Kronecker expansion of the Laplacian: L (H with ``root``) is
+def _kron_terms(ops: QuantizedOperatorSet) -> list:
+    """The complex Kronecker expansion of the Laplacian, for the oracle: L is
     -(1/hbar^2) times the sum of kron(P, Q) over the returned pairs (P, Q).
 
     With vec(A F B) = kron(A, B^T) vec(F), G = gamma^{-1} and A_i = G X_i,
     each term G[X_i, G[X_i, F]] expands to
-    kron(A_i A_i, I) - kron(A_i G + G A_i, X_i^T) + kron(G G, X_i^T X_i^T);
-    with root = G^{1/2} and A_i = root X_i root the sum is root K root.
+    kron(A_i A_i, I) - kron(A_i G + G A_i, X_i^T) + kron(G G, X_i^T X_i^T).
     """
     G = ops.gamma_inv
     mats = (ops.coords.X, ops.coords.Y, ops.coords.Z)
-    A = [G @ Xi if root is None else root @ Xi @ root for Xi in mats]
+    A = [G @ Xi for Xi in mats]
     return [
         (sum(Ai @ Ai for Ai in A), np.eye(ops.N)),
         *((-(Ai @ G + G @ Ai), Xi.T) for Ai, Xi in zip(A, mats)),
@@ -304,49 +354,49 @@ def _kron_terms(ops: QuantizedOperatorSet, root=None) -> list:
     ]
 
 
-def _real_factors(terms: list, N: int) -> list:
-    """Each pair (P, Q) as (P~, Q~, q): real factors with kron(P~, Q~) =
-    kron(P, Q) and the one offset parity q that P and Q share.
+def _root_terms(ops: QuantizedOperatorSet, root: np.ndarray) -> list:
+    """The real Kronecker expansion of H = (R (x) I) K (R (x) I), R = ``root``
+    = G^{1/2}: H is -(1/hbar^2) times the sum of kron(P, Q) over the
+    returned (P, Q, q), with q the offset parity that P and Q share.
 
-    A pair must be both real or both imaginary (kron(iP~, iQ~) =
-    -kron(P~, Q~)) and hold exact zeros off its offset parity; then every
-    term maps each parity sector of F[n, m] (n + m even or odd) to itself in
-    real arithmetic, and so does their sum.  Anything else raises
-    ConsistencyError.
+    It is `_kron_terms` with A_i = R M_i R in place of G X_i, written by the
+    real forms M_i of ``ops.real_coordinates`` (which checks the structure)
+    and their signs s_i = COORD_SIGNS[i], since kron(iP, iQ) = -kron(P, Q):
+    kron(sum_i s_i A_i A_i, I) - kron(A_i G + G A_i, s_i M_i^T)
+    + kron(G G, sum_i s_i M_i^T M_i^T).  X and Y sit on odd offsets, and Z,
+    G and R on even ones, which gives each term its parity.
     """
-    n = np.arange(N)
-    odd = np.add.outer(n, n) % 2 == 1
-    factors = []
-    for P, Q in terms:
-        imag = P.imag.any() or Q.imag.any()
-        parities = [q for q, at in ((0, ~odd), (1, odd)) if P[at].any() or Q[at].any()]
-        if len(parities) > 1 or imag and (P.real.any() or Q.real.any()):
-            raise ConsistencyError(
-                "a Kronecker factor of the operator is complex or couples the parity sectors"
-            )
-        pair = (-P.imag, Q.imag) if imag else (P.real, Q.real)
-        factors.append((*pair, parities[0] if parities else 0))
-    return factors
+    G = ops.gamma_inv
+    mats = ops.real_coordinates
+    A = [root @ M @ root for M in mats]
+    return [
+        (sum(s * Ai @ Ai for s, Ai in zip(COORD_SIGNS, A)), np.eye(ops.N), 0),
+        *((-(Ai @ G + G @ Ai), s * M.T, q) for s, Ai, M, q in zip(COORD_SIGNS, A, mats, (1, 1, 0))),
+        (G @ G, sum(s * M.T @ M.T for s, M in zip(COORD_SIGNS, mats)), 0),
+    ]
 
 
-def _sector_band(ops: QuantizedOperatorSet, root: np.ndarray, parity: int) -> tuple:
+def _sector_band(ops: QuantizedOperatorSet, terms: list, parity: int) -> tuple:
     """(band, rows): parity sector F[n, m], n + m = ``parity`` (mod 2), of
     H = (root (x) I) K (root (x) I) in LAPACK lower band storage,
     band[i - j, j] = H[i, j] for 0 <= i - j <= kd, and the row-major flat
     index n*N + m of each row.
 
-    Rows run m-major (m outer, n inner), so the Q factors of `_kron_terms`,
-    which act on m, set the band: they are read by their diagonals and may
-    reach offsets |m - m'| <= 2 only (ConsistencyError otherwise), and kd is
-    three row groups less one, (3N + 1)//2 - 1.  The factors are made real
-    and checked by `_real_factors`; the block of rows m and columns m - d is
-    the sum of Q~[m, m - d] P~[n, n'] over the factors of offset parity d.
-    O(N^3) work and storage; neither the N^2 x N^2 operator nor a dense
-    sector is formed.
+    ``terms`` is the real expansion `_root_terms`, whose structure was
+    checked once where its real coordinates were made
+    (`QuantizedOperatorSet.real_coordinates`).  Rows run m-major (m outer,
+    n inner), so the Q factors, which act on m, set the band: they are read
+    by their diagonals and may reach offsets |m - m'| <= 2 only
+    (ConsistencyError otherwise), and kd is three row groups less one,
+    (3N + 1)//2 - 1.  The block of rows m and columns m - d is the sum of
+    Q[m, m - d] P[n, n'] over the terms of offset parity d; each (d, row
+    parity) group is scattered a few block rows m at a time, at most
+    SCATTER_ENTRIES entries or one block row, so the work arrays beside the
+    band stay O(N^2).  O(N^3) work and storage; neither the N^2 x N^2
+    operator nor a dense sector is formed.
     """
     N = ops.N
-    factors = _real_factors(_kron_terms(ops, root), N)
-    if any(np.triu(Q, 3).any() or np.tril(Q, -3).any() for _, Q, _ in factors):
+    if any(max(sla.bandwidth(Q)) > 2 for _, Q, _ in terms):
         raise ConsistencyError("a Kronecker factor on the column index reaches beyond offset 2")
     n_of = [np.arange((parity - m) % 2, N, 2) for m in range(N)]
     start = np.cumsum([0] + [len(n) for n in n_of])
@@ -354,18 +404,22 @@ def _sector_band(ops: QuantizedOperatorSet, root: np.ndarray, parity: int) -> tu
     kd = max(start[m + 1] - start[max(m - 2, 0)] for m in range(N)) - 1
     band = np.zeros((kd + 1, start[-1]), order="F")  # LAPACK's order: factored in place
     for d in range(min(3, N)):  # the blocks of rows m and columns m - d
-        terms = [(P, Q) for P, Q, q in factors if q == d % 2]
-        for c in (0, 1) if terms else ():  # rows m = c (mod 2)
+        group = [(P, Q) for P, Q, q in terms if q == d % 2]
+        for c in (0, 1) if group else ():  # rows m = c (mod 2)
             m = np.arange(d + (c - d) % 2, N, 2)
             a, b = (parity - c) % 2, (parity - c + d) % 2  # the parities of n and n'
-            sub = np.array([P[a::2, b::2] for P, _ in terms])
+            sub = np.array([P[a::2, b::2] for P, _ in group])
             alpha, beta = np.indices(sub.shape[1:]).reshape(2, -1)  # the entries of a block
             kept = alpha >= beta if d == 0 else slice(None)  # of a diagonal block, the lower triangle
             alpha, beta = alpha[kept], beta[kept]
-            coef = np.array([np.diagonal(Q, -d)[m - d] for _, Q in terms])
-            i = (start[m] - start[m - d])[:, None] + (alpha - beta)
-            j = start[m - d][:, None] + beta
-            band[i, j] = np.tensordot(coef, sub[:, alpha, beta], axes=(0, 0))
+            sub = sub[:, alpha, beta]
+            coef = np.array([np.diagonal(Q, -d)[m - d] for _, Q in group])
+            step = max(1, SCATTER_ENTRIES // len(alpha))
+            for s in range(0, len(m), step):
+                ms = m[s : s + step]
+                i = (start[ms] - start[ms - d])[:, None] + (alpha - beta)
+                j = start[ms - d][:, None] + beta
+                band[i, j] = coef[:, s : s + step].T @ sub
     band *= -1.0 / ops.hbar**2
     return band, rows
 
@@ -683,26 +737,37 @@ def _sector_pairs(ops: QuantizedOperatorSet, count: int, solve) -> tuple:
     """The `count` eigenpairs (lambda, None, F) of L closest to 0 in report
     order, and ``sector_dims``.  ``solve(band, k)`` gives the k largest
     eigenpairs (w, Y) of a real parity sector of H = (R (x) I) K (R (x) I),
-    R = G^{1/2}, from its `_sector_band`; F = R Y is scattered back through
-    the band's rows.  A level above the solver tolerance: ConsistencyError."""
+    R = G^{1/2}, from its `_sector_band`; both sectors share one real
+    expansion `_root_terms`.  A level above the solver tolerance:
+    ConsistencyError.  The kept vectors are scattered back through their
+    band's rows and mapped to F = R Y in one batched product, after both
+    bands are released."""
     N = ops.N
     root = _hermitian(1.0 / np.sqrt(ops.gamma_eigenvalues), ops.gamma_eigenvectors)
-    found, dims = [], []
+    terms = _root_terms(ops, root)
+    values, vectors, dims = [], [], []
     for p in (0, 1):
-        band, rows = _sector_band(ops, root, p)
+        band, rows = _sector_band(ops, terms, p)
+        if p:
+            del terms  # the last solve needs its band only
         dims.append(len(rows))
         w, Y = solve(band, min(count, len(rows)))
         del band  # one O(N^3) band at a time
-        E = np.zeros((N * N, len(w)))
-        E[rows] = Y
-        found += [(float(lam), None, root @ e.reshape(N, N)) for lam, e in zip(w, E.T)]
-    top, tol = max(f[0] for f in found), 1e-8 * (1.0 + max(abs(f[0]) for f in found))
+        values += w.tolist()
+        vectors += [(rows, y) for y in Y.T]
+    top, tol = max(values), 1e-8 * (1.0 + max(abs(lam) for lam in values))
     if top > tol:
         raise ConsistencyError(
             f"eigenvalue {top:.3e} exceeds the solver tolerance {tol:.2e}; "
             "the operator is not negative semidefinite"
         )
-    return sorted(found, key=_report_order)[:count], {"sector_dims": dims}
+    kept = sorted(((lam, None, i) for i, lam in enumerate(values)), key=_report_order)[:count]
+    E = np.zeros((len(kept), N * N))
+    for e, (_, _, i) in zip(E, kept):
+        rows, y = vectors[i]
+        e[rows] = y
+    F = root @ E.reshape(-1, N, N)
+    return [(lam, None, f) for (lam, _, _), f in zip(kept, F)], {"sector_dims": dims}
 
 
 def _band_eigh(ops: QuantizedOperatorSet, band: np.ndarray, k: int) -> tuple:
@@ -721,9 +786,10 @@ def _banded_pairs(ops: QuantizedOperatorSet, count: int) -> tuple:
     """`_sector_pairs` with each sector solved by shift-invert Lanczos on its
     band (Ericsson & Ruhe, Math. Comp. 35 (1980); ARPACK `eigsh`).
 
-    With sigma = `default_cluster_gap` > 0, sigma I - H is factored once by
-    banded Cholesky (LAPACK ?pbtrf); a failure means H has a level at or
-    above sigma and raises the dense path's ConsistencyError.  The `count`
+    With sigma = `default_cluster_gap` > 0, sigma I - H is factored once, in
+    place, by banded Cholesky (LAPACK ?pbtrf), and each application of the
+    inverse is one ?pbtrs call; a failed factorization means H has a level
+    at or above sigma and raises the dense path's ConsistencyError.  The `count`
     largest theta of (sigma I - H)^{-1} give lambda = sigma - 1/theta, the
     levels closest to 0.  ``tol=0`` and a fixed start vector make identical
     runs give identical bytes; ArpackNoConvergence raises
@@ -744,17 +810,17 @@ def _banded_pairs(ops: QuantizedOperatorSet, count: int) -> tuple:
             return _band_eigh(ops, band, k)
         band *= -1.0
         band[0] += sigma
-        try:
-            factor = (sla.cholesky_banded(band, overwrite_ab=True, lower=True), True)
-        except np.linalg.LinAlgError:
+        pbtrf, pbtrs = sla.get_lapack_funcs(("pbtrf", "pbtrs"), (band,))
+        factor, info = pbtrf(band, lower=1, overwrite_ab=1)
+        if info != 0:
             raise ConsistencyError(
                 f"sigma I - H is not positive definite at the shift {sigma:.3e}; "
                 "the operator is not negative semidefinite"
-            ) from None
+            )
 
         def inverse(x):
             counts["solves"] += 1
-            return sla.cho_solve_banded(factor, x, check_finite=False)
+            return pbtrs(factor, x, lower=1)[0]
 
         op = LinearOperator((dim, dim), matvec=inverse, dtype=float)
         v0 = np.random.default_rng(0).standard_normal(dim)

@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-from scipy.special import roots_legendre
 
 from .errors import NotRevolutionSurfaceError, ResolutionError
+from .surface import _gauss_legendre
 
 #: basis functions per azimuthal mode of the first Galerkin solve, doubled
 #: until the estimate passes, and the largest count tried
@@ -316,7 +316,7 @@ def _galerkin_walk(a: float, c: float, count: int, L: int):
     """Kept levels (lambda, multiplicity, estimate, index within the mode) at
     degree L, whether they pass the gate, and the number of modes solved."""
     k = min(count, L - GALERKIN_NEST)
-    x, w = roots_legendre(2 * L + count + 16)  # enough nodes for every m <= count
+    x, w = _gauss_legendre(2 * L + count + 16)  # enough nodes for every m <= count
     levels = []
     tau = math.inf
     modes_solved = 0

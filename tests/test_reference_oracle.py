@@ -265,6 +265,19 @@ class TestGalerkinSpectrum:
             nc.galerkin_spectrum(nc.sphere(), 0)
 
 
+def test_galerkin_reads_the_cached_rule(monkeypatch):
+    # the read-only cached Gauss-Legendre rule gives the values a rule
+    # computed afresh on every call gives, bit for bit
+    s = nc.spheroid(1, 1.5)
+    cached = nc.galerkin_spectrum(s, 12)
+    monkeypatch.setattr(reference_oracle, "_gauss_legendre", roots_legendre)
+    fresh = nc.galerkin_spectrum(s, 12)
+    assert [(e.value, e.multiplicity) for e in cached.entries] == [
+        (e.value, e.multiplicity) for e in fresh.entries
+    ]
+    assert cached.metadata == fresh.metadata
+
+
 @pytest.mark.parametrize("c", [0.3, 1.5, 2.5])
 def test_galerkin_walk_matches_every_mode_solved(c):
     s = nc.spheroid(1, c)
