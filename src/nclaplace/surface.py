@@ -9,7 +9,9 @@ scaled by the axial semi-axis.
 The module provides what the quantized operator and its classical checks
 read: pointwise products and the unweighted Poisson bracket
 {f, h} = d_theta f d_z h - d_z f d_theta h as band-limited functions (built
-by mode calculus on closed-form profile derivatives), the area density
+by mode calculus on closed-form first z-derivatives: coordinates and
+products carry a profile and its first derivative, brackets their values
+only, since every command reads a bracket's value), the area density
 sqrt|g| = sqrt({x,y}^2 + {y,z}^2 + {z,x}^2), integrals against the area
 form, and the one parser that turns a surface spec (kind, semi_axes,
 radius) into a surface.
@@ -43,6 +45,9 @@ RADICAND_TOL = 1e-12
 #: nodes per direction of the integration rule: first and last of the doublings
 INTEGRAL_NODES = (32, 512)
 
+#: relative stopping tolerance of the integration rule's doublings
+INTEGRAL_REL_TOL = 1e-10
+
 #: absolute floor of the integration stopping test, so vanishing integrals stop
 INTEGRAL_ABS_TOL = 1e-13
 
@@ -54,20 +59,16 @@ SIZE_RANGE = (1e-50, 1e50)
 
 @dataclass(frozen=True)
 class Profile:
-    """One Fourier-mode profile f_j(z) with its closed-form first and second
-    derivatives.  A profile built without one can be evaluated and
-    integrated; asking for the missing derivative (a product's or bracket's
-    derivative, or a bracket's value) raises ValueError naming it.
-    ``jet(z, order, cache)``, when given, returns the value and the
-    derivatives up to ``order`` from one call, for profiles that share work
-    between them and with other profiles at the same z (`samples`); each
-    entry equals the separate call's bit for bit.
+    """One Fourier-mode profile f_j(z) with its closed-form first derivative,
+    the one derivative a Poisson bracket reads.  Coordinates and products
+    carry both; a bracket carries its value only.  A profile built without
+    the derivative can be evaluated and integrated; asking for the missing
+    derivative raises ValueError naming it, also where a bracket's value
+    reads it (a bracket of such a profile, or of a bracket).
     """
 
     func: Callable
     deriv: Callable | None = None
-    deriv2: Callable | None = None
-    jet: Callable | None = None
 
     def __call__(self, z):
         return self.func(z)
@@ -77,20 +78,6 @@ class Profile:
             raise ValueError("profile has no closed-form first derivative (deriv)")
         return self.deriv(z)
 
-    def d2(self, z):
-        if self.deriv2 is None:
-            raise ValueError("profile has no closed-form second derivative (deriv2)")
-        return self.deriv2(z)
-
-    def samples(self, z, order: int, cache: dict) -> tuple:
-        """(value, d1, ..., d^order) at z, order <= 2: one `jet` call when
-        the profile has one, else one call each.  `cache` is a dict that
-        lives for one z array, where jets keep what profiles share (the
-        square-root profiles keep w(z) under their radicand (c0, c2))."""
-        if self.jet is not None:
-            return self.jet(z, order, cache)
-        return tuple(f(z) for f in (self.func, self.d1, self.d2)[: order + 1])
-
 
 def constant_profile(value) -> Profile:
     c = complex(value)
@@ -98,8 +85,7 @@ def constant_profile(value) -> Profile:
     def f(z):
         return np.full(np.shape(z), c) if np.ndim(z) else c
 
-    zero = lambda z: np.zeros(np.shape(z)) if np.ndim(z) else 0.0
-    return Profile(f, zero, zero)
+    return Profile(f, lambda z: np.zeros(np.shape(z)) if np.ndim(z) else 0.0)
 
 
 @dataclass(frozen=True)
@@ -163,23 +149,9 @@ def _pole_clamp(interval):
     return clamp
 
 
-def _sampled_terms(terms, z, order: int) -> list:
-    """The mode pairs (j1, p1, j2, p2) of `terms` with each profile replaced
-    by its samples (value, d1, ..., d^order) at z (`Profile.samples`): a
-    profile in several terms is sampled once, and all share one cache."""
-    memo, cache = {}, {}
-
-    def sample(p):
-        if id(p) not in memo:
-            memo[id(p)] = p.samples(z, order, cache)
-        return memo[id(p)]
-
-    return [(j1, sample(p1), j2, sample(p2)) for j1, p1, j2, p2 in terms]
-
-
 def pointwise_product(f: BandLimitedFunction, h: BandLimitedFunction) -> BandLimitedFunction:
-    """Product f*h by exact mode convolution (band limits add).  Each call
-    of a mode profile samples every operand profile once (`_sampled_terms`)."""
+    """Product f*h by exact mode convolution (band limits add), with the
+    product rule's first derivative."""
     grouped = _binary_mode_pairs(f, h)
     modes = {}
     clamp = _pole_clamp(f.z_interval)
@@ -188,23 +160,17 @@ def pointwise_product(f: BandLimitedFunction, h: BandLimitedFunction) -> BandLim
         def value(z, terms=terms):
             # plain profile products stay finite at the endpoints: no clamp
             acc = 0.0 + 0.0j
-            for _, (f1,), _, (f2,) in _sampled_terms(terms, z, 0):
-                acc = acc + f1 * f2
+            for _, p1, _, p2 in terms:
+                acc = acc + p1(z) * p2(z)
             return acc
 
         def d1(z, terms=terms):
-            acc = 0.0 + 0.0j
-            for _, (f1, g1), _, (f2, g2) in _sampled_terms(terms, clamp(z), 1):
-                acc = acc + g1 * f2 + f1 * g2
+            z, acc = clamp(z), 0.0 + 0.0j
+            for _, p1, _, p2 in terms:
+                acc = acc + p1.d1(z) * p2(z) + p1(z) * p2.d1(z)
             return acc
 
-        def d2(z, terms=terms):
-            acc = 0.0 + 0.0j
-            for _, (f1, g1, h1), _, (f2, g2, h2) in _sampled_terms(terms, clamp(z), 2):
-                acc = acc + h1 * f2 + 2.0 * g1 * g2 + f1 * h2
-            return acc
-
-        modes[k] = Profile(value, d1, d2)
+        modes[k] = Profile(value, d1)
     return BandLimitedFunction(modes, f.z_interval, f.real_valued and h.real_valued)
 
 
@@ -212,9 +178,8 @@ def bracket_function(f: BandLimitedFunction, h: BandLimitedFunction) -> BandLimi
     """Unweighted Poisson bracket {f, h} = d_theta f d_z h - d_z f d_theta h.
 
     Built by mode calculus: d_theta multiplies mode j by i*j, d_z acts on the
-    profiles.  The 1/sqrt|g| weight is applied separately by callers.  Each
-    call of a mode profile samples every operand profile once
-    (`_sampled_terms`).
+    profiles.  The 1/sqrt|g| weight is applied separately by callers.  The
+    mode profiles carry values only: no command reads a bracket's derivative.
     """
     grouped = _binary_mode_pairs(f, h)
     modes = {}
@@ -222,19 +187,12 @@ def bracket_function(f: BandLimitedFunction, h: BandLimitedFunction) -> BandLimi
     for k, terms in grouped.items():
 
         def value(z, terms=terms):
-            acc = 0.0 + 0.0j
-            for j1, (f1, g1), j2, (f2, g2) in _sampled_terms(terms, clamp(z), 1):
-                acc = acc + (1j * j1) * f1 * g2 - g1 * ((1j * j2) * f2)
+            z, acc = clamp(z), 0.0 + 0.0j
+            for j1, p1, j2, p2 in terms:
+                acc = acc + (1j * j1) * p1(z) * p2.d1(z) - p1.d1(z) * ((1j * j2) * p2(z))
             return acc
 
-        def d1(z, terms=terms):
-            acc = 0.0 + 0.0j
-            for j1, (f1, g1, h1), j2, (f2, g2, h2) in _sampled_terms(terms, clamp(z), 2):
-                acc = acc + (1j * j1) * (g1 * g2 + f1 * h2)
-                acc = acc - (1j * j2) * (h1 * f2 + g1 * g2)
-            return acc
-
-        modes[k] = Profile(value, d1)
+        modes[k] = Profile(value)
     return BandLimitedFunction(modes, f.z_interval, f.real_valued and h.real_valued)
 
 
@@ -273,32 +231,17 @@ class SurfaceDescriptor:
         return self._brackets
 
 
-def _sqrt_mode_profiles(rsq_of_z, scale: complex) -> Profile:
-    """Profile scale*sqrt(rsq(z)) with analytic derivatives.
-
-    rsq must be a quadratic c0 - c2*z^2 described by (c0, c2): then
-    f = s*w, f' = -s*c2*z/w, f'' = -s*c0*c2/w^3 with w = sqrt(c0 - c2 z^2).
-    The jet takes w(z) from `cache` under (c0, c2) when a profile of the
-    same radicand put it there for this z.
-    """
-    c0, c2 = rsq = tuple(rsq_of_z)
+def _sqrt_mode_profiles(rsq, scale: complex) -> Profile:
+    """Profile f = s*w with f' = -s*c2*z/w, where w = sqrt(c0 - c2 z^2) for
+    the quadratic radicand rsq = (c0, c2)."""
+    c0, c2 = rsq
     s = complex(scale)
 
-    def jet(z, order, cache):
-        w = cache.get(rsq)
-        if w is None:
-            # w = 0 past the interval ends, where c0 - c2 z^2 < 0
-            w = cache[rsq] = np.sqrt(np.maximum(c0 - c2 * np.asarray(z) ** 2, 0.0))
-        out = (s * w,)
-        if order >= 1:
-            out += (-s * c2 * np.asarray(z) / w,)
-        if order >= 2:
-            out += (-s * c0 * c2 / w**3,)
-        return out
+    def w(z):
+        # w = 0 past the interval ends, where c0 - c2 z^2 < 0
+        return np.sqrt(np.maximum(c0 - c2 * np.asarray(z) ** 2, 0.0))
 
-    return Profile(
-        lambda z: jet(z, 0, {})[0], lambda z: jet(z, 1, {})[1], lambda z: jet(z, 2, {})[2], jet
-    )
+    return Profile(lambda z: s * w(z), lambda z: -s * c2 * np.asarray(z) / w(z))
 
 
 def _linear_profile(slope: float) -> Profile:
@@ -308,10 +251,7 @@ def _linear_profile(slope: float) -> Profile:
     def d1(z):
         return np.full(np.shape(z), float(slope)) if np.ndim(z) else float(slope)
 
-    def d2(z):
-        return np.zeros(np.shape(z)) if np.ndim(z) else 0.0
-
-    return Profile(f, d1, d2)
+    return Profile(f, d1)
 
 
 def _build_coordinates(interval, rsq, ax: float, ay: float, az: float):
@@ -416,13 +356,13 @@ def _gauss_legendre(n: int) -> tuple:
     return x, w
 
 
-def surface_integral(s: SurfaceDescriptor, f: BandLimitedFunction, rel_tol: float = 1e-10) -> float:
+def surface_integral(s: SurfaceDescriptor, f: BandLimitedFunction) -> float:
     """Integral of Re(f) sqrt|g| over [a, b] x [0, 2*pi).
 
     Tensor rule: n Gauss-Legendre nodes in z (`_gauss_legendre`) times n
     trapezoid nodes in theta, or one theta node when the integrand cannot
     depend on theta (a revolution surface and a mode-0 f).  n doubles from INTEGRAL_NODES[0]
-    until two successive values agree to rel_tol relative or
+    until two successive values agree to INTEGRAL_REL_TOL relative or
     INTEGRAL_ABS_TOL absolute; at INTEGRAL_NODES[1] the last value is
     returned with a warning.
     """
@@ -438,22 +378,22 @@ def surface_integral(s: SurfaceDescriptor, f: BandLimitedFunction, rel_tol: floa
         value = float(0.5 * (b - a) * TWO_PI / m * (w @ values.sum(axis=1)))
         if previous is not None:
             change = abs(value - previous)
-            if change <= max(rel_tol * abs(value), INTEGRAL_ABS_TOL):
+            if change <= max(INTEGRAL_REL_TOL * abs(value), INTEGRAL_ABS_TOL):
                 return value
             if n >= INTEGRAL_NODES[1]:
                 warnings.warn(
                     f"area quadrature achieved {change / max(abs(value), INTEGRAL_ABS_TOL):.2e} "
-                    f"relative (requested {rel_tol:.1e})"
+                    f"relative (requested {INTEGRAL_REL_TOL:.1e})"
                 )
                 return value
         n, previous = 2 * n, value
 
 
-def surface_area(s: SurfaceDescriptor, rel_tol: float = 1e-10) -> float:
+def surface_area(s: SurfaceDescriptor) -> float:
     """Total area: the surface integral of the constant 1, cached on s."""
     if s._area is None:
         one = BandLimitedFunction({0: constant_profile(1.0)}, s.z_interval)
-        s._area = surface_integral(s, one, rel_tol)
+        s._area = surface_integral(s, one)
     return s._area
 
 

@@ -44,16 +44,12 @@ def _random_real_blf(seed, max_mode=3, interval=(-1.0, 1.0)):
             z = np.asarray(z)
             return c[1] + 2 * c[2] * z
 
-        def d2(z, c=c):
-            return np.full(np.shape(z), 2 * c[2]) if np.ndim(z) else 2 * c[2]
-
-        modes[j] = Profile(f, d1, d2)
+        modes[j] = Profile(f, d1)
     for j in range(1, max_mode + 1):
         pos = modes[j]
         modes[-j] = Profile(
             lambda z, pos=pos: np.conj(pos(z)),
             lambda z, pos=pos: np.conj(pos.d1(z)),
-            lambda z, pos=pos: np.conj(pos.d2(z)),
         )
     return nc.BandLimitedFunction(modes, interval, real_valued=True)
 
