@@ -170,6 +170,35 @@ def test_product_and_bracket_profiles_equal_the_term_by_term_sums(triaxial_123):
                 assert np.asarray(value).tobytes() == np.asarray(want[name]).tobytes(), (k, name)
 
 
+def test_product_and_bracket_profiles_sample_each_operand_once(unit_sphere):
+    x = unit_sphere.coord_x
+    calls = []
+
+    def counted(p):
+        def func(z):
+            calls.append("value")
+            return p(z)
+
+        def deriv(z):
+            calls.append("d1")
+            return p.d1(z)
+
+        return nc.Profile(func, deriv)
+
+    f = nc.BandLimitedFunction({j: counted(p) for j, p in x.modes.items()}, x.z_interval)
+    # mode 0 of f*f and {f, f} sums the terms (-1, +1) and (+1, -1); each
+    # formula samples what it reads of each operand once per term
+    zz = np.linspace(-0.5, 0.5, 7)
+    for profile, per_term in (
+        (nc.pointwise_product(f, f).modes[0], ["value", "value"]),
+        (nc.pointwise_product(f, f).modes[0].d1, ["d1", "value", "value", "d1"]),
+        (nc.bracket_function(f, f).modes[0], ["value", "d1", "d1", "value"]),
+    ):
+        calls.clear()
+        profile(zz)
+        assert calls == per_term * 2
+
+
 def test_surface_area_values():
     assert nc.surface_area(nc.sphere()) == pytest.approx(4 * math.pi, rel=1e-10)
     assert nc.surface_area(nc.ellipsoid(1, 1, 1)) == pytest.approx(4 * math.pi, rel=1e-10)
